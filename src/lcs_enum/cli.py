@@ -154,6 +154,9 @@ def _run_pair(cfg: RunConfig, x: str, y: str) -> int:
         print("lcs-enum: error: inputs must be non-empty", file=sys.stderr)
         return 1
     view = MatchView(x, y)
+    # The oracle runs first so that an input too large for it fails
+    # before anything is printed.
+    want = oracle.all_lcs_position_sequences(view) if cfg.check else None
     enum = LcsEnumerator(view)
     emitted: list[tuple[int, ...]] = []
     ordinal = 0
@@ -177,7 +180,6 @@ def _run_pair(cfg: RunConfig, x: str, y: str) -> int:
         print(f"lcs length:     {length}  (|x|={len(x)}, |y|={len(y)})",
               file=sys.stderr)
     if cfg.check:
-        want = oracle.all_lcs_position_sequences(MatchView(x, y))
         got = emitted
         if cfg.limit is not None:
             want = want[:cfg.limit]

@@ -9,22 +9,30 @@ recovered by reading Y at those positions.
 The two inputs are wrapped in a :class:`MatchView`, which exposes only
 their lengths, positionwise equality queries X[i] == Y[j], and read
 access to Y (needed to render output strings). Algorithms built on top
-of the view never touch the raw inputs, so the view can be backed by
-str, bytes, or token lists without copying, and the attached
+of the view reach the inputs only through it, so the view can be
+backed by str, bytes, or token lists without copying, and the attached
 :class:`Meter` can account for every equality probe.
 
 Besides single queries, the view offers scan primitives (first/last
 match in a range). Each primitive charges the meter for exactly the
 probes a sequential left-to-right (or right-to-left) scan with early
 exit would perform, so query counts are identical to a naive
-character-by-character implementation while str/bytes-backed views get
-C-speed scanning via find/rfind.
+character-by-character implementation whatever the search underneath.
+The view binds its searches once, at construction: str.find/rfind when
+both inputs are str, bytes.find/rfind when both are bytes,
+tuple.index/list.index for forward searches over a tuple or list, and
+a plain element loop for everything else. The threshold folds in
+:mod:`lcs_enum.hirschberg` call these unmetered searches directly and
+charge the meter themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+_BYTES = (bytes, bytearray)
+_Search = Callable[[Sequence, object, int, int], int]
 
 
 class Meter:
@@ -60,8 +68,59 @@ class Meter:
                 f"live_cells={self.live_cells}, peak_cells={self.peak_cells})")
 
 
+def _index_find(seq, item, lo: int, hi: int) -> int:
+    try:
+        return seq.index(item, lo, hi)
+    except ValueError:
+        return -1
+
+
+def _loop_find(seq, item, lo: int, hi: int) -> int:
+    for k in range(lo, hi):
+        e = seq[k]
+        if e is item or e == item:
+            return k
+    return -1
+
+
+def _loop_rfind(seq, item, lo: int, hi: int) -> int:
+    for k in range(hi - 1, lo - 1, -1):
+        e = seq[k]
+        if e is item or e == item:
+            return k
+    return -1
+
+
+def _searches(seq: Sequence, other: Sequence) -> tuple[_Search, _Search]:
+    """Unmetered forward and backward searches over ``seq`` for elements
+    of ``other``.
+
+    ``find(seq, item, lo, hi)`` is the least 0-based k in [lo, hi) with
+    seq[k] equal to ``item``, ``rfind`` the greatest; both return -1 when
+    there is none. Equality is the token rule of :class:`MatchView`.
+    Substring search is exact only when every element of ``other`` is a
+    single character (byte) of ``seq``'s own type, so str.find/rfind and
+    bytes.find/rfind serve only same-type pairs. tuple.index and
+    list.index already compare with the token rule; the rest is a plain
+    element loop.
+    """
+    if isinstance(seq, str) and isinstance(other, str):
+        return str.find, str.rfind
+    if isinstance(seq, bytes) and isinstance(other, bytes):
+        return bytes.find, bytes.rfind
+    if isinstance(seq, (tuple, list)):
+        return _index_find, _loop_rfind
+    return _loop_find, _loop_rfind
+
+
 class MatchView:
     """Read-only view of an input pair (X, Y) with metered access.
+
+    Two tokens are equal when they are the same object or compare equal
+    with ``==`` (the rule tuple.index uses), so one shared NaN object
+    matches itself; equality is assumed symmetric. A str input paired
+    with a bytes input is rejected: they share no token, which almost
+    always means one side was not decoded.
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -69,27 +128,34 @@ class MatchView:
     :meth:`with_meter` if per-thread counts matter.
     """
 
-    __slots__ = ("_x", "_y", "len_x", "len_y", "meter", "_fast")
+    __slots__ = ("_x", "_y", "len_x", "len_y", "meter",
+                 "_x_find", "_y_find", "_y_rfind")
 
     def __init__(self, x: Sequence, y: Sequence, meter: Meter | None = None):
+        if (isinstance(x, str) and isinstance(y, _BYTES)) or (
+                isinstance(x, _BYTES) and isinstance(y, str)):
+            raise TypeError("cannot pair str with bytes input: decode the "
+                            "bytes or encode the str first")
         self._x = x
         self._y = y
         self.len_x = len(x)
         self.len_y = len(y)
         self.meter = meter if meter is not None else Meter()
-        self._fast = (isinstance(x, str) and isinstance(y, str)) or (
-            isinstance(x, bytes) and isinstance(y, bytes))
+        self._x_find = _searches(x, y)[0]
+        self._y_find, self._y_rfind = _searches(y, x)
 
     def with_meter(self, meter: Meter) -> "MatchView":
         """Same underlying inputs, separate instrumentation."""
         return MatchView(self._x, self._y, meter)
 
     def eq(self, i: int, j: int) -> bool:
-        """Whether X[i] == Y[j]. One metered probe."""
+        """Whether X[i] == Y[j] under the token rule. One metered probe."""
         if not (1 <= i <= self.len_x and 1 <= j <= self.len_y):
             raise IndexError(f"eq({i}, {j}) outside 1..{self.len_x} x 1..{self.len_y}")
         self.meter.eq_queries += 1
-        return self._x[i - 1] == self._y[j - 1]
+        a = self._x[i - 1]
+        b = self._y[j - 1]
+        return a is b or a == b
 
     def y_char(self, j: int):
         """The element Y[j] (used only to render outputs)."""
@@ -117,20 +183,12 @@ class MatchView:
             return None
         if not (1 <= i <= self.len_x and 1 <= j_lo and j_hi <= self.len_y):
             raise IndexError(f"next_y_match({i}, {j_lo}, {j_hi}) out of range")
-        if self._fast:
-            k = self._y.find(self._x[i - 1], j_lo - 1, j_hi)
-            if k < 0:
-                self.meter.eq_queries += j_hi - j_lo + 1
-                return None
-            self.meter.eq_queries += k + 2 - j_lo
-            return k + 1
-        xi = self._x[i - 1]
-        m = self.meter
-        for j in range(j_lo, j_hi + 1):
-            m.eq_queries += 1
-            if xi == self._y[j - 1]:
-                return j
-        return None
+        k = self._y_find(self._y, self._x[i - 1], j_lo - 1, j_hi)
+        if k < 0:
+            self.meter.eq_queries += j_hi - j_lo + 1
+            return None
+        self.meter.eq_queries += k + 2 - j_lo
+        return k + 1
 
     def prev_y_match(self, i: int, j_lo: int, j_hi: int) -> int | None:
         """Greatest j in [j_lo, j_hi] with X[i] == Y[j], scanning downward."""
@@ -138,20 +196,12 @@ class MatchView:
             return None
         if not (1 <= i <= self.len_x and 1 <= j_lo and j_hi <= self.len_y):
             raise IndexError(f"prev_y_match({i}, {j_lo}, {j_hi}) out of range")
-        if self._fast:
-            k = self._y.rfind(self._x[i - 1], j_lo - 1, j_hi)
-            if k < 0:
-                self.meter.eq_queries += j_hi - j_lo + 1
-                return None
-            self.meter.eq_queries += j_hi - k
-            return k + 1
-        xi = self._x[i - 1]
-        m = self.meter
-        for j in range(j_hi, j_lo - 1, -1):
-            m.eq_queries += 1
-            if xi == self._y[j - 1]:
-                return j
-        return None
+        k = self._y_rfind(self._y, self._x[i - 1], j_lo - 1, j_hi)
+        if k < 0:
+            self.meter.eq_queries += j_hi - j_lo + 1
+            return None
+        self.meter.eq_queries += j_hi - k
+        return k + 1
 
     def next_x_match(self, j: int, i_lo: int, i_hi: int) -> int | None:
         """Least i in [i_lo, i_hi] with X[i] == Y[j], scanning upward."""
@@ -159,20 +209,12 @@ class MatchView:
             return None
         if not (1 <= j <= self.len_y and 1 <= i_lo and i_hi <= self.len_x):
             raise IndexError(f"next_x_match({j}, {i_lo}, {i_hi}) out of range")
-        if self._fast:
-            k = self._x.find(self._y[j - 1], i_lo - 1, i_hi)
-            if k < 0:
-                self.meter.eq_queries += i_hi - i_lo + 1
-                return None
-            self.meter.eq_queries += k + 2 - i_lo
-            return k + 1
-        yj = self._y[j - 1]
-        m = self.meter
-        for i in range(i_lo, i_hi + 1):
-            m.eq_queries += 1
-            if self._x[i - 1] == yj:
-                return i
-        return None
+        k = self._x_find(self._x, self._y[j - 1], i_lo - 1, i_hi)
+        if k < 0:
+            self.meter.eq_queries += i_hi - i_lo + 1
+            return None
+        self.meter.eq_queries += k + 2 - i_lo
+        return k + 1
 
     def __repr__(self) -> str:
         return f"MatchView(len_x={self.len_x}, len_y={self.len_y})"

@@ -16,19 +16,28 @@ sequence:
   prefix orientation:  level p -> least j with L(X_half, Y[yr.lo..j]) = p
   suffix orientation:  level q -> greatest j with L(X_half, Y[j..yr.hi]) = q
 
-Both are built one X character at a time by an in-place fold that walks
-the match positions of that character inside the Y range; a length-n
-row costs exactly n equality probes. One joint scan of the two
-sequences then yields the Y split. Unlike the classic linear-space LCS
-construction, which may pick any maximizing split, the scan keeps the
-least maximizer; this is what makes the leftmost occurrence of the
-whole problem equal the concatenation of the leftmost occurrences of
-the two halves, so plain left-to-right recursion emits it.
+Both are built one X character at a time by an in-place fold, the
+Hunt-Szymanski threshold update: each match of that character inside
+the Y range lowers (prefix) or raises (suffix) the threshold of the
+level found by bisection. The fold visits only the matches that can
+change a level, skipping from each one past the old threshold it
+replaced, and finds them with the view's bound searches (C-level
+str/bytes find or tuple/list index where the input allows). A length-n
+row is still charged exactly n equality probes, what a scan of the
+whole row costs, so probe counts measure the algorithm and not the
+skips. One joint scan of the two sequences then yields the Y split.
+Unlike the classic linear-space LCS construction, which may pick any
+maximizing split, the scan keeps the least maximizer; this is what
+makes the leftmost occurrence of the whole problem equal the
+concatenation of the leftmost occurrences of the two halves, so plain
+left-to-right recursion emits it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import neg
 from typing import NamedTuple
 
 from .core import IndexRange, MatchView
@@ -64,26 +73,36 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
                      levels: list[int]) -> None:
     """Fold X[i] into prefix thresholds for Y[j_lo..j_hi], in place.
 
-    Walks the match positions of X[i] from high j to low j. A match at j
-    seen when l old thresholds lie below j becomes the new level-(l+1)
-    threshold; descending order makes the least match win. In-place reads
-    are safe because the walk only writes at or above the index it still
-    has to read.
+    A match at j becomes the threshold of level l+1, where l counts the
+    old thresholds below j (Hunt-Szymanski). Matches are found in
+    increasing j by forward search and l by bisection from the last
+    level touched. Once level l holds j, every match up to its old
+    threshold lands on level l again and loses to j, so the search
+    resumes just past that old value; after a new top level nothing can
+    follow. The row is charged j_hi - j_lo + 1 probes, what a scan of
+    the whole row costs, so per-gap probe counts do not depend on how
+    many positions the skips jump over.
     """
-    l = len(levels)
-    hi = j_hi
-    while hi >= j_lo:
-        j = view.prev_y_match(i, j_lo, hi)
-        if j is None:
-            break
-        while l > 0 and levels[l - 1] >= j:
-            l -= 1
-        if l == len(levels):
-            levels.append(j)
+    if j_lo > j_hi:
+        return
+    if not (1 <= i <= view.len_x and 1 <= j_lo and j_hi <= view.len_y):
+        raise IndexError(f"prefix fold of row {i} over {j_lo}..{j_hi} out of range")
+    view.meter.eq_queries += j_hi - j_lo + 1
+    find = view._y_find
+    y = view._y
+    c = view._x[i - 1]
+    top = len(levels)
+    l = 0
+    k = find(y, c, j_lo - 1, j_hi)
+    while k >= 0:
+        l = bisect_left(levels, k + 1, l)
+        if l == top:
+            levels.append(k + 1)
             view.meter.grow(1)
-        else:
-            levels[l] = j
-        hi = j - 1
+            return
+        old = levels[l]
+        levels[l] = k + 1
+        k = find(y, c, old, j_hi)
 
 
 def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
@@ -91,23 +110,31 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     """Fold X[i] into suffix thresholds for Y[j_lo..j_hi], in place.
 
     Mirror image of the prefix fold: X grows leftward by one character,
-    matches are walked from low j to high j, and the greatest match at
-    each level wins.
+    matches are found in decreasing j by backward search, the greatest
+    match at each level wins, and the decreasing list is bisected
+    through ``operator.neg`` so it keeps its representation. Charged
+    j_hi - j_lo + 1 probes, like the prefix fold.
     """
-    l = len(levels)
-    lo = j_lo
-    while lo <= j_hi:
-        j = view.next_y_match(i, lo, j_hi)
-        if j is None:
-            break
-        while l > 0 and levels[l - 1] <= j:
-            l -= 1
-        if l == len(levels):
-            levels.append(j)
+    if j_lo > j_hi:
+        return
+    if not (1 <= i <= view.len_x and 1 <= j_lo and j_hi <= view.len_y):
+        raise IndexError(f"suffix fold of row {i} over {j_lo}..{j_hi} out of range")
+    view.meter.eq_queries += j_hi - j_lo + 1
+    rfind = view._y_rfind
+    y = view._y
+    c = view._x[i - 1]
+    top = len(levels)
+    l = 0
+    k = rfind(y, c, j_lo - 1, j_hi)
+    while k >= 0:
+        l = bisect_left(levels, -1 - k, l, key=neg)
+        if l == top:
+            levels.append(k + 1)
             view.meter.grow(1)
-        else:
-            levels[l] = j
-        lo = j + 1
+            return
+        old = levels[l]
+        levels[l] = k + 1
+        k = rfind(y, c, j_lo - 1, old - 1)
 
 
 def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int

@@ -49,7 +49,7 @@ def _leftmost_embedding(view: MatchView, chars: tuple) -> tuple[int, ...]:
     j = 0
     for c in chars:
         j += 1
-        while view.y_char(j) != c:
+        while not ((e := view.y_char(j)) is c or e == c):
             j += 1
         positions.append(j)
     return tuple(positions)

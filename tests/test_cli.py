@@ -85,6 +85,14 @@ def test_check_failure_exits_3(capsys, monkeypatch):
     assert "check: FAIL" in err
 
 
+def test_check_size_limit_fails_before_any_output(capsys):
+    code, out, err = run_cli(capsys, "abcdabcdabcdabcdab",
+                             "badcbadcbadcbadcba", "--check", "--limit", "2")
+    assert code == 1
+    assert out == ""
+    assert "oracle traceback limited" in err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys)[0] == 1                      # no inputs
     assert run_cli(capsys, "onlyone")[0] == 1

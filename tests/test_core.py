@@ -175,3 +175,37 @@ def test_fast_and_generic_paths_agree():
                 b = tview.prev_y_match(i, j_lo, j_hi)
                 assert a == b
     assert sview.meter.eq_queries == tview.meter.eq_queries
+
+
+def test_mixed_str_and_bytes_pair_rejected():
+    for x, y in [("ab", b"ab"), (b"ab", "ab"), ("ab", bytearray(b"ab"))]:
+        with pytest.raises(TypeError, match="str with bytes"):
+            MatchView(x, y)
+
+
+def test_token_rule_same_object_or_equal():
+    # One shared NaN object equals itself (identity), a second NaN object
+    # does not; eq, every scan and every backing type agree on that.
+    nan, other_nan = float("nan"), float("nan")
+    x = (1, nan, other_nan)
+    y = (other_nan, 1.0, nan)
+
+    class Seq:
+        def __init__(self, items):
+            self._items = list(items)
+
+        def __len__(self):
+            return len(self._items)
+
+        def __getitem__(self, k):
+            return self._items[k]
+
+    for wrap in (tuple, list, Seq):
+        view = MatchView(wrap(x), wrap(y))
+        assert [[view.eq(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)] == \
+            [[False, True, False], [False, False, True], [True, False, False]]
+        assert view.next_y_match(2, 1, 3) == 3
+        assert view.prev_y_match(2, 1, 3) == 3
+        assert view.next_y_match(3, 2, 3) is None
+        assert view.next_x_match(3, 1, 3) == 2
+        assert view.next_x_match(1, 2, 3) == 3

@@ -8,7 +8,8 @@ import pytest
 from conftest import rand_pair
 from lcs_enum import MatchView, LcsEnumerator, enumerate_all, \
     iter_lcs_positions
-from lcs_enum.oracle import all_lcs_position_sequences
+from lcs_enum.oracle import all_lcs_position_sequences, \
+    exhaustive_lcs_position_sequences
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -154,3 +155,63 @@ def test_eq_queries_this_delay_resets_per_output():
     # only holds the probes of the branch search that already ran
     assert all(v >= 0 for v in seen)
     assert enum.counters.delay_total == enum.counters.eq_queries_total
+
+
+class _Seq:
+    """The least a sequence input needs: __len__ and __getitem__."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+
+def _stream(x, y):
+    """Outputs, probes of every next_sequence() call, and peak cells."""
+    enum = LcsEnumerator(MatchView(x, y))
+    outputs, probes = [], []
+    while True:
+        before = enum.view.meter.eq_queries
+        p = enum.next_sequence()
+        probes.append(enum.view.meter.eq_queries - before)
+        if p is None:
+            return outputs, probes, enum.counters.peak_aux_cells
+        outputs.append(p)
+
+
+def test_every_input_type_gives_the_same_stream():
+    # Each backing type takes its own search (str.find, bytes.find,
+    # tuple/list.index, element loops), and mixed pairs must not use
+    # substring search on the other side's elements.
+    rng = random.Random(11)
+    for _ in range(60):
+        x, y = rand_pair(rng, 24, sigmas=(1, 2, 4))
+        want = _stream(x, y)
+        bx, by = x.encode(), y.encode()
+        for pair in [(bx, by), (tuple(x), tuple(y)), (list(x), list(y)),
+                     (_Seq(x), _Seq(y)), (tuple(x), y), (x, list(y)),
+                     (list(bx), by), (_Seq(bx), list(by))]:
+            assert _stream(*pair) == want
+
+
+def test_multi_character_tokens_are_not_substrings():
+    x = ("ab", "b", "a")
+    y = "aab"
+    got = list(LcsEnumerator(MatchView(x, y)))
+    assert got == all_lcs_position_sequences(MatchView(x, y))
+    assert got == [(1,), (3,)]
+
+
+def test_shared_nan_token_matches_the_oracle():
+    nan = float("nan")
+    x = (nan, 1, nan, 2)
+    y = (2, nan, 1, nan)
+    view = MatchView(x, y)
+    got = list(LcsEnumerator(view))
+    assert got == all_lcs_position_sequences(view)
+    assert got == exhaustive_lcs_position_sequences(view)
+    assert got == [(2, 3, 4)]
