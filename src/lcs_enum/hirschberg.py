@@ -93,6 +93,7 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     c = view._x[i - 1]
     top = len(levels)
     l = 0
+    # Searches take and return 0-based indices: the match k is j = k + 1.
     k = find(y, c, j_lo - 1, j_hi)
     while k >= 0:
         l = bisect_left(levels, k + 1, l)

@@ -16,6 +16,19 @@ def rand_pair(rng: random.Random, max_len: int, sigmas=(1, 2, 4, 8)):
     return rand_string(rng, m, sigma), rand_string(rng, n, sigma)
 
 
+class MinimalSeq:
+    """The least a sequence input needs: __len__ and __getitem__."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import MinimalSeq
 from lcs_enum import MatchView, Meter, IndexRange, char_eq, render, \
     is_valid_position_sequence
 
@@ -161,8 +162,8 @@ def test_scan_walk_telescopes_to_row_length():
 
 
 def test_fast_and_generic_paths_agree():
-    # str inputs take the find/rfind path; tuples take the plain loop.
-    # Results and probe counts must be identical.
+    # str inputs take str.find/rfind; tuples take tuple.index upward and
+    # an element loop downward. Results and probe counts must be identical.
     sview = MatchView(X1, Y1)
     tview = MatchView(tuple(X1), tuple(Y1))
     for i in range(1, 12):
@@ -190,17 +191,7 @@ def test_token_rule_same_object_or_equal():
     x = (1, nan, other_nan)
     y = (other_nan, 1.0, nan)
 
-    class Seq:
-        def __init__(self, items):
-            self._items = list(items)
-
-        def __len__(self):
-            return len(self._items)
-
-        def __getitem__(self, k):
-            return self._items[k]
-
-    for wrap in (tuple, list, Seq):
+    for wrap in (tuple, list, MinimalSeq):
         view = MatchView(wrap(x), wrap(y))
         assert [[view.eq(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)] == \
             [[False, True, False], [False, False, True], [True, False, False]]

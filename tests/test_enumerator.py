@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import rand_pair
+from conftest import MinimalSeq, rand_pair
 from lcs_enum import MatchView, LcsEnumerator, enumerate_all, \
     iter_lcs_positions
 from lcs_enum.oracle import all_lcs_position_sequences, \
@@ -157,19 +157,6 @@ def test_eq_queries_this_delay_resets_per_output():
     assert enum.counters.delay_total == enum.counters.eq_queries_total
 
 
-class _Seq:
-    """The least a sequence input needs: __len__ and __getitem__."""
-
-    def __init__(self, items):
-        self._items = list(items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, k):
-        return self._items[k]
-
-
 def _stream(x, y):
     """Outputs, probes of every next_sequence() call, and peak cells."""
     enum = LcsEnumerator(MatchView(x, y))
@@ -193,8 +180,9 @@ def test_every_input_type_gives_the_same_stream():
         want = _stream(x, y)
         bx, by = x.encode(), y.encode()
         for pair in [(bx, by), (tuple(x), tuple(y)), (list(x), list(y)),
-                     (_Seq(x), _Seq(y)), (tuple(x), y), (x, list(y)),
-                     (list(bx), by), (_Seq(bx), list(by))]:
+                     (MinimalSeq(x), MinimalSeq(y)), (tuple(x), y),
+                     (x, list(y)), (list(bx), by),
+                     (MinimalSeq(bx), list(by))]:
             assert _stream(*pair) == want
 
 
