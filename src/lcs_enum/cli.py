@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", nargs="?",
                    help="second string (positions refer to this one)")
     p.add_argument("--files", nargs=2, metavar=("XFILE", "YFILE"),
-                   help="read the two inputs from files instead")
+                   help="read the two inputs from UTF-8 text files instead")
     p.add_argument("--format", choices=_FORMATS, default="positions",
                    help="positions: space-separated indices per line; "
                         "strings: the subsequence itself; jsonl: one JSON "
@@ -134,7 +134,11 @@ def _read_input(path: str, trim: bool) -> str:
         data = data[:-1]
         if data.endswith(b"\r"):
             data = data[:-1]
-    return data.decode("latin-1")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not valid UTF-8 (byte {e.start}: "
+                         f"{e.reason})") from None
 
 
 def _emit(out, fmt: str, ordinal: int, positions: tuple[int, ...],

@@ -60,9 +60,10 @@ class Counters:
     def mean_delay(self) -> float:
         return self.delay_total / self.gaps_closed if self.gaps_closed else 0.0
 
-    def _close_gap(self) -> None:
-        gap = self._meter.eq_queries - self._mark
-        self._mark = self._meter.eq_queries
+    def _close_gap(self, at: int) -> None:
+        """Close the gap that ends at probe total ``at``."""
+        gap = at - self._mark
+        self._mark = at
         self.gaps_closed += 1
         self.delay_total += gap
         if gap > self.max_delay:
@@ -98,7 +99,12 @@ class LcsEnumerator:
         return self._finished
 
     def next_sequence(self) -> tuple[int, ...] | None:
-        """The next position sequence, or None after the last one."""
+        """The next position sequence, or None after the last one.
+
+        If the call raises (``KeyboardInterrupt`` included), the next
+        call resumes the same stream: nothing is counted as emitted and
+        no auxiliary cell stays charged for the failed attempt.
+        """
         if self._finished:
             return None
         view = self._view
@@ -121,15 +127,19 @@ class LcsEnumerator:
         del p[k:]
         _first_lcs_into(view, i + 1, view.len_x, j + 1, view.len_y, p)
         out = tuple(p)
-        self.counters.outputs_emitted += 1
-        self.counters._close_gap()
+        emitted_at = meter.eq_queries
 
+        # Until find_branch returns, the kept prefix and k* are as they
+        # were, so a call that raises recomputes this output next time.
         branch = find_branch(view, p)
+        counters = self.counters
+        counters.outputs_emitted += 1
+        counters._close_gap(emitted_at)
         if branch is None:
             self._finished = True
             meter.shrink(len(p))
             p.clear()
-            self.counters._close_gap()  # trailing gap: the final search
+            counters._close_gap(meter.eq_queries)  # the final search
         else:
             self._k_star = branch.k_star
             p[branch.k_star - 1] = branch.j_star

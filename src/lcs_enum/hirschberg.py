@@ -16,16 +16,32 @@ sequence:
   prefix orientation:  level p -> least j with L(X_half, Y[yr.lo..j]) = p
   suffix orientation:  level q -> greatest j with L(X_half, Y[j..yr.hi]) = q
 
-Both are built one X character at a time by an in-place fold, the
-Hunt-Szymanski threshold update: each match of that character inside
-the Y range lowers (prefix) or raises (suffix) the threshold of the
-level found by bisection. The fold visits only the matches that can
-change a level, skipping from each one past the old threshold it
-replaced, and finds them with the view's bound searches (C-level
-str/bytes find or tuple/list index where the input allows). A length-n
-row is still charged exactly n equality probes, what a scan of the
-whole row costs, so probe counts measure the algorithm and not the
-skips. One joint scan of the two sequences then yields the Y split.
+Both are built one X character at a time by a row fold, in one of two
+forms. Every fold starts in the list form, the Hunt-Szymanski threshold
+update: each match of that character inside the Y range lowers
+(prefix) or raises (suffix) the threshold of the level found by
+bisection. It visits only the matches that can change a level,
+skipping from each one past the old threshold it replaced, and finds
+them with the view's bound searches (C-level str/bytes find or
+tuple/list index where the input allows).
+
+Once a fold over w >= 64 positions of Y holds at least w/8 levels, and
+the pair is str against an ASCII str Y or bytes against bytes, it
+switches to the bit form (Allison-Dix, Hyyro): the thresholds become
+the 0-bits of a w-bit integer V, and one row is
+``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
+mask, cut from the Y segment by ``bytes.translate`` and ``int(.., 2)``.
+No per-symbol mask table is kept; the bit form holds V, a few w-bit
+temporaries and two w-byte strings, a constant number of machine
+words per level once 8 * levels >= w, so the one-cell-per-level charge
+stays an upper bound on its space. Other inputs, narrower ranges and
+folds with few levels stay in the list form; so does ``dec_i`` in
+:mod:`lcs_enum.branching`, which reads its thresholds between rows.
+
+Either form charges a length-n row exactly n equality probes, what a
+scan of the whole row costs, and one cell whenever the level count
+rises, so probe and cell counts measure the algorithm and not the
+form. One joint scan of the two sequences then yields the Y split.
 Unlike the classic linear-space LCS construction, which may pick any
 maximizing split, the scan keeps the least maximizer; this is what
 makes the leftmost occurrence of the whole problem equal the
@@ -138,6 +154,116 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
         k = rfind(y, c, j_lo - 1, old - 1)
 
 
+# Byte value c selects _ONE_HOT[255 - c:511 - c], a translate table that
+# maps byte c to b"1" and every other byte to b"0".
+_ONE_HOT = b"0" * 255 + b"1" + b"0" * 255
+# The bit form pays once a fold is this wide and holds a level per
+# this many positions; narrower rows cost more to cut a mask than to walk.
+_BIT_MIN_WIDTH = 64
+_BIT_POSITIONS_PER_LEVEL = 8
+
+
+def _bit_rows_apply(view: MatchView) -> bool:
+    """Whether Y segments of the view encode to one byte per position."""
+    x, y = view._x, view._y
+    if isinstance(x, str) and isinstance(y, str):
+        return y.isascii()
+    return isinstance(x, bytes) and isinstance(y, bytes)
+
+
+def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
+               levels: list[int], suffix: bool) -> None:
+    """Fold the X rows into ``levels`` in the bit form, in place.
+
+    Bit k of V stands for j_lo + k (prefix) or j_hi - k (suffix); its
+    0-bits are the thresholds. The list is emptied while the rows run
+    and refilled with the same values the list form would give. Each
+    row is charged j_hi - j_lo + 1 probes and, when the level count
+    rises, one cell, like the list form.
+    """
+    meter = view.meter
+    w = j_hi - j_lo + 1
+    full = (1 << w) - 1
+    v = full
+    for t in levels:
+        v ^= 1 << (j_hi - t if suffix else t - j_lo)
+    count = len(levels)
+    levels.clear()
+    # Y[j_lo..j_hi] as bytes, cut once, with the position of bit 0 last:
+    # int(.., 2) reads its first character as the highest bit.
+    seg = view._y[j_lo - 1:j_hi]
+    if isinstance(seg, str):
+        seg = seg.encode("ascii")
+    if not suffix:
+        seg = seg[::-1]
+    x = view._x
+    text = isinstance(x, str)
+    for i in rows:
+        meter.eq_queries += w
+        c = x[i - 1]
+        if text:
+            c = ord(c)
+            if c > 127:  # absent from an ASCII Y: the row changes nothing
+                continue
+        u = v & int(seg.translate(_ONE_HOT[255 - c:511 - c]), 2)
+        v = ((v + u) | (v - u)) & full
+        if w - v.bit_count() > count:
+            count += 1
+            meter.grow(1)
+    zeros = bin(v ^ full)[:1:-1]  # character k is bit k
+    k = zeros.find("1")
+    while k >= 0:
+        levels.append(j_hi - k if suffix else j_lo + k)
+        k = zeros.find("1", k + 1)
+
+
+def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
+               j_hi: int, suffix: bool) -> list[int]:
+    """Thresholds of X[i_first..i_last] against Y[j_lo..j_hi].
+
+    Folds the rows in increasing i (prefix orientation) or decreasing i
+    (``suffix``), starting in the list form and switching to the bit
+    form before a row once w = j_hi - j_lo + 1 >= 64, 8 * levels >= w
+    and the input types allow it. Returns the levels, one charged cell
+    each; the caller releases them. On an exception every cell charged
+    here is released before it propagates.
+    """
+    levels: list[int] = []
+    if j_lo > j_hi:
+        return levels
+    if suffix:
+        rows = range(i_last, i_first - 1, -1)
+        fold = _fold_suffix_row
+    else:
+        rows = range(i_first, i_last + 1)
+        fold = _fold_prefix_row
+    w = j_hi - j_lo + 1
+    base = view.meter.live_cells
+    try:
+        # Levels never outnumber the rows folded, so a fold of at most
+        # w/8 rows cannot switch; most folds are a row or two long.
+        if (w < _BIT_MIN_WIDTH or _BIT_POSITIONS_PER_LEVEL * len(rows) <= w
+                or not _bit_rows_apply(view)):
+            for i in rows:
+                fold(view, i, j_lo, j_hi, levels)
+            return levels
+        switch = -(-w // _BIT_POSITIONS_PER_LEVEL)
+        for n, i in enumerate(rows):
+            if len(levels) >= switch:
+                # The list rows checked the Y range; the bit rows index X
+                # without a check of their own.
+                if i_first < 1 or i_last > view.len_x:
+                    raise IndexError(f"fold of rows {i_first}..{i_last} "
+                                     f"outside 1..{view.len_x}")
+                _fold_bits(view, rows[n:], j_lo, j_hi, levels, suffix)
+                break
+            fold(view, i, j_lo, j_hi, levels)
+        return levels
+    except BaseException:
+        view.meter.shrink(view.meter.live_cells - base)
+        raise
+
+
 def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
            ) -> tuple[int, int]:
     """Midpoint of X and the least Y split whose half-LCS lengths sum to L.
@@ -145,32 +271,30 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     Requires i_lo < i_hi. Builds both threshold sequences, scans Y once
     keeping the current prefix level l_lo and remaining suffix level l_hi,
     and replaces the best split only on strict improvement, so the least
-    maximizer survives. Both sequences are released before returning.
+    maximizer survives. Every cell charged here is released before it
+    returns or raises.
     """
     meter = view.meter
+    base = meter.live_cells
     i_mid = (i_lo + i_hi) // 2
+    try:
+        lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi, False)
+        hi_levels = _fold_rows(view, i_mid + 1, i_hi, j_lo, j_hi, True)
 
-    lo_levels: list[int] = []
-    for i in range(i_lo, i_mid + 1):
-        _fold_prefix_row(view, i, j_lo, j_hi, lo_levels)
-    hi_levels: list[int] = []
-    for i in range(i_hi, i_mid, -1):
-        _fold_suffix_row(view, i, j_lo, j_hi, hi_levels)
-
-    l_lo = 0
-    l_hi = len(hi_levels)
-    best = l_lo + l_hi
-    j_mid = j_lo - 1
-    for j in range(j_lo, j_hi + 1):
-        if l_lo < len(lo_levels) and lo_levels[l_lo] <= j:
-            l_lo += 1
-        if l_hi > 0 and hi_levels[l_hi - 1] <= j:
-            l_hi -= 1
-        if l_lo + l_hi > best:
-            j_mid = j
-            best = l_lo + l_hi
-
-    meter.shrink(len(lo_levels) + len(hi_levels))
+        l_lo = 0
+        l_hi = len(hi_levels)
+        best = l_lo + l_hi
+        j_mid = j_lo - 1
+        for j in range(j_lo, j_hi + 1):
+            if l_lo < len(lo_levels) and lo_levels[l_lo] <= j:
+                l_lo += 1
+            if l_hi > 0 and hi_levels[l_hi - 1] <= j:
+                l_hi -= 1
+            if l_lo + l_hi > best:
+                j_mid = j
+                best = l_lo + l_hi
+    finally:
+        meter.shrink(meter.live_cells - base)
     return i_mid, j_mid
 
 
@@ -213,10 +337,7 @@ def prefix_thresholds(view: MatchView, xr: IndexRange | None = None,
                       yr: IndexRange | None = None) -> ThresholdSequence:
     """Least j in yr reaching each LCS level of X[xr] versus Y[yr.lo..j]."""
     xr, yr = _resolve_ranges(view, xr, yr)
-    levels: list[int] = []
-    if not yr.is_empty:
-        for i in range(xr.lo, xr.hi + 1):
-            _fold_prefix_row(view, i, yr.lo, yr.hi, levels)
+    levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi, False)
     view.meter.shrink(len(levels))
     return ThresholdSequence(tuple(levels), "prefix")
 
@@ -225,10 +346,7 @@ def suffix_thresholds(view: MatchView, xr: IndexRange | None = None,
                       yr: IndexRange | None = None) -> ThresholdSequence:
     """Greatest starting j in yr reaching each LCS level of X[xr] versus Y[j..yr.hi]."""
     xr, yr = _resolve_ranges(view, xr, yr)
-    levels: list[int] = []
-    if not yr.is_empty:
-        for i in range(xr.hi, xr.lo - 1, -1):
-            _fold_suffix_row(view, i, yr.lo, yr.hi, levels)
+    levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi, True)
     view.meter.shrink(len(levels))
     return ThresholdSequence(tuple(levels), "suffix")
 
@@ -253,6 +371,8 @@ def first_lcs(view: MatchView, xr: IndexRange | None = None,
     """
     xr, yr = _resolve_ranges(view, xr, yr)
     out: list[int] = []
-    _first_lcs_into(view, xr.lo, xr.hi, yr.lo, yr.hi, out)
-    view.meter.shrink(len(out))
+    try:
+        _first_lcs_into(view, xr.lo, xr.hi, yr.lo, yr.hi, out)
+    finally:
+        view.meter.shrink(len(out))
     return tuple(out)

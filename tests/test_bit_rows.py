@@ -1,0 +1,114 @@
+"""The bit form of a threshold fold agrees with the list form exactly.
+
+A fold over str (ASCII Y) or bytes inputs switches to bit rows once it
+is at least 64 positions wide and holds a level per eight positions. A
+tuple view of the same content always keeps the list form, so it is the
+reference: values, probes, peak cells and live cells must all match.
+"""
+
+import random
+
+import pytest
+
+from conftest import rand_string
+from lcs_enum import (IndexRange, LcsEnumerator, MatchView, first_lcs,
+                      prefix_thresholds, split_point, suffix_thresholds)
+from lcs_enum import hirschberg
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+FUNCTIONS = (prefix_thresholds, suffix_thresholds, first_lcs, split_point)
+# Widths on both sides of the 64-position floor.
+EDGE_WIDTHS = (1, 2, 8, 62, 63, 64, 65, 66, 127, 128, 129)
+
+
+@st.composite
+def instances(draw):
+    """(x, y, xr, yr): a str or bytes pair and subranges of it."""
+    kind = draw(st.sampled_from(["str", "bytes"]))
+    sigma = draw(st.integers(1, 26))
+    common = list(range(ord("a"), ord("a") + sigma))
+    # Symbols only X can hold: absent from Y, 0x80 and up, and for str
+    # non-ASCII code points against the ASCII Y that takes bit rows.
+    only_x = draw(st.sampled_from([[], [ord("0")], [0x80, 0xFF],
+                                   [0xE9, 0x3B1] if kind == "str" else [0x9C]]))
+    y_extra = [0x80, 0xFF] if kind == "bytes" and draw(st.booleans()) else []
+    w = draw(st.sampled_from(EDGE_WIDTHS) | st.integers(1, 160))
+    # X row counts near the switch (a level per eight positions) as
+    # well as anywhere.
+    rows = draw(st.integers(max(1, w // 8 - 3), w // 8 + 3)
+                | st.integers(1, 160))
+    y_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    x_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    y = draw(st.lists(st.sampled_from(common + y_extra),
+                      min_size=w + sum(y_pad), max_size=w + sum(y_pad)))
+    x = draw(st.lists(st.sampled_from(common + only_x),
+                      min_size=rows + sum(x_pad), max_size=rows + sum(x_pad)))
+    if kind == "str":
+        x, y = "".join(map(chr, x)), "".join(map(chr, y))
+    else:
+        x, y = bytes(x), bytes(y)
+    xr = IndexRange(x_pad[0] + 1, x_pad[0] + rows)
+    yr = IndexRange(y_pad[0] + 1, y_pad[0] + w)
+    return x, y, xr, yr
+
+
+def _metered(fn, view, xr, yr):
+    result = fn(view, xr, yr)
+    meter = view.meter
+    return (getattr(result, "values", result), meter.eq_queries,
+            meter.peak_cells, meter.live_cells)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_bit_rows_agree_with_list_rows(case):
+    x, y, xr, yr = case
+    for fn in FUNCTIONS:
+        if fn is split_point and xr.length < 2:
+            continue
+        assert (_metered(fn, MatchView(x, y), xr, yr)
+                == _metered(fn, MatchView(tuple(x), tuple(y)), xr, yr)), fn
+
+
+@pytest.fixture
+def bit_entries(monkeypatch):
+    """(w, levels) at every switch of a fold to the bit form."""
+    entries = []
+    fold_bits = hirschberg._fold_bits
+
+    def record(view, rows, j_lo, j_hi, levels, suffix):
+        entries.append((j_hi - j_lo + 1, len(levels)))
+        return fold_bits(view, rows, j_lo, j_hi, levels, suffix)
+
+    monkeypatch.setattr(hirschberg, "_fold_bits", record)
+    return entries
+
+
+def test_switch_only_when_levels_cover_the_bits(bit_entries):
+    rng = random.Random(3)
+    for sigma in (1, 2, 4, 26):
+        for n in (63, 64, 65, 200):
+            x, y = rand_string(rng, n, sigma), rand_string(rng, n, sigma)
+            for view in (MatchView(x, y), MatchView(x.encode(), y.encode())):
+                first_lcs(view)
+    assert bit_entries
+    assert all(8 * levels >= w >= 64 for w, levels in bit_entries)
+
+
+def test_other_inputs_never_switch(bit_entries):
+    rng = random.Random(4)
+    x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
+    first_lcs(MatchView(tuple(x), tuple(y)))
+    first_lcs(MatchView(list(x.encode()), list(y.encode())))
+    first_lcs(MatchView(x, y + "é"))  # non-ASCII Y
+    assert bit_entries == []
+
+
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_space_family_never_switches(bit_entries, n):
+    # Criterion 7's family has L = 1: one level never pays for w bits.
+    view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
+    assert list(LcsEnumerator(view)) == [(1,)]
+    assert bit_entries == []

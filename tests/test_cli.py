@@ -141,6 +141,28 @@ def test_file_crlf_trimmed_as_one_newline(tmp_path, capsys):
     assert (code, out) == (0, "1 2\n")
 
 
+def test_files_are_decoded_as_utf8(tmp_path, capsys):
+    fx = tmp_path / "x.txt"
+    fy = tmp_path / "y.txt"
+    fx.write_bytes("a\u00e9\n".encode("utf-8"))
+    fy.write_bytes("a\u00e8\n".encode("utf-8"))
+    code, out, _ = run_cli(capsys, "--files", str(fx), str(fy),
+                           "--format", "strings")
+    # The common part is the code point "a", not the shared lead byte of
+    # the two two-byte accented letters.
+    assert (code, out) == (0, "a\n")
+
+
+def test_undecodable_file_exits_1_naming_it(tmp_path, capsys):
+    fx = tmp_path / "x.txt"
+    fy = tmp_path / "latin1.txt"
+    fx.write_bytes(b"ab\n")
+    fy.write_bytes("a\u00e9b\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "--files", str(fx), str(fy))
+    assert (code, out) == (1, "")
+    assert str(fy) in err and "UTF-8" in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     fy = tmp_path / "y.txt"
     fy.write_bytes(b"a\n")

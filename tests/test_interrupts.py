@@ -1,0 +1,145 @@
+"""An interrupt anywhere in the enumeration leaves it correct and balanced.
+
+``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
+charge past a chosen total, which lands it at the start of a threshold
+row (in the list or the bit form), in a match search of ``first_lcs``,
+or inside ``find_branch``. After the interrupt the caller simply calls
+again: the stream must equal the uninterrupted one, every cell must be
+released at exhaustion, and ``outputs_emitted`` must count exactly the
+outputs returned.
+"""
+
+import random
+import traceback
+
+import pytest
+
+from conftest import rand_string
+from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, first_lcs,
+                      prefix_thresholds, split_point, suffix_thresholds)
+from lcs_enum import enumerator as enumerator_module
+from lcs_enum import hirschberg
+
+
+class InterruptingMeter(Meter):
+    """A meter that raises KeyboardInterrupt once, at the first probe
+    charge that would take the total past ``at``."""
+
+    __slots__ = ("_probes", "at")
+
+    def __init__(self, at=None):
+        self.at = at
+        self._probes = 0
+        super().__init__()
+
+    @property
+    def eq_queries(self):
+        return self._probes
+
+    @eq_queries.setter
+    def eq_queries(self, value):
+        if self.at is not None and value > self.at:
+            self.at = None
+            raise KeyboardInterrupt
+        self._probes = value
+
+
+LIMIT = 30
+
+
+def _run(enum, limit=LIMIT):
+    """Up to ``limit`` outputs, resuming after every interrupt, and the
+    names of the functions the interrupts came from."""
+    outputs = []
+    where = set()
+    while len(outputs) < limit:
+        try:
+            p = enum.next_sequence()
+        except KeyboardInterrupt as e:
+            where.update(f.name for f in traceback.extract_tb(e.__traceback__))
+            continue
+        if p is None:
+            break
+        outputs.append(p)
+    return outputs, where
+
+
+def _cases():
+    rng = random.Random(1)
+    x = rand_string(rng, 130, 4)
+    y = rand_string(rng, 20, 4) + x[10:120] + rand_string(rng, 20, 4)
+    # (x, y, whether some folds take the bit form)
+    return [("abcab" * 8, "bacba" * 8, False),  # many outputs: the first 30
+            (x, y, True),  # 15 outputs
+            (x.encode(), y.encode(), True),
+            (tuple(x), tuple(y), False)]
+
+
+@pytest.mark.parametrize("x, y, bit_rows", _cases(),
+                         ids=["periodic", "str", "bytes", "tuple"])
+def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
+                                                            bit_rows):
+    ref = LcsEnumerator(MatchView(x, y))
+    want, _ = _run(ref)
+    hit = set()
+    total = ref.counters.eq_queries_total
+    for at in range(0, total, max(1, total // 25)):
+        monkeypatch.setattr(enumerator_module, "Meter",
+                            lambda: InterruptingMeter(at))
+        enum = LcsEnumerator(MatchView(x, y))
+        got, where = _run(enum)
+        assert where, at  # the interrupt fired
+        hit |= where
+        assert got == want, at
+        assert enum.finished == ref.finished, at
+        assert enum.view.meter.live_cells == ref.view.meter.live_cells, at
+        assert enum.counters.outputs_emitted == len(got), at
+    assert ref.finished == (len(want) < LIMIT)
+    if ref.finished:
+        assert ref.view.meter.live_cells == 0
+    assert {"_fold_prefix_row", "_fold_suffix_row", "find_branch"} <= hit
+    assert ("_fold_bits" in hit) == bit_rows
+
+
+def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
+    # An interrupt in the third suffix row of a split used to leave the
+    # split's prefix thresholds charged for the rest of the enumeration.
+    x, y = "abcab" * 8, "bacba" * 8
+    ref = LcsEnumerator(MatchView(x, y))
+    want, _ = _run(ref)
+    fold = hirschberg._fold_suffix_row
+    calls = 0
+
+    def interrupt_third(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise KeyboardInterrupt
+        return fold(*args)
+
+    monkeypatch.setattr(hirschberg, "_fold_suffix_row", interrupt_third)
+    enum = LcsEnumerator(MatchView(x, y))
+    with pytest.raises(KeyboardInterrupt):
+        enum.next_sequence()
+    got, _ = _run(enum)
+    assert got == want
+    assert enum.view.meter.live_cells == ref.view.meter.live_cells
+    assert enum.counters.outputs_emitted == len(want)
+
+
+@pytest.mark.parametrize("fn", [first_lcs, prefix_thresholds,
+                                suffix_thresholds, split_point])
+@pytest.mark.parametrize("kind", [str, bytes, tuple])
+def test_interrupted_library_calls_release_every_cell(fn, kind):
+    rng = random.Random(11)
+    x, y = rand_string(rng, 120, 2), rand_string(rng, 100, 2)
+    x, y = (x.encode(), y.encode()) if kind is bytes else (kind(x), kind(y))
+    xr, yr = IndexRange(3, 118), IndexRange(2, 99)
+    probe = MatchView(x, y)
+    fn(probe, xr, yr)
+    total = probe.meter.eq_queries
+    for at in range(0, total, max(1, total // 25)):
+        meter = InterruptingMeter(at)
+        with pytest.raises(KeyboardInterrupt):
+            fn(MatchView(x, y, meter), xr, yr)
+        assert meter.live_cells == 0, at
