@@ -12,17 +12,21 @@ Y[P[1..k-1]] followed by Y[j*] still be embedded with the greedy
 leftmost rule (ending at some X position at or before the current scan
 frontier i*), and do the remaining inputs after that embedding still
 admit |P| - k more common characters? The first question is answered by
-scanning X for a match; the second by a suffix threshold sequence for
+searching X for a match; the second by a suffix threshold sequence for
 X[i*+1..] against all of Y, maintained incrementally: every time i*
-moves one step left, one in-place fold (``dec_i``) refreshes it in
+moves one step left, one in-place suffix row fold adds X[i*] to it in
 O(|Y|) probes. i* never moves right, so a whole call performs at most
 |X| folds and O(|X| * |Y|) probes overall while keeping O(L) integers.
+
+X is searched with the view's bound search, charged what a scan with
+early exit would cost. The greedy embedding, also used by the
+enumerator, is one loop charged once: scans that each resume past the
+previous match telescope to i probes for an embedding ending at i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
 from .hirschberg import _fold_suffix_row
@@ -35,87 +39,89 @@ class BranchPoint(NamedTuple):
     j_star: int  # the successor's Y index at that position
 
 
-@dataclass(slots=True)
-class BranchState:
-    """Mutable scan state: greedy embedding, X frontier, suffix thresholds.
+def _embed(view: MatchView, positions: Iterable[int],
+           q: list[int] | None) -> int:
+    """End i of the leftmost embedding of Y[positions] into X, charged i
+    probes; each X position is appended to ``q`` unless it is None.
 
-    ``q[k]`` is the least X position whose prefix embeds Y[P[1..k]]
-    (sentinel q[0] = 0). ``j_suffix[l - 1]`` is the greatest j with
-    L(X[i_star+1..], Y[j..]) = l.
+    Invalid positions raise before any charge; a failed embedding raises
+    ValueError after charging len_x probes, what its scans would cost.
     """
-
-    q: list[int]
-    i_star: int
-    j_suffix: list[int]
+    x, y, find = view._x, view._y, view._x_find
+    len_x, len_y = view.len_x, view.len_y
+    i = prev = 0
+    for j in positions:
+        if not prev < j <= len_y:
+            raise (ValueError if 1 <= j <= len_y else IndexError)(
+                f"position {j} after {prev}: not in {prev + 1}..{len_y}")
+        prev = j
+        # The search is 0-based: the match at index k is X position k + 1.
+        i = find(x, y[j - 1], i, len_x) + 1
+        if not i:
+            view.meter.eq_queries += len_x
+            raise ValueError("sequence does not embed into the first input")
+        if q is not None:
+            q.append(i)
+    view.meter.eq_queries += i
+    return i
 
 
 def greedy_embedding(view: MatchView, positions: Sequence[int]) -> list[int]:
     """Leftmost X positions embedding Y[positions], one scan of X.
 
-    Raises ValueError if Y[positions] is not a subsequence of X, which
-    inside the enumerator would mean corrupted state.
+    Raises IndexError for a position outside 1..len_y, ValueError if the
+    positions do not increase strictly or do not embed into X.
     """
     q: list[int] = []
-    i = 0
-    for j in positions:
-        nxt = view.next_x_match(j, i + 1, view.len_x)
-        if nxt is None:
-            raise ValueError("sequence does not embed into the first input")
-        q.append(nxt)
-        i = nxt
+    _embed(view, positions, q)
     return q
-
-
-def dec_i(view: MatchView, state: BranchState) -> None:
-    """Move the X frontier one step left and refold the suffix thresholds.
-
-    Requires state.i_star >= 1. One O(|Y|) pass incorporates the
-    character X[i_star] (the new head of the X suffix) into j_suffix.
-    """
-    state.i_star -= 1
-    _fold_suffix_row(view, state.i_star + 1, 1, view.len_y, state.j_suffix)
 
 
 def find_branch(view: MatchView, positions: Sequence[int]) -> BranchPoint | None:
     """Branch point of the successor of ``positions``, or None if it is last.
 
     ``positions`` must be an output of the enumeration (leftmost
-    canonical LCS positions); behaviour is unspecified otherwise.
+    canonical LCS positions); other inputs raise the errors of
+    :func:`greedy_embedding` or give an unspecified result.
     """
     meter = view.meter
+    x, y, find, len_y = view._x, view._y, view._x_find, view.len_y
     length = len(positions)
-    meter.grow(_FRAME_CELLS + 1)
+    # q[k]: least X end embedding Y[P[1..k]] (q[0] = 0), charged before the
+    # walk's probes; j_suffix[l-1]: greatest j with L(X[i*+1..], Y[j..]) = l.
+    cells = _FRAME_CELLS + 1 + length
+    meter.grow(cells)
     q = [0]
-    state = BranchState(q=q, i_star=view.len_x, j_suffix=[])
+    j_suffix: list[int] = []
     try:
-        i = 0
-        for j in positions:
-            nxt = view.next_x_match(j, i + 1, view.len_x)
-            if nxt is None:
-                raise ValueError("sequence does not embed into the first input")
-            q.append(nxt)
-            meter.grow(1)
-            i = nxt
-
+        _embed(view, positions, q)
+        i_star = view.len_x
         for k in range(length, 0, -1):
-            while state.i_star >= q[k]:
-                dec_i(view, state)
+            while i_star >= q[k]:
+                _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
+                i_star -= 1
             base = q[k - 1]
-            for j_star in range(positions[k - 1] + 1, view.len_y + 1):
-                hit = view.next_x_match(j_star, base + 1, state.i_star)
-                if hit is None:
+            need = length - k
+            for j_star in range(positions[k - 1] + 1, len_y + 1):
+                if base >= i_star:
+                    break  # an empty X range: no match and no probe
+                # 0-based hit h: a scan from base + 1 costs h + 1 - base.
+                hit = find(x, y[j_star - 1], base, i_star)
+                if hit < 0:
+                    meter.eq_queries += i_star - base
                     continue
-                while state.i_star > hit:
-                    dec_i(view, state)
-                # Residual check: the inputs after (i_star, j_star) must
-                # reach level length - k. Testing >= is enough; more would
-                # contradict L being the LCS length.
-                need = length - k
-                if need == 0 or (len(state.j_suffix) >= need
-                                 and j_star + 1 <= state.j_suffix[need - 1]):
+                meter.eq_queries += hit + 1 - base
+                while i_star > hit + 1:
+                    _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
+                    i_star -= 1
+                # Residual check: the inputs after (i_star, j_star) must reach
+                # level need; more would contradict L being the LCS length.
+                if need == 0 or (len(j_suffix) >= need
+                                 and j_star < j_suffix[need - 1]):
                     return BranchPoint(k, j_star)
                 # Larger i*, j* pairs cannot help once this one failed.
-                dec_i(view, state)
+                _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
+                i_star -= 1
         return None
     finally:
-        meter.shrink(_FRAME_CELLS + len(q) + len(state.j_suffix))
+        meter.shrink(cells + len(j_suffix))

@@ -22,10 +22,11 @@ after the last) are observable.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Sequence
 
 from .core import MatchView, Meter
-from .branching import find_branch
+from .branching import _embed, find_branch
 from .hirschberg import _first_lcs_into
 
 
@@ -115,12 +116,7 @@ class LcsEnumerator:
         # Frontier after the kept prefix: the greedy embedding end for X,
         # the prefix's own last position for Y (the prefix is leftmost
         # canonical, so Y[1..p[k]] is already the shortest prefix).
-        i = 0
-        for idx in range(k):
-            nxt = view.next_x_match(p[idx], i + 1, view.len_x)
-            if nxt is None:
-                raise RuntimeError("enumerator state lost embeddability")
-            i = nxt
+        i = _embed(view, islice(p, k), None)
         j = p[k - 1] if k > 0 else 0
 
         meter.shrink(len(p) - k)

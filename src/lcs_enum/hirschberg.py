@@ -35,18 +35,18 @@ No per-symbol mask table is kept; the bit form holds V, a few w-bit
 temporaries and two w-byte strings, a constant number of machine
 words per level once 8 * levels >= w, so the one-cell-per-level charge
 stays an upper bound on its space. Other inputs, narrower ranges and
-folds with few levels stay in the list form; so does ``dec_i`` in
+folds with few levels stay in the list form; so do the suffix rows of
 :mod:`lcs_enum.branching`, which reads its thresholds between rows.
 
 Either form charges a length-n row exactly n equality probes, what a
 scan of the whole row costs, and one cell whenever the level count
 rises, so probe and cell counts measure the algorithm and not the
-form. One joint scan of the two sequences then yields the Y split.
-Unlike the classic linear-space LCS construction, which may pick any
-maximizing split, the scan keeps the least maximizer; this is what
-makes the leftmost occurrence of the whole problem equal the
-concatenation of the leftmost occurrences of the two halves, so plain
-left-to-right recursion emits it.
+form. A walk over both sequences, O(L) and free of probes, then yields
+the Y split. Unlike the classic linear-space LCS construction, which
+may pick any maximizing split, the walk keeps the least maximizer;
+this is what makes the leftmost occurrence of the whole problem equal
+the concatenation of the leftmost occurrences of the two halves, so
+plain left-to-right recursion emits it.
 """
 
 from __future__ import annotations
@@ -268,11 +268,10 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
            ) -> tuple[int, int]:
     """Midpoint of X and the least Y split whose half-LCS lengths sum to L.
 
-    Requires i_lo < i_hi. Builds both threshold sequences, scans Y once
-    keeping the current prefix level l_lo and remaining suffix level l_hi,
-    and replaces the best split only on strict improvement, so the least
-    maximizer survives. Every cell charged here is released before it
-    returns or raises.
+    Requires i_lo < i_hi. Builds both threshold sequences, then walks the
+    prefix thresholds, the only places where the level sum can rise, in
+    O(L); strict improvement keeps the least maximizer. Every cell
+    charged here is released before it returns or raises.
     """
     meter = view.meter
     base = meter.live_cells
@@ -281,14 +280,11 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
         lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi, False)
         hi_levels = _fold_rows(view, i_mid + 1, i_hi, j_lo, j_hi, True)
 
-        l_lo = 0
-        l_hi = len(hi_levels)
-        best = l_lo + l_hi
+        # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j.
+        l_hi = best = len(hi_levels)
         j_mid = j_lo - 1
-        for j in range(j_lo, j_hi + 1):
-            if l_lo < len(lo_levels) and lo_levels[l_lo] <= j:
-                l_lo += 1
-            if l_hi > 0 and hi_levels[l_hi - 1] <= j:
+        for l_lo, j in enumerate(lo_levels, 1):
+            while l_hi and hi_levels[l_hi - 1] <= j:
                 l_hi -= 1
             if l_lo + l_hi > best:
                 j_mid = j

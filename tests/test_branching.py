@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_pair
 from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
     BranchPoint, suffix_thresholds
-from lcs_enum.branching import BranchState, dec_i
+from lcs_enum.hirschberg import _fold_suffix_row
 from lcs_enum.oracle import all_lcs_position_sequences
 
 X1 = "acddadacbcb"
@@ -58,43 +58,54 @@ def test_greedy_embedding_rejects_non_subsequence():
         greedy_embedding(view, (1, 2, 3))  # "abd" does not embed in "abc"
 
 
-# --- dec_i --------------------------------------------------------------
+BAD_POSITIONS = [((0,), IndexError), ((1, len(Y1) + 1), IndexError),
+                 ((-1, 2), IndexError), ((1, 3, 3, 4, 5), ValueError),
+                 ((2, 1), ValueError)]
 
-def fresh_state(view, i_star):
-    return BranchState(q=[0], i_star=i_star, j_suffix=[])
 
-
-def test_dec_i_single_step():
+@pytest.mark.parametrize("fn", [greedy_embedding, find_branch])
+@pytest.mark.parametrize("positions, error", BAD_POSITIONS,
+                         ids=["zero", "past_len_y", "negative", "repeated",
+                              "decreasing"])
+def test_invalid_positions_are_rejected(fn, positions, error):
+    # A position of 0 would otherwise read Y[-1] silently.
     view = MatchView(X1, Y1)
-    state = fresh_state(view, 11)
-    dec_i(view, state)
-    assert state.i_star == 10
-    assert state.j_suffix == [5]  # greatest j with Y[j] = 'b' = X[11]
+    with pytest.raises(error):
+        fn(view, positions)
+    assert view.meter.live_cells == 0
+    assert view.meter.eq_queries == 0
 
 
-def test_dec_i_down_to_zero():
+# --- suffix rows over the whole of Y (the i* frontier of find_branch) ----
+
+def test_suffix_row_single_step():
     view = MatchView(X1, Y1)
-    state = fresh_state(view, 11)
+    j_suffix = []
+    _fold_suffix_row(view, 11, 1, len(Y1), j_suffix)
+    assert j_suffix == [5]  # greatest j with Y[j] = 'b' = X[11]
+
+
+def test_suffix_rows_down_to_zero():
+    view = MatchView(X1, Y1)
+    j_suffix = []
     sizes = []
-    while state.i_star > 0:
-        dec_i(view, state)
-        sizes.append(len(state.j_suffix))
-    assert state.i_star == 0
-    assert len(state.j_suffix) == 5  # L(X, Y)
-    assert sizes == sorted(sizes)    # never shrinks as i_star falls
+    for i_star in range(len(X1), 0, -1):
+        _fold_suffix_row(view, i_star, 1, len(Y1), j_suffix)
+        sizes.append(len(j_suffix))
+    assert len(j_suffix) == 5     # L(X, Y)
+    assert sizes == sorted(sizes)  # never shrinks as i_star falls
 
 
-def test_dec_i_matches_fresh_suffix_thresholds():
+def test_suffix_rows_match_fresh_suffix_thresholds():
     rng = random.Random(202)
     for _ in range(150):
         x, y = rand_pair(rng, 10)
         view = MatchView(x, y)
-        state = fresh_state(view, len(x))
-        while state.i_star > 0:
-            dec_i(view, state)
-            want = suffix_thresholds(
-                view, IndexRange(state.i_star + 1, len(x)), None)
-            assert tuple(state.j_suffix) == want.values
+        j_suffix = []
+        for i_star in range(len(x), 0, -1):
+            _fold_suffix_row(view, i_star, 1, len(y), j_suffix)
+            want = suffix_thresholds(view, IndexRange(i_star, len(x)), None)
+            assert tuple(j_suffix) == want.values
 
 
 # --- find_branch --------------------------------------------------------
