@@ -21,9 +21,9 @@ character-by-character implementation whatever the search underneath.
 The view binds its searches once, at construction: str.find/rfind when
 both inputs are str, bytes.find/rfind when both are bytes,
 tuple.index/list.index for forward searches over a tuple or list, and
-a plain element loop for everything else. The threshold folds in
-:mod:`lcs_enum.hirschberg` call these unmetered searches directly and
-charge the meter themselves.
+a plain element loop for everything else. The threshold folds and the
+branch search (:mod:`lcs_enum.hirschberg`, :mod:`lcs_enum.branching`)
+call these unmetered searches directly and charge the meter themselves.
 """
 
 from __future__ import annotations

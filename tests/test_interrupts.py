@@ -6,7 +6,8 @@ row (in the list or the bit form), in a match search of ``first_lcs``,
 or inside ``find_branch``. After the interrupt the caller simply calls
 again: the stream must equal the uninterrupted one, every cell must be
 released at exhaustion, and ``outputs_emitted`` must count exactly the
-outputs returned.
+outputs returned. Standalone library calls, ``find_branch`` and
+``greedy_embedding`` among them, must release every cell they charged.
 """
 
 import random
@@ -15,8 +16,9 @@ import traceback
 import pytest
 
 from conftest import rand_string
-from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, first_lcs,
-                      prefix_thresholds, split_point, suffix_thresholds)
+from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
+                      first_lcs, greedy_embedding, prefix_thresholds,
+                      split_point, suffix_thresholds)
 from lcs_enum import enumerator as enumerator_module
 from lcs_enum import hirschberg
 
@@ -143,3 +145,23 @@ def test_interrupted_library_calls_release_every_cell(fn, kind):
         with pytest.raises(KeyboardInterrupt):
             fn(MatchView(x, y, meter), xr, yr)
         assert meter.live_cells == 0, at
+
+
+@pytest.mark.parametrize("fn", [find_branch, greedy_embedding])
+@pytest.mark.parametrize("x, y", [case[:2] for case in _cases()],
+                         ids=["periodic", "str", "bytes", "tuple"])
+def test_interrupted_branch_search_releases_every_cell(fn, x, y):
+    # q's cells are charged before the embedding's single probe charge, so
+    # an interrupt there releases exactly what was charged.
+    outputs, _ = _run(LcsEnumerator(MatchView(x, y)), 6)
+    for p in (outputs[0], outputs[-1]):
+        probe = MatchView(x, y)
+        want = fn(probe, p)
+        for at in range(probe.meter.eq_queries):
+            meter = InterruptingMeter(at)
+            view = MatchView(x, y, meter)
+            with pytest.raises(KeyboardInterrupt):
+                fn(view, p)
+            assert meter.live_cells == 0, at
+            assert fn(view, p) == want, at
+            assert meter.live_cells == 0, at

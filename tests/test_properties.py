@@ -1,0 +1,66 @@
+"""Per-instance guarantees on random small inputs, for every view type.
+
+str, bytes and tuple views of the same content must give the oracle's
+outputs and branch points, keep every gap within 4 * |X| * |Y| probes
+and release every auxiliary cell once the enumeration is exhausted.
+"""
+
+import pytest
+
+from lcs_enum import BranchPoint, LcsEnumerator, MatchView, find_branch
+from lcs_enum.oracle import all_lcs_position_sequences
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+DELAY_CONSTANT = 4
+
+
+@st.composite
+def pairs(draw):
+    """A str pair short enough for the traceback oracle."""
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    text = st.text(alphabet=letters, min_size=1, max_size=12)
+    return draw(text), draw(text)
+
+
+def views(x, y):
+    """str, bytes and tuple views of the same content."""
+    return [MatchView(x, y), MatchView(x.encode(), y.encode()),
+            MatchView(tuple(x), tuple(y))]
+
+
+def successor_branch(p, successor):
+    """Least k with p[k] < successor[k], and the successor's index there."""
+    for k, (a, b) in enumerate(zip(p, successor), start=1):
+        if a < b:
+            return BranchPoint(k, b)
+    raise AssertionError("successor does not depart from p")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs())
+def test_find_branch_is_the_successor_on_every_view(pair):
+    x, y = pair
+    seqs = all_lcs_position_sequences(MatchView(x, y))
+    want = [successor_branch(p, s) for p, s in zip(seqs, seqs[1:])] + [None]
+    for view in views(x, y):
+        assert [find_branch(view, p) for p in seqs] == want, view
+        assert view.meter.live_cells == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs())
+def test_every_gap_is_quadratic_and_cells_return_to_zero(pair):
+    x, y = pair
+    want = all_lcs_position_sequences(MatchView(x, y))
+    bound = DELAY_CONSTANT * len(x) * len(y)
+    for view in views(x, y):
+        enum = LcsEnumerator(view)
+        got = []
+        while (p := enum.next_sequence()) is not None:
+            got.append(p)
+            assert enum.counters.max_delay <= bound, (view, p)
+        assert got == want, view
+        assert enum.counters.max_delay <= bound, view
+        assert enum.view.meter.live_cells == 0, view
