@@ -15,22 +15,18 @@ is included for validation.
     (1, 2, 4, 6)
 """
 
-from .core import MatchView, Meter, IndexRange, char_eq, render, \
-    is_valid_position_sequence
+from .core import MatchView, Meter, IndexRange
 from .hirschberg import first_lcs, prefix_thresholds, suffix_thresholds, \
-    split_point, ThresholdSequence
+    split_point
 from .branching import find_branch, greedy_embedding, BranchPoint
-from .enumerator import LcsEnumerator, Counters, enumerate_all, \
-    iter_lcs_positions
+from .enumerator import LcsEnumerator, Counters, iter_lcs_positions
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MatchView", "Meter", "IndexRange", "char_eq", "render",
-    "is_valid_position_sequence",
+    "MatchView", "Meter", "IndexRange",
     "first_lcs", "prefix_thresholds", "suffix_thresholds", "split_point",
-    "ThresholdSequence",
     "find_branch", "greedy_embedding", "BranchPoint",
-    "LcsEnumerator", "Counters", "enumerate_all", "iter_lcs_positions",
+    "LcsEnumerator", "Counters", "iter_lcs_positions",
     "__version__",
 ]

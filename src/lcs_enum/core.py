@@ -13,22 +13,22 @@ of the view reach the inputs only through it, so the view can be
 backed by str, bytes, or token lists without copying, and the attached
 :class:`Meter` can account for every equality probe.
 
-Besides single queries, the view offers scan primitives (first/last
-match in a range). Each primitive charges the meter for exactly the
-probes a sequential left-to-right (or right-to-left) scan with early
-exit would perform, so query counts are identical to a naive
-character-by-character implementation whatever the search underneath.
-The view binds its searches once, at construction: str.find/rfind when
-both inputs are str, bytes.find/rfind when both are bytes,
-tuple.index/list.index for forward searches over a tuple or list, and
-a plain element loop for everything else. The threshold folds and the
-branch search (:mod:`lcs_enum.hirschberg`, :mod:`lcs_enum.branching`)
-call these unmetered searches directly and charge the meter themselves.
+Besides single queries, the view offers one scan primitive,
+:meth:`MatchView.next_y_match` (the first match of X[i] in a Y range).
+It charges the meter for exactly the probes a sequential left-to-right
+scan with early exit would perform, so query counts are identical to a
+naive character-by-character implementation whatever the search
+underneath. The view binds its searches once, at construction:
+str.find/rfind when both inputs are str, bytes.find/rfind when both are
+bytes, tuple.index/list.index for forward searches over a tuple or
+list, and a plain element loop for everything else. The threshold folds
+and the branch search (:mod:`lcs_enum.hirschberg`,
+:mod:`lcs_enum.branching`) call these unmetered searches directly and
+charge the meter themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 _BYTES = (bytes, bytearray)
@@ -172,13 +172,13 @@ class MatchView:
             return bytes(y[j - 1] for j in positions)
         return tuple(y[j - 1] for j in positions)
 
-    # Scan primitives. Each charges the meter for the probes a sequential
-    # scan with early exit would make; a full-range walk by repeated calls
-    # telescopes to exactly one probe per position, the same as scanning
-    # the whole range once.
-
     def next_y_match(self, i: int, j_lo: int, j_hi: int) -> int | None:
-        """Least j in [j_lo, j_hi] with X[i] == Y[j], scanning upward."""
+        """Least j in [j_lo, j_hi] with X[i] == Y[j], scanning upward.
+
+        Charges the probes of a sequential scan with early exit, so a walk
+        over a whole range by repeated calls costs one probe per position,
+        the same as scanning it once.
+        """
         if j_lo > j_hi:
             return None
         if not (1 <= i <= self.len_x and 1 <= j_lo and j_hi <= self.len_y):
@@ -190,46 +190,20 @@ class MatchView:
         self.meter.eq_queries += k + 2 - j_lo
         return k + 1
 
-    def prev_y_match(self, i: int, j_lo: int, j_hi: int) -> int | None:
-        """Greatest j in [j_lo, j_hi] with X[i] == Y[j], scanning downward."""
-        if j_lo > j_hi:
-            return None
-        if not (1 <= i <= self.len_x and 1 <= j_lo and j_hi <= self.len_y):
-            raise IndexError(f"prev_y_match({i}, {j_lo}, {j_hi}) out of range")
-        k = self._y_rfind(self._y, self._x[i - 1], j_lo - 1, j_hi)
-        if k < 0:
-            self.meter.eq_queries += j_hi - j_lo + 1
-            return None
-        self.meter.eq_queries += j_hi - k
-        return k + 1
-
-    def next_x_match(self, j: int, i_lo: int, i_hi: int) -> int | None:
-        """Least i in [i_lo, i_hi] with X[i] == Y[j], scanning upward."""
-        if i_lo > i_hi:
-            return None
-        if not (1 <= j <= self.len_y and 1 <= i_lo and i_hi <= self.len_x):
-            raise IndexError(f"next_x_match({j}, {i_lo}, {i_hi}) out of range")
-        k = self._x_find(self._x, self._y[j - 1], i_lo - 1, i_hi)
-        if k < 0:
-            self.meter.eq_queries += i_hi - i_lo + 1
-            return None
-        self.meter.eq_queries += k + 2 - i_lo
-        return k + 1
-
     def __repr__(self) -> str:
         return f"MatchView(len_x={self.len_x}, len_y={self.len_y})"
 
 
-@dataclass(frozen=True, slots=True)
 class IndexRange:
     """1-based inclusive range [lo, hi]; hi == lo - 1 encodes the empty range."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo < 1 or self.hi < self.lo - 1:
-            raise ValueError(f"invalid range [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int) -> None:
+        if lo < 1 or hi < lo - 1:
+            raise ValueError(f"invalid range [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
 
     @property
     def length(self) -> int:
@@ -243,22 +217,10 @@ class IndexRange:
     def full(cls, n: int) -> "IndexRange":
         return cls(1, n)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IndexRange):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
 
-def char_eq(view: MatchView, i: int, j: int) -> bool:
-    """Whether X[i] == Y[j] under the view (1-based, bounds-checked)."""
-    return view.eq(i, j)
-
-
-def render(view: MatchView, positions: Sequence[int]):
-    """The subsequence Y[positions] as a string (or bytes/tuple for such views)."""
-    return view.y_slice(positions)
-
-
-def is_valid_position_sequence(view: MatchView, positions: Sequence[int]) -> bool:
-    """Strictly increasing and within [1, len_y]."""
-    prev = 0
-    for j in positions:
-        if j <= prev or j > view.len_y:
-            return False
-        prev = j
-    return True
+    def __repr__(self) -> str:
+        return f"IndexRange({self.lo}, {self.hi})"

@@ -23,7 +23,7 @@ after the last) are observable.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import MatchView, Meter
 from .branching import _embed, find_branch
@@ -149,17 +149,6 @@ class LcsEnumerator:
         if out is None:
             raise StopIteration
         return out
-
-
-def enumerate_all(view: MatchView,
-                  sink: Callable[[tuple[int, ...]], object]) -> int:
-    """Push every position sequence to ``sink`` in order; return the count."""
-    enum = LcsEnumerator(view)
-    n = 0
-    while (p := enum.next_sequence()) is not None:
-        sink(p)
-        n += 1
-    return n
 
 
 def iter_lcs_positions(x: Sequence, y: Sequence):

@@ -52,7 +52,6 @@ plain left-to-right recursion emits it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import neg
 from typing import NamedTuple
 
@@ -61,23 +60,6 @@ from .core import IndexRange, MatchView
 # One live recursion frame holds the two range endpoints plus the split
 # pair; counted so the O(log n) bookkeeping shows up in the cell meter.
 _FRAME_CELLS = 6
-
-
-@dataclass(frozen=True, slots=True)
-class ThresholdSequence:
-    """LCS level thresholds for one X part against one Y range.
-
-    ``values[p - 1]`` is the threshold for level p. Prefix orientation is
-    strictly increasing (least j reaching each level), suffix orientation
-    strictly decreasing (greatest starting j reaching each level); the
-    number of levels equals the LCS length of the pair.
-    """
-
-    values: tuple[int, ...]
-    orientation: str  # "prefix" or "suffix"
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 class SplitResult(NamedTuple):
@@ -330,21 +312,31 @@ def _resolve_ranges(view: MatchView, xr: IndexRange | None, yr: IndexRange | Non
 
 
 def prefix_thresholds(view: MatchView, xr: IndexRange | None = None,
-                      yr: IndexRange | None = None) -> ThresholdSequence:
-    """Least j in yr reaching each LCS level of X[xr] versus Y[yr.lo..j]."""
+                      yr: IndexRange | None = None) -> tuple[int, ...]:
+    """Least j in yr reaching each LCS level of X[xr] versus Y[yr.lo..j].
+
+    Entry p - 1 of the tuple is the threshold of level p: the least j
+    with L(X[xr], Y[yr.lo..j]) = p. The tuple is strictly increasing and
+    has one entry per level, as many as the LCS length of the pair.
+    """
     xr, yr = _resolve_ranges(view, xr, yr)
     levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi, False)
     view.meter.shrink(len(levels))
-    return ThresholdSequence(tuple(levels), "prefix")
+    return tuple(levels)
 
 
 def suffix_thresholds(view: MatchView, xr: IndexRange | None = None,
-                      yr: IndexRange | None = None) -> ThresholdSequence:
-    """Greatest starting j in yr reaching each LCS level of X[xr] versus Y[j..yr.hi]."""
+                      yr: IndexRange | None = None) -> tuple[int, ...]:
+    """Greatest starting j in yr reaching each LCS level of X[xr] versus Y[j..yr.hi].
+
+    Entry q - 1 of the tuple is the threshold of level q: the greatest j
+    with L(X[xr], Y[j..yr.hi]) = q. The tuple is strictly decreasing and
+    has one entry per level, as many as the LCS length of the pair.
+    """
     xr, yr = _resolve_ranges(view, xr, yr)
     levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi, True)
     view.meter.shrink(len(levels))
-    return ThresholdSequence(tuple(levels), "suffix")
+    return tuple(levels)
 
 
 def split_point(view: MatchView, xr: IndexRange | None = None,

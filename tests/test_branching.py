@@ -105,7 +105,7 @@ def test_suffix_rows_match_fresh_suffix_thresholds():
         for i_star in range(len(x), 0, -1):
             _fold_suffix_row(view, i_star, 1, len(y), j_suffix)
             want = suffix_thresholds(view, IndexRange(i_star, len(x)), None)
-            assert tuple(j_suffix) == want.values
+            assert tuple(j_suffix) == want
 
 
 # --- find_branch --------------------------------------------------------

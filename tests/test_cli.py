@@ -171,26 +171,6 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
-def test_bench_reproducible(capsys):
-    args = ("--bench", "--lengths", "8,16", "--reps", "2", "--seed", "7")
-    code1, out1, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    lines = out1.splitlines()
-    assert len(lines) == 3  # header plus one row per length
-    assert lines[1].split()[0] == "8"
-    assert lines[2].split()[0] == "16"
-
-
-def test_bench_different_seeds_differ(capsys):
-    _, out1, _ = run_cli(capsys, "--bench", "--lengths", "32", "--reps", "2",
-                         "--seed", "1")
-    _, out2, _ = run_cli(capsys, "--bench", "--lengths", "32", "--reps", "2",
-                         "--seed", "2")
-    assert out1 != out2
-
-
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lcs_enum.cli", X1, Y1, "--limit", "1"],

@@ -1,10 +1,10 @@
-"""Access layer: probe counting, scan primitives, position validation."""
+"""Access layer: probe counting, the scan primitive and the searches under it."""
 
 import pytest
 
 from conftest import MinimalSeq
-from lcs_enum import MatchView, Meter, IndexRange, char_eq, render, \
-    is_valid_position_sequence
+from lcs_enum import MatchView, Meter, IndexRange, greedy_embedding, \
+    suffix_thresholds
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -12,14 +12,14 @@ Y1 = "caccbaadcad"
 
 def test_char_eq_basic():
     view = MatchView(X1, Y1)
-    assert char_eq(view, 1, 2) is True   # both 'a'
-    assert char_eq(view, 1, 1) is False  # 'a' vs 'c'
+    assert view.eq(1, 2) is True   # both 'a'
+    assert view.eq(1, 1) is False  # 'a' vs 'c'
 
 
 def test_char_eq_counts_probes():
     view = MatchView(X1, Y1)
-    char_eq(view, 1, 2)
-    char_eq(view, 3, 4)
+    view.eq(1, 2)
+    view.eq(3, 4)
     assert view.meter.eq_queries == 2
 
 
@@ -27,7 +27,7 @@ def test_char_eq_out_of_range():
     view = MatchView(X1, Y1)
     for i, j in [(0, 1), (1, 0), (12, 1), (1, 12), (-3, 5)]:
         with pytest.raises(IndexError):
-            char_eq(view, i, j)
+            view.eq(i, j)
 
 
 def test_char_eq_stable():
@@ -39,31 +39,22 @@ def test_char_eq_stable():
 
 def test_render():
     view = MatchView(X1, Y1)
-    assert render(view, (1, 2, 3, 4, 5)) == "caccb"
-    assert render(view, (2, 3, 8, 10, 11)) == "acdad"
-    assert render(view, ()) == ""
+    assert view.y_slice((1, 2, 3, 4, 5)) == "caccb"
+    assert view.y_slice((2, 3, 8, 10, 11)) == "acdad"
+    assert view.y_slice(()) == ""
 
 
 def test_render_length_matches():
     view = MatchView(X1, Y1)
     for p in [(1,), (2, 5), (1, 4, 9, 11)]:
-        assert len(render(view, p)) == len(p)
+        assert len(view.y_slice(p)) == len(p)
 
 
 def test_render_bytes_and_tuples():
     bview = MatchView(b"abc", b"cab")
-    assert render(bview, (1, 2)) == b"ca"
+    assert bview.y_slice((1, 2)) == b"ca"
     tview = MatchView((10, 20), (20, 10, 30))
-    assert render(tview, (2, 3)) == (10, 30)
-
-
-def test_is_valid_position_sequence():
-    view = MatchView(X1, Y1)
-    assert is_valid_position_sequence(view, (1, 2, 3, 5, 9))
-    assert is_valid_position_sequence(view, ())
-    assert not is_valid_position_sequence(view, (3, 3))
-    assert not is_valid_position_sequence(view, (2, 12))
-    assert not is_valid_position_sequence(view, (0, 1))
+    assert tview.y_slice((2, 3)) == (10, 30)
 
 
 def test_index_range():
@@ -115,24 +106,27 @@ def test_next_y_match_finds_least():
 
 
 def test_prev_y_match_finds_greatest():
+    # The backward search is reached through a one-row suffix fold: its
+    # single level is the greatest match of X[i] in the Y range.
     view = MatchView(X1, Y1)
-    assert view.prev_y_match(1, 1, 11) == 10       # last 'a'
-    assert view.prev_y_match(9, 1, 11) == 5        # only 'b'
-    assert view.prev_y_match(9, 6, 11) is None
+    assert suffix_thresholds(view, IndexRange(1, 1)) == (10,)   # last 'a'
+    assert suffix_thresholds(view, IndexRange(9, 9)) == (5,)    # only 'b'
+    assert suffix_thresholds(view, IndexRange(9, 9), IndexRange(6, 11)) == ()
 
 
 def test_next_x_match():
+    # The X search is reached through the greedy embedding: each position
+    # takes the least X match after the previous one.
     view = MatchView(X1, Y1)
-    assert view.next_x_match(1, 1, 11) == 2        # Y[1]='c' first in X at 2
-    assert view.next_x_match(1, 3, 11) == 8
-    assert view.next_x_match(5, 1, 11) == 9        # Y[5]='b'
+    assert greedy_embedding(view, (1,)) == [2]     # Y[1]='c' first in X at 2
+    assert greedy_embedding(view, (1, 3)) == [2, 8]  # Y[3]='c' after X[2]
+    assert greedy_embedding(view, (5,)) == [9]     # Y[5]='b'
 
 
 def test_scan_empty_range_costs_nothing():
     view = MatchView(X1, Y1)
     assert view.next_y_match(1, 5, 4) is None
-    assert view.prev_y_match(1, 5, 4) is None
-    assert view.next_x_match(1, 5, 4) is None
+    assert suffix_thresholds(view, IndexRange(1, 1), IndexRange(5, 4)) == ()
     assert view.meter.eq_queries == 0
 
 
@@ -144,8 +138,6 @@ def test_scan_counts_match_sequential_probing():
     assert view.meter.eq_queries == 2
     view.next_y_match(9, 6, 11)       # no 'b' in Y[6..11]: 6 probes
     assert view.meter.eq_queries == 8
-    view.prev_y_match(9, 1, 11)       # finds 5 from above: probes 11..5
-    assert view.meter.eq_queries == 15
 
 
 def test_scan_walk_telescopes_to_row_length():
@@ -166,16 +158,21 @@ def test_fast_and_generic_paths_agree():
     # an element loop downward. Results and probe counts must be identical.
     sview = MatchView(X1, Y1)
     tview = MatchView(tuple(X1), tuple(Y1))
+    ranges = [IndexRange(lo, hi) for lo in range(1, 12)
+              for hi in range(lo - 1, 12)]
     for i in range(1, 12):
-        for j_lo in range(1, 12):
-            for j_hi in range(j_lo - 1, 12):
-                a = sview.next_y_match(i, j_lo, j_hi)
-                b = tview.next_y_match(i, j_lo, j_hi)
-                assert a == b
-                a = sview.prev_y_match(i, j_lo, j_hi)
-                b = tview.prev_y_match(i, j_lo, j_hi)
-                assert a == b
+        for r in ranges:
+            a = sview.next_y_match(i, r.lo, r.hi)
+            b = tview.next_y_match(i, r.lo, r.hi)
+            assert a == b
     assert sview.meter.eq_queries == tview.meter.eq_queries
+    # The backward search runs inside the suffix folds.
+    for xr in ranges:
+        for yr in ranges:
+            a = suffix_thresholds(sview, xr, yr)
+            b = suffix_thresholds(tview, xr, yr)
+            assert a == b
+            assert sview.meter.eq_queries == tview.meter.eq_queries
 
 
 def test_mixed_str_and_bytes_pair_rejected():
@@ -196,7 +193,8 @@ def test_token_rule_same_object_or_equal():
         assert [[view.eq(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)] == \
             [[False, True, False], [False, False, True], [True, False, False]]
         assert view.next_y_match(2, 1, 3) == 3
-        assert view.prev_y_match(2, 1, 3) == 3
+        assert suffix_thresholds(view, IndexRange(2, 2),
+                                 IndexRange(1, 3)) == (3,)
         assert view.next_y_match(3, 2, 3) is None
-        assert view.next_x_match(3, 1, 3) == 2
-        assert view.next_x_match(1, 2, 3) == 3
+        assert greedy_embedding(view, (3,)) == [2]
+        assert greedy_embedding(view, (1,)) == [3]

@@ -6,8 +6,7 @@ import random
 import pytest
 
 from conftest import MinimalSeq, rand_pair
-from lcs_enum import MatchView, LcsEnumerator, enumerate_all, \
-    iter_lcs_positions
+from lcs_enum import MatchView, LcsEnumerator, iter_lcs_positions
 from lcs_enum.oracle import all_lcs_position_sequences, \
     exhaustive_lcs_position_sequences
 
@@ -62,13 +61,14 @@ def test_rejects_empty_input():
 
 
 def test_enumerate_all_counts():
-    assert enumerate_all(MatchView(X1, Y1), lambda p: None) == 7
-    assert enumerate_all(MatchView("abc", "abc"), lambda p: None) == 1
+    assert sum(1 for _ in LcsEnumerator(MatchView(X1, Y1))) == 7
+    assert sum(1 for _ in LcsEnumerator(MatchView("abc", "abc"))) == 1
 
 
 def test_enumerate_all_sink_order():
     seen = []
-    enumerate_all(MatchView(X1, Y1), seen.append)
+    for p in LcsEnumerator(MatchView(X1, Y1)):
+        seen.append(p)
     assert seen == EXAMPLE_SEQUENCES
 
 

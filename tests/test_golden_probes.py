@@ -91,8 +91,7 @@ def _record(case: dict) -> dict:
                          ("first_lcs", first_lcs)):
             before = view.meter.eq_queries
             result = fn(view, xr, yr)
-            values = result if name == "first_lcs" else result.values
-            entry[name] = list(values)
+            entry[name] = list(result)
             entry[name + "_probes"] = view.meter.eq_queries - before
         record["subranges"].append(entry)
     record["peak_cells_subranges"] = view.meter.peak_cells

@@ -26,29 +26,27 @@ def view1():
 
 def test_prefix_thresholds_example():
     t = prefix_thresholds(view1(), IndexRange(1, 6), IndexRange(1, 11))
-    assert t.values == (1, 2, 6, 8, 11)
-    assert t.orientation == "prefix"
+    assert t == (1, 2, 6, 8, 11)
 
 
 def test_prefix_thresholds_single_char():
     t = prefix_thresholds(view1(), IndexRange(1, 1), IndexRange(1, 11))
-    assert t.values == (2,)  # least j with Y[j] = 'a'
+    assert t == (2,)  # least j with Y[j] = 'a'
 
 
 def test_prefix_thresholds_empty_x():
     t = prefix_thresholds(view1(), IndexRange(4, 3), IndexRange(1, 11))
-    assert t.values == ()
+    assert t == ()
 
 
 def test_suffix_thresholds_example():
     t = suffix_thresholds(view1(), IndexRange(7, 11), IndexRange(1, 11))
-    assert t.values == (10, 7, 4, 2)
-    assert t.orientation == "suffix"
+    assert t == (10, 7, 4, 2)
 
 
 def test_suffix_thresholds_empty_ranges():
-    assert suffix_thresholds(view1(), IndexRange(4, 3), None).values == ()
-    assert suffix_thresholds(view1(), None, IndexRange(4, 3)).values == ()
+    assert suffix_thresholds(view1(), IndexRange(4, 3), None) == ()
+    assert suffix_thresholds(view1(), None, IndexRange(4, 3)) == ()
 
 
 def test_threshold_lengths_equal_lcs_length():
@@ -66,25 +64,25 @@ def test_threshold_monotonicity():
     for _ in range(300):
         x, y = rand_pair(rng, 12)
         view = MatchView(x, y)
-        pre = prefix_thresholds(view).values
-        suf = suffix_thresholds(view).values
+        pre = prefix_thresholds(view)
+        suf = suffix_thresholds(view)
         assert all(a < b for a, b in zip(pre, pre[1:]))
         assert all(a > b for a, b in zip(suf, suf[1:]))
 
 
 def test_threshold_values_against_dp():
-    # prefix: values[p-1] is the least j with L(X[xr], Y[1..j]) = p;
-    # suffix: values[q-1] is the greatest j with L(X[xr], Y[j..n]) = q.
+    # prefix: entry p-1 is the least j with L(X[xr], Y[1..j]) = p;
+    # suffix: entry q-1 is the greatest j with L(X[xr], Y[j..n]) = q.
     rng = random.Random(103)
     for _ in range(120):
         x, y = rand_pair(rng, 9, sigmas=(2, 3))
         view = MatchView(x, y)
         n = len(y)
-        pre = prefix_thresholds(view).values
+        pre = prefix_thresholds(view)
         for p, j in enumerate(pre, start=1):
             assert lcs_length(MatchView(x, y[:j])) == p
             assert lcs_length(MatchView(x, y[:j - 1])) == p - 1
-        suf = suffix_thresholds(view).values
+        suf = suffix_thresholds(view)
         for q, j in enumerate(suf, start=1):
             assert lcs_length(MatchView(x, y[j - 1:])) == q
             assert lcs_length(MatchView(x, y[j:])) == q - 1
