@@ -98,9 +98,9 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "onlyone")[0] == 1
     assert run_cli(capsys, "a", "b", "--limit", "0")[0] == 1
     assert run_cli(capsys, "a", "b", "--files", "f", "g")[0] == 1
-    assert run_cli(capsys, "a", "b", "--bench")[0] == 1
+    assert run_cli(capsys, "a", "b", "--bench")[0] == 1    # unknown option
     assert run_cli(capsys, "a", "b", "--format", "nope")[0] == 1
-    assert run_cli(capsys, "--bench", "--lengths", "x,y")[0] == 1
+    assert run_cli(capsys, "--bench", "--lengths", "x,y")[0] == 1  # unknown
 
 
 def test_empty_input_rejected(capsys):

@@ -3,6 +3,9 @@
 str, bytes and tuple views of the same content must give the oracle's
 outputs and branch points, keep every gap within 4 * |X| * |Y| probes
 and release every auxiliary cell once the enumeration is exhausted.
+Renaming the symbols of a pair must change nothing the enumerator
+reports: positions, probes and peak cells depend only on which
+positions match.
 """
 
 import pytest
@@ -64,3 +67,55 @@ def test_every_gap_is_quadratic_and_cells_return_to_zero(pair):
         assert got == want, view
         assert enum.counters.max_delay <= bound, view
         assert enum.view.meter.live_cells == 0, view
+
+
+# Four renamings of the symbols 0..3: other ASCII letters (bit rows
+# allowed), non-ASCII text (list rows only), bytes and int tokens.
+RELABELS = ("WXYZ", "\u00e9\u03b1\u044f\u4e2d", bytes((0, 255, 97, 10)),
+            (7, -1, 10 ** 20, 3))
+RELABEL_OUTPUTS = 12
+
+
+@st.composite
+def symbol_pairs(draw):
+    """Two words over 1 to 4 symbols, long enough for the bit rows."""
+    sigma = draw(st.integers(1, 4))
+
+    def word():
+        n = draw(st.integers(1, 160))
+        return draw(st.lists(st.integers(0, sigma - 1),
+                             min_size=n, max_size=n))
+
+    return word(), word()
+
+
+def relabel(word, symbols, order=range(4)):
+    """``word`` with symbol s written as symbols[order[s]], in symbols' type."""
+    items = [symbols[order[s]] for s in word]
+    if isinstance(symbols, str):
+        return "".join(items)
+    return type(symbols)(items)
+
+
+def stream_record(x, y):
+    """Positions, probe total and peak cells after each of the first calls."""
+    enum = LcsEnumerator(MatchView(x, y))
+    record = []
+    for _ in range(RELABEL_OUTPUTS):
+        p = enum.next_sequence()
+        c = enum.counters
+        record.append((p, c.eq_queries_total, c.peak_aux_cells))
+        if p is None:
+            break
+    return record
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(symbol_pairs(), st.permutations(range(4)))
+def test_alphabet_bijection_changes_nothing(pair, order):
+    x, y = pair
+    want = stream_record(relabel(x, "abcd"), relabel(y, "abcd"))
+    for symbols in RELABELS:
+        got = stream_record(relabel(x, symbols, order),
+                            relabel(y, symbols, order))
+        assert got == want, symbols
