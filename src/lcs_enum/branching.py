@@ -29,9 +29,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
-from .hirschberg import _fold_suffix_row
-
-_FRAME_CELLS = 6
+from .hirschberg import _FRAME_CELLS, _fold_suffix_row
 
 
 class BranchPoint(NamedTuple):

@@ -157,12 +157,6 @@ class MatchView:
         b = self._y[j - 1]
         return a is b or a == b
 
-    def y_char(self, j: int):
-        """The element Y[j] (used only to render outputs)."""
-        if not 1 <= j <= self.len_y:
-            raise IndexError(f"y_char({j}) outside 1..{self.len_y}")
-        return self._y[j - 1]
-
     def y_slice(self, positions: Sequence[int]):
         """Y read at the given positions, in Y's own type (str/bytes/tuple)."""
         y = self._y
@@ -208,10 +202,6 @@ class IndexRange:
     @property
     def length(self) -> int:
         return self.hi - self.lo + 1
-
-    @property
-    def is_empty(self) -> bool:
-        return self.hi < self.lo
 
     @classmethod
     def full(cls, n: int) -> "IndexRange":

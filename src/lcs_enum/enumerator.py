@@ -34,20 +34,14 @@ class Counters:
     """Per-enumeration instrumentation: probe gaps, peak cells, outputs."""
 
     __slots__ = ("_meter", "_mark", "outputs_emitted", "max_delay",
-                 "delay_total", "gaps_closed")
+                 "gaps_closed")
 
     def __init__(self, meter: Meter):
         self._meter = meter
         self._mark = 0
         self.outputs_emitted = 0
         self.max_delay = 0
-        self.delay_total = 0
         self.gaps_closed = 0
-
-    @property
-    def eq_queries_this_delay(self) -> int:
-        """Probes since the previous output (or since the start)."""
-        return self._meter.eq_queries - self._mark
 
     @property
     def eq_queries_total(self) -> int:
@@ -59,14 +53,14 @@ class Counters:
 
     @property
     def mean_delay(self) -> float:
-        return self.delay_total / self.gaps_closed if self.gaps_closed else 0.0
+        # The closed gaps run from probe 0 to the mark, so they sum to it.
+        return self._mark / self.gaps_closed if self.gaps_closed else 0.0
 
     def _close_gap(self, at: int) -> None:
         """Close the gap that ends at probe total ``at``."""
         gap = at - self._mark
         self._mark = at
         self.gaps_closed += 1
-        self.delay_total += gap
         if gap > self.max_delay:
             self.max_delay = gap
 

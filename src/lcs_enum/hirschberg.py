@@ -53,18 +53,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import neg
-from typing import NamedTuple
 
 from .core import IndexRange, MatchView
 
 # One live recursion frame holds the two range endpoints plus the split
 # pair; counted so the O(log n) bookkeeping shows up in the cell meter.
 _FRAME_CELLS = 6
-
-
-class SplitResult(NamedTuple):
-    x_mid: int
-    y_mid: int  # may equal yr.lo - 1: the left Y part is empty
 
 
 def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
@@ -79,12 +73,9 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     resumes just past that old value; after a new top level nothing can
     follow. The row is charged j_hi - j_lo + 1 probes, what a scan of
     the whole row costs, so per-gap probe counts do not depend on how
-    many positions the skips jump over.
+    many positions the skips jump over. Nothing is checked: callers pass
+    1 <= i <= len_x and 1 <= j_lo <= j_hi <= len_y.
     """
-    if j_lo > j_hi:
-        return
-    if not (1 <= i <= view.len_x and 1 <= j_lo and j_hi <= view.len_y):
-        raise IndexError(f"prefix fold of row {i} over {j_lo}..{j_hi} out of range")
     view.meter.eq_queries += j_hi - j_lo + 1
     find = view._y_find
     y = view._y
@@ -112,12 +103,8 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     matches are found in decreasing j by backward search, the greatest
     match at each level wins, and the decreasing list is bisected
     through ``operator.neg`` so it keeps its representation. Charged
-    j_hi - j_lo + 1 probes, like the prefix fold.
+    j_hi - j_lo + 1 probes and unchecked, like the prefix fold.
     """
-    if j_lo > j_hi:
-        return
-    if not (1 <= i <= view.len_x and 1 <= j_lo and j_hi <= view.len_y):
-        raise IndexError(f"suffix fold of row {i} over {j_lo}..{j_hi} out of range")
     view.meter.eq_queries += j_hi - j_lo + 1
     rfind = view._y_rfind
     y = view._y
@@ -220,23 +207,17 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
         rows = range(i_first, i_last + 1)
         fold = _fold_prefix_row
     w = j_hi - j_lo + 1
+    # Levels never outnumber the rows already folded, so a switch at
+    # len(rows) levels never fires, and neither can one in a fold of at
+    # most w/8 rows; most folds are a row or two long.
+    switch = len(rows)
+    if (w >= _BIT_MIN_WIDTH and _BIT_POSITIONS_PER_LEVEL * switch > w
+            and _bit_rows_apply(view)):
+        switch = -(-w // _BIT_POSITIONS_PER_LEVEL)
     base = view.meter.live_cells
     try:
-        # Levels never outnumber the rows folded, so a fold of at most
-        # w/8 rows cannot switch; most folds are a row or two long.
-        if (w < _BIT_MIN_WIDTH or _BIT_POSITIONS_PER_LEVEL * len(rows) <= w
-                or not _bit_rows_apply(view)):
-            for i in rows:
-                fold(view, i, j_lo, j_hi, levels)
-            return levels
-        switch = -(-w // _BIT_POSITIONS_PER_LEVEL)
         for n, i in enumerate(rows):
             if len(levels) >= switch:
-                # The list rows checked the Y range; the bit rows index X
-                # without a check of their own.
-                if i_first < 1 or i_last > view.len_x:
-                    raise IndexError(f"fold of rows {i_first}..{i_last} "
-                                     f"outside 1..{view.len_x}")
                 _fold_bits(view, rows[n:], j_lo, j_hi, levels, suffix)
                 break
             fold(view, i, j_lo, j_hi, levels)
@@ -304,10 +285,13 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
 
 def _resolve_ranges(view: MatchView, xr: IndexRange | None, yr: IndexRange | None
                     ) -> tuple[IndexRange, IndexRange]:
+    """The ranges, each the whole input if None, checked once: every
+    fold and search below them trusts the rows it is given."""
     xr = IndexRange.full(view.len_x) if xr is None else xr
     yr = IndexRange.full(view.len_y) if yr is None else yr
-    if xr.hi > view.len_x or yr.hi > view.len_y:
-        raise IndexError(f"range beyond view bounds: {xr}, {yr}")
+    for r, n in ((xr, view.len_x), (yr, view.len_y)):
+        if not 1 <= r.lo <= r.hi + 1 <= n + 1:
+            raise IndexError(f"range {r} outside 1..{n}")
     return xr, yr
 
 
@@ -340,14 +324,17 @@ def suffix_thresholds(view: MatchView, xr: IndexRange | None = None,
 
 
 def split_point(view: MatchView, xr: IndexRange | None = None,
-                yr: IndexRange | None = None) -> SplitResult:
+                yr: IndexRange | None = None) -> tuple[int, int]:
     """Split X[xr] at its midpoint and Y[yr] at the least place that keeps
-    the two halves' LCS lengths summing to the total."""
+    the two halves' LCS lengths summing to the total.
+
+    Returns ``(x_mid, y_mid)``; y_mid == yr.lo - 1 leaves the left Y
+    part empty.
+    """
     xr, yr = _resolve_ranges(view, xr, yr)
     if xr.length < 2:
         raise ValueError("split_point needs an X range of at least two characters")
-    i_mid, j_mid = _split(view, xr.lo, xr.hi, yr.lo, yr.hi)
-    return SplitResult(i_mid, j_mid)
+    return _split(view, xr.lo, xr.hi, yr.lo, yr.hi)
 
 
 def first_lcs(view: MatchView, xr: IndexRange | None = None,

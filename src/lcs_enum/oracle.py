@@ -44,12 +44,12 @@ def lcs_length(view: MatchView) -> int:
     return dp_table(view)[view.len_x][view.len_y]
 
 
-def _leftmost_embedding(view: MatchView, chars: tuple) -> tuple[int, ...]:
+def _leftmost_embedding(y, chars: tuple) -> tuple[int, ...]:
     positions = []
     j = 0
     for c in chars:
         j += 1
-        while not ((e := view.y_char(j)) is c or e == c):
+        while not ((e := y[j - 1]) is c or e == c):
             j += 1
         positions.append(j)
     return tuple(positions)
@@ -62,6 +62,8 @@ def all_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
             f"oracle traceback limited to inputs of length "
             f"{_MAX_TRACEBACK_LEN}")
     t = dp_table(view)
+    # Y read once, in its own type; tuple and list inputs keep their objects.
+    y = view.y_slice(range(1, view.len_y + 1))
 
     @lru_cache(maxsize=None)
     def strings(i: int, j: int) -> frozenset:
@@ -70,8 +72,7 @@ def all_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
             return frozenset({()})
         out = set()
         if i > 0 and j > 0 and view.eq(i, j):
-            c = view.y_char(j)
-            out.update(s + (c,) for s in strings(i - 1, j - 1))
+            out.update(s + (y[j - 1],) for s in strings(i - 1, j - 1))
         if i > 0 and t[i - 1][j] == t[i][j]:
             out.update(strings(i - 1, j))
         if j > 0 and t[i][j - 1] == t[i][j]:
@@ -80,12 +81,7 @@ def all_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
 
     all_strings = strings(view.len_x, view.len_y)
     strings.cache_clear()
-    return sorted(_leftmost_embedding(view, s) for s in all_strings)
-
-
-def all_distinct_lcs_strings(view: MatchView) -> list:
-    """The rendered LCS strings, in the same order as the position tuples."""
-    return [view.y_slice(p) for p in all_lcs_position_sequences(view)]
+    return sorted(_leftmost_embedding(y, s) for s in all_strings)
 
 
 def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
@@ -102,9 +98,10 @@ def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
     length = lcs_length(view)
     if length == 0:
         return [()]
+    y = view.y_slice(range(1, view.len_y + 1))
     seen = set()
     for combo in combinations(range(1, view.len_y + 1), length):
-        chars = tuple(view.y_char(j) for j in combo)
+        chars = tuple(y[j - 1] for j in combo)
         if chars in seen:
             continue
         # Two-pointer subsequence-of-X check.
@@ -119,4 +116,4 @@ def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
                 break
         if ok:
             seen.add(chars)
-    return sorted(_leftmost_embedding(view, s) for s in seen)
+    return sorted(_leftmost_embedding(y, s) for s in seen)

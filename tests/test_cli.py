@@ -1,8 +1,10 @@
 """Command line behaviour: formats, flags, exit codes, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from lcs_enum import cli
 from lcs_enum import oracle
@@ -172,8 +174,10 @@ def test_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_installed_entry_point():
+    # The child imports the package under test, installed or not.
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "lcs_enum.cli", X1, Y1, "--limit", "1"],
-        capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1 2 3 4 5\n"

@@ -59,8 +59,8 @@ def test_render_bytes_and_tuples():
 
 def test_index_range():
     r = IndexRange(3, 7)
-    assert r.length == 5 and not r.is_empty
-    assert IndexRange(4, 3).is_empty
+    assert r.length == 5
+    assert IndexRange(4, 3).length == 0
     assert IndexRange.full(11) == IndexRange(1, 11)
     with pytest.raises(ValueError):
         IndexRange(5, 3)  # more than one below lo is malformed, not empty

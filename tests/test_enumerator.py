@@ -110,9 +110,10 @@ def test_counters_on_example():
     c = enum.counters
     assert c.outputs_emitted == 7
     assert c.gaps_closed == 8           # seven outputs plus the final search
-    assert c.eq_queries_this_delay == 0  # nothing after the last gap closed
+    # nothing after the last gap closed
+    assert enum.view.meter.eq_queries - c._mark == 0
     assert c.max_delay >= 1
-    assert c.delay_total == c.eq_queries_total
+    assert c.mean_delay * c.gaps_closed == c.eq_queries_total
     assert 0 < c.mean_delay <= c.max_delay
 
 
@@ -150,11 +151,12 @@ def test_eq_queries_this_delay_resets_per_output():
     enum = LcsEnumerator(MatchView(X1, Y1))
     seen = []
     while enum.next_sequence() is not None:
-        seen.append(enum.counters.eq_queries_this_delay)
+        seen.append(enum.view.meter.eq_queries - enum.counters._mark)
     # right after an output the gap counter has been restarted, so it
     # only holds the probes of the branch search that already ran
     assert all(v >= 0 for v in seen)
-    assert enum.counters.delay_total == enum.counters.eq_queries_total
+    c = enum.counters
+    assert c.mean_delay * c.gaps_closed == c.eq_queries_total
 
 
 def _stream(x, y):

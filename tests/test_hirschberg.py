@@ -198,3 +198,40 @@ def test_first_lcs_releases_all_cells():
         view = MatchView(x, y)
         first_lcs(view)
         assert view.meter.live_cells == 0
+
+
+# --- range checks on entry ---------------------------------------------
+
+def _reassigned(lo, hi):
+    """A range built valid, then given the ends (lo, hi)."""
+    r = IndexRange(3, 3)
+    r.lo, r.hi = lo, hi
+    return r
+
+
+BAD_RANGES = {"lo 0": lambda n: _reassigned(0, 2),
+              "lo below 0": lambda n: _reassigned(-2, 2),
+              "hi below lo - 1": lambda n: _reassigned(3, 0),
+              "hi past the view": lambda n: IndexRange(1, n + 1),
+              "empty past the view": lambda n: IndexRange(n + 2, n + 1)}
+
+
+@pytest.mark.parametrize("fn", [prefix_thresholds, suffix_thresholds,
+                                first_lcs, split_point])
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("case", sorted(BAD_RANGES))
+def test_bad_ranges_raise_before_any_charge(fn, side, case):
+    view = view1()
+    bad = BAD_RANGES[case](view.len_x if side == "x" else view.len_y)
+    with pytest.raises(IndexError):
+        fn(view, *((bad, None) if side == "x" else (None, bad)))
+    m = view.meter
+    assert (m.eq_queries, m.live_cells, m.peak_cells) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("fn", [prefix_thresholds, suffix_thresholds,
+                                first_lcs])
+def test_empty_ranges_just_past_the_view_are_accepted(fn):
+    view = view1()
+    assert fn(view, IndexRange(12, 11), IndexRange(12, 11)) == ()
+    assert view.meter.eq_queries == 0

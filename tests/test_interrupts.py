@@ -96,6 +96,11 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         assert enum.finished == ref.finished, at
         assert enum.view.meter.live_cells == ref.view.meter.live_cells, at
         assert enum.counters.outputs_emitted == len(got), at
+        # Each gap holds its own work plus any that an interrupt threw away.
+        c, want_c = enum.counters, ref.counters
+        assert c.gaps_closed == want_c.gaps_closed, at
+        assert c.max_delay >= want_c.max_delay, at
+        assert c.mean_delay >= want_c.mean_delay, at
     assert ref.finished == (len(want) < LIMIT)
     if ref.finished:
         assert ref.view.meter.live_cells == 0
