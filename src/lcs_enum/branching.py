@@ -19,13 +19,23 @@ O(|Y|) probes. i* never moves right, so a whole call performs at most
 |X| folds and O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 X is searched with the view's bound search, charged what a scan with
-early exit would cost. The greedy embedding, also used by the
-enumerator, is one loop charged once: scans that each resume past the
-previous match telescope to i probes for an embedding ending at i.
+early exit would cost. The greedy embedding is one loop charged once:
+scans that each resume past the previous match telescope to i probes
+for an embedding ending at i.
+
+The hit that finds j* also ends the greedy embedding of the successor's
+prefix P[1..k*-1], j*. The search returns that X frontier with (k*, j*),
+and the enumerator carries it to its next call. There the restart
+starts past it, and the next search walks only the new tail P[k*+1..];
+it walks the kept prefix again only if it descends to k <= k*. Each
+call is still charged the paper's full embedding of P, the telescoped
+end of the whole walk: charged, not performed, as the threshold folds
+charge whole rows.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
@@ -37,30 +47,35 @@ class BranchPoint(NamedTuple):
     j_star: int  # the successor's Y index at that position
 
 
-def _embed(view: MatchView, positions: Iterable[int],
-           q: list[int] | None) -> int:
-    """End i of the leftmost embedding of Y[positions] into X, charged i
-    probes; each X position is appended to ``q`` unless it is None.
-
-    Invalid positions raise before any charge; a failed embedding raises
-    ValueError after charging len_x probes, what its scans would cost.
-    """
-    x, y, find = view._x, view._y, view._x_find
-    len_x, len_y = view.len_x, view.len_y
-    i = prev = 0
+def _check_positions(view: MatchView, positions: Iterable[int]) -> None:
+    """Raise IndexError for a position outside 1..len_y, ValueError if the
+    positions do not increase strictly. No probe, no cell."""
+    len_y = view.len_y
+    prev = 0
     for j in positions:
         if not prev < j <= len_y:
             raise (ValueError if 1 <= j <= len_y else IndexError)(
                 f"position {j} after {prev}: not in {prev + 1}..{len_y}")
         prev = j
+
+
+def _embed(view: MatchView, positions: Iterable[int], i: int,
+           q: list[int]) -> int:
+    """End of the leftmost embedding of Y[positions] into X[i+1..], each X
+    position appended to ``q``; ``i`` if there are no positions.
+
+    Uncharged: the caller charges the end, what scans that each resume
+    past the previous match cost from X[1]. A failed embedding charges
+    len_x probes, what its scans would cost, and raises ValueError.
+    """
+    x, y, find, len_x = view._x, view._y, view._x_find, view.len_x
+    for j in positions:
         # The search is 0-based: the match at index k is X position k + 1.
         i = find(x, y[j - 1], i, len_x) + 1
         if not i:
             view.meter.eq_queries += len_x
             raise ValueError("sequence does not embed into the first input")
-        if q is not None:
-            q.append(i)
-    view.meter.eq_queries += i
+        q.append(i)
     return i
 
 
@@ -70,8 +85,9 @@ def greedy_embedding(view: MatchView, positions: Sequence[int]) -> list[int]:
     Raises IndexError for a position outside 1..len_y, ValueError if the
     positions do not increase strictly or do not embed into X.
     """
+    _check_positions(view, positions)
     q: list[int] = []
-    _embed(view, positions, q)
+    view.meter.eq_queries += _embed(view, positions, 0, q)
     return q
 
 
@@ -82,23 +98,43 @@ def find_branch(view: MatchView, positions: Sequence[int]) -> BranchPoint | None
     canonical LCS positions); other inputs raise the errors of
     :func:`greedy_embedding` or give an unspecified result.
     """
+    _check_positions(view, positions)
+    branch = _branch_search(view, positions, 0, 0)
+    return None if branch is None else BranchPoint(*branch[:2])
+
+
+def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
+                   i_kept: int) -> tuple[int, int, int] | None:
+    """(k*, j*, end of the greedy embedding of the successor's P[1..k*]),
+    or None if ``positions`` is the last output.
+
+    ``i_kept`` is the end of the greedy embedding of P[1..k_kept] (0 when
+    k_kept is 0); the positions are valid. Probes and cells are those of
+    a search that embeds all of P from X[1].
+    """
     meter = view.meter
     x, y, find, len_y = view._x, view._y, view._x_find, view.len_y
     length = len(positions)
     # q[k]: least X end embedding Y[P[1..k]] (q[0] = 0), charged before the
     # walk's probes; j_suffix[l-1]: greatest j with L(X[i*+1..], Y[j..]) = l.
+    # q is a stack read from the top; it holds q[0] and q[k_kept..] until
+    # the search reaches k_kept, which walks the kept prefix to fill it.
     cells = _FRAME_CELLS + 1 + length
     meter.grow(cells)
-    q = [0]
+    q = [0, i_kept] if k_kept else [0]
     j_suffix: list[int] = []
     try:
-        _embed(view, positions, q)
+        meter.eq_queries += _embed(view, islice(positions, k_kept, None),
+                                   i_kept, q)
         i_star = view.len_x
         for k in range(length, 0, -1):
-            while i_star >= q[k]:
+            end = q.pop()
+            while i_star >= end:
                 _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
                 i_star -= 1
-            base = q[k - 1]
+            if k == k_kept:
+                _embed(view, islice(positions, k - 1), 0, q)
+            base = q[-1]
             need = length - k
             for j_star in range(positions[k - 1] + 1, len_y + 1):
                 if base >= i_star:
@@ -116,7 +152,7 @@ def find_branch(view: MatchView, positions: Sequence[int]) -> BranchPoint | None
                 # level need; more would contradict L being the LCS length.
                 if need == 0 or (len(j_suffix) >= need
                                  and j_star < j_suffix[need - 1]):
-                    return BranchPoint(k, j_star)
+                    return k, j_star, i_star
                 # Larger i*, j* pairs cannot help once this one failed.
                 _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
                 i_star -= 1

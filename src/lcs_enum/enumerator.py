@@ -10,10 +10,16 @@ recursion bookkeeping, however many outputs there are.
 One iteration: keep the prefix of the current buffer up to the branch
 index found after the previous output, append the leftmost LCS of what
 remains of both inputs past that prefix, emit, then search for the next
-branch point. The instrumentation counters close one "delay" per
-emitted output and a final one when exhaustion is detected, so the
-probe counts of every gap (before the first output, between outputs,
-after the last) are observable.
+branch point. The remainder of X starts after the greedy embedding of
+the kept prefix. The branch search found that embedding's end with the
+branch point, so it is carried over, not walked again; the next search
+starts from it and walks only the new tail. The probes still count the
+paper's full re-embedding of the prefix and of the whole output: they
+are charged, not performed, as the threshold folds already charge whole
+rows. The instrumentation counters close one "delay" per emitted output
+and a final one when exhaustion is detected, so the probe counts of
+every gap (before the first output, between outputs, after the last)
+are observable.
 
     >>> from lcs_enum import MatchView, LcsEnumerator
     >>> list(LcsEnumerator(MatchView("ab", "ab")))
@@ -22,11 +28,10 @@ after the last) are observable.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Sequence
 
 from .core import MatchView, Meter
-from .branching import _embed, find_branch
+from .branching import _branch_search
 from .hirschberg import _first_lcs_into
 
 
@@ -82,6 +87,7 @@ class LcsEnumerator:
         self.counters = Counters(self._view.meter)
         self._p: list[int] = []
         self._k_star = 0
+        self._frontier = 0  # end of the greedy embedding of p[:k_star] in X
         self._finished = False
 
     @property
@@ -108,9 +114,11 @@ class LcsEnumerator:
         k = self._k_star
 
         # Frontier after the kept prefix: the greedy embedding end for X,
-        # the prefix's own last position for Y (the prefix is leftmost
-        # canonical, so Y[1..p[k]] is already the shortest prefix).
-        i = _embed(view, islice(p, k), None)
+        # charged the i probes of walking it, and the prefix's own last
+        # position for Y (the prefix is leftmost canonical, so Y[1..p[k]]
+        # is already the shortest prefix).
+        i = self._frontier
+        meter.eq_queries += i
         j = p[k - 1] if k > 0 else 0
 
         meter.shrink(len(p) - k)
@@ -119,9 +127,10 @@ class LcsEnumerator:
         out = tuple(p)
         emitted_at = meter.eq_queries
 
-        # Until find_branch returns, the kept prefix and k* are as they
-        # were, so a call that raises recomputes this output next time.
-        branch = find_branch(view, p)
+        # Until the search returns, the kept prefix, k* and the frontier
+        # are as they were, so a call that raises recomputes this output
+        # next time.
+        branch = _branch_search(view, p, k, i)
         counters = self.counters
         counters.outputs_emitted += 1
         counters._close_gap(emitted_at)
@@ -131,8 +140,9 @@ class LcsEnumerator:
             p.clear()
             counters._close_gap(meter.eq_queries)  # the final search
         else:
-            self._k_star = branch.k_star
-            p[branch.k_star - 1] = branch.j_star
+            k, j, self._frontier = branch
+            p[k - 1] = j
+            self._k_star = k
         return out
 
     def __iter__(self):

@@ -3,7 +3,7 @@
 ``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
 charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form), in a match search of ``first_lcs``,
-or inside ``find_branch``. After the interrupt the caller simply calls
+or inside the branch search. After the interrupt the caller simply calls
 again: the stream must equal the uninterrupted one, every cell must be
 released at exhaustion, and ``outputs_emitted`` must count exactly the
 outputs returned. Standalone library calls, ``find_branch`` and
@@ -104,7 +104,7 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     assert ref.finished == (len(want) < LIMIT)
     if ref.finished:
         assert ref.view.meter.live_cells == 0
-    assert {"_fold_prefix_row", "_fold_suffix_row", "find_branch"} <= hit
+    assert {"_fold_prefix_row", "_fold_suffix_row", "_branch_search"} <= hit
     assert ("_fold_bits" in hit) == bit_rows
 
 
