@@ -79,12 +79,13 @@ def _embed(view: MatchView, positions: Iterable[int], i: int,
     return i
 
 
-def greedy_embedding(view: MatchView, positions: Sequence[int]) -> list[int]:
+def greedy_embedding(view: MatchView, positions: Iterable[int]) -> list[int]:
     """Leftmost X positions embedding Y[positions], one scan of X.
 
     Raises IndexError for a position outside 1..len_y, ValueError if the
     positions do not increase strictly or do not embed into X.
     """
+    positions = tuple(positions)  # read twice: checked, then walked
     _check_positions(view, positions)
     q: list[int] = []
     view.meter.eq_queries += _embed(view, positions, 0, q)

@@ -23,6 +23,12 @@ def test_greedy_embedding_empty():
     assert greedy_embedding(MatchView(X1, Y1), ()) == []
 
 
+def test_greedy_embedding_reads_an_iterator_once():
+    view = MatchView(X1, Y1)
+    assert greedy_embedding(view, iter((1, 2, 3, 4, 5))) == [2, 5, 8, 10, 11]
+    assert view.meter.eq_queries == 11
+
+
 def test_greedy_embedding_identity():
     view = MatchView(Y1, Y1)
     n = len(Y1)
