@@ -83,7 +83,9 @@ def greedy_embedding(view: MatchView, positions: Iterable[int]) -> list[int]:
     """Leftmost X positions embedding Y[positions], one scan of X.
 
     Raises IndexError for a position outside 1..len_y, ValueError if the
-    positions do not increase strictly or do not embed into X.
+    positions do not increase strictly or do not embed into X. Every
+    position is checked before the first probe, so a bad position raises
+    even after a prefix that would not embed, and charges nothing.
     """
     positions = tuple(positions)  # read twice: checked, then walked
     _check_positions(view, positions)

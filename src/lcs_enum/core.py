@@ -19,12 +19,12 @@ It charges the meter for exactly the probes a sequential left-to-right
 scan with early exit would perform, so query counts are identical to a
 naive character-by-character implementation whatever the search
 underneath. The view binds its searches once, at construction:
-str.find/rfind when both inputs are str, the bytes or bytearray
-find/rfind when each input is bytes or bytearray, tuple.index/list.index
-for forward searches over a tuple or list, and a plain element loop for
-everything else. The threshold folds and the branch search
-(:mod:`lcs_enum.hirschberg`, :mod:`lcs_enum.branching`) call these
-unmetered searches directly and charge the meter themselves.
+str.find/rfind when both inputs are str, bytes.find/rfind when both are
+bytes, tuple.index/list.index for forward searches over a tuple or
+list, and a plain element loop for everything else. The threshold folds
+and the branch search (:mod:`lcs_enum.hirschberg`,
+:mod:`lcs_enum.branching`) call these unmetered searches directly and
+charge the meter themselves.
 """
 
 from __future__ import annotations
@@ -99,17 +99,15 @@ def _searches(seq: Sequence, other: Sequence) -> tuple[_Search, _Search]:
     seq[k] equal to ``item``, ``rfind`` the greatest; both return -1 when
     there is none. Equality is the token rule of :class:`MatchView`.
     Substring search is exact only when every element of ``other`` is a
-    single character (byte) of ``seq``, so str.find/rfind serve only two
-    str, and the bytes or bytearray searches, which take a byte as an
-    int, only pairs of those two types. tuple.index and list.index
-    already compare with the token rule; the rest is a plain element
-    loop.
+    single character (byte) of ``seq``'s own type, so str.find/rfind and
+    bytes.find/rfind serve only same-type pairs. tuple.index and
+    list.index already compare with the token rule; the rest is a plain
+    element loop.
     """
     if isinstance(seq, str) and isinstance(other, str):
         return str.find, str.rfind
-    if isinstance(seq, _BYTES) and isinstance(other, _BYTES):
-        kind = bytes if isinstance(seq, bytes) else bytearray
-        return kind.find, kind.rfind
+    if isinstance(seq, bytes) and isinstance(other, bytes):
+        return bytes.find, bytes.rfind
     if isinstance(seq, (tuple, list)):
         return _index_find, _loop_rfind
     return _loop_find, _loop_rfind
@@ -160,12 +158,11 @@ class MatchView:
         return a is b or a == b
 
     def y_slice(self, positions: Sequence[int]):
-        """Y read at the given positions as str for a str Y, bytes for a
-        bytes or bytearray Y, a tuple otherwise."""
+        """Y read at the given positions, in Y's own type (str/bytes/tuple)."""
         y = self._y
         if isinstance(y, str):
             return "".join(y[j - 1] for j in positions)
-        if isinstance(y, _BYTES):
+        if isinstance(y, bytes):
             return bytes(y[j - 1] for j in positions)
         return tuple(y[j - 1] for j in positions)
 

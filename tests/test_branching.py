@@ -64,21 +64,25 @@ def test_greedy_embedding_rejects_non_subsequence():
         greedy_embedding(view, (1, 2, 3))  # "abd" does not embed in "abc"
 
 
+# Y1[1..6] does not embed into X1, so the last case also pins the order:
+# every position is checked before the walk that would fail.
 BAD_POSITIONS = [((0,), IndexError), ((1, len(Y1) + 1), IndexError),
                  ((-1, 2), IndexError), ((1, 3, 3, 4, 5), ValueError),
-                 ((2, 1), ValueError)]
+                 ((2, 1), ValueError),
+                 ((1, 2, 3, 4, 5, 6, len(Y1) + 1), IndexError)]
 
 
 @pytest.mark.parametrize("fn", [greedy_embedding, find_branch])
 @pytest.mark.parametrize("positions, error", BAD_POSITIONS,
                          ids=["zero", "past_len_y", "negative", "repeated",
-                              "decreasing"])
+                              "decreasing", "unembeddable_then_past_len_y"])
 def test_invalid_positions_are_rejected(fn, positions, error):
     # A position of 0 would otherwise read Y[-1] silently.
     view = MatchView(X1, Y1)
     with pytest.raises(error):
         fn(view, positions)
     assert view.meter.live_cells == 0
+    assert view.meter.peak_cells == 0
     assert view.meter.eq_queries == 0
 
 

@@ -57,16 +57,6 @@ def test_render_bytes_and_tuples():
     assert tview.y_slice((2, 3)) == (10, 30)
 
 
-def test_bytearray_inputs_take_the_byte_searches_and_render_as_bytes():
-    for x, y in [(bytearray(b"abc"), bytearray(b"cab")),
-                 (bytearray(b"abc"), b"cab"), (b"abc", bytearray(b"cab"))]:
-        view = MatchView(x, y)
-        assert view._x_find is type(x).find
-        assert (view._y_find, view._y_rfind) == (type(y).find, type(y).rfind)
-        assert view.y_slice((1, 2)) == b"ca"
-        assert type(view.y_slice((1, 2))) is bytes
-
-
 def test_index_range():
     r = IndexRange(3, 7)
     assert r.length == 5

@@ -188,17 +188,6 @@ def test_every_input_type_gives_the_same_stream():
             assert _stream(*pair) == want
 
 
-def test_bytearray_pairs_give_the_bytes_stream():
-    rng = random.Random(12)
-    for _ in range(40):
-        x, y = rand_pair(rng, 24, sigmas=(1, 2, 4))
-        bx, by = x.encode(), y.encode()
-        want = _stream(bx, by)
-        for pair in [(bytearray(bx), bytearray(by)), (bytearray(bx), by),
-                     (bx, bytearray(by))]:
-            assert _stream(*pair) == want
-
-
 def test_multi_character_tokens_are_not_substrings():
     x = ("ab", "b", "a")
     y = "aab"
