@@ -68,7 +68,7 @@ def _embed(view: MatchView, positions: Iterable[int], i: int,
     past the previous match cost from X[1]. A failed embedding charges
     len_x probes, what its scans would cost, and raises ValueError.
     """
-    x, y, find, len_x = view._x, view._y, view._x_find, view.len_x
+    x, y, find, len_x = view._x, view._y, view._find, view.len_x
     for j in positions:
         # The search is 0-based: the match at index k is X position k + 1.
         i = find(x, y[j - 1], i, len_x) + 1
@@ -116,7 +116,7 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     a search that embeds all of P from X[1].
     """
     meter = view.meter
-    x, y, find, len_y = view._x, view._y, view._x_find, view.len_y
+    x, y, find, len_y = view._x, view._y, view._find, view.len_y
     length = len(positions)
     # q[k]: least X end embedding Y[P[1..k]] (q[0] = 0), charged before the
     # walk's probes; j_suffix[l-1]: greatest j with L(X[i*+1..], Y[j..]) = l.

@@ -9,30 +9,25 @@ recovered by reading Y at those positions.
 The two inputs are wrapped in a :class:`MatchView`, which exposes only
 their lengths, positionwise equality queries X[i] == Y[j], and read
 access to Y (needed to render output strings). Algorithms built on top
-of the view reach the inputs only through it, so the view can be
-backed by str, bytes, or token lists without copying, and the attached
-:class:`Meter` can account for every equality probe.
+of the view reach the inputs only through it, and the attached
+:class:`Meter` accounts for every equality probe.
 
-Besides single queries, the view offers one scan primitive,
-:meth:`MatchView.next_y_match` (the first match of X[i] in a Y range).
-It charges the meter for exactly the probes a sequential left-to-right
-scan with early exit would perform, so query counts are identical to a
-naive character-by-character implementation whatever the search
-underneath. The view binds its searches once, at construction:
-str.find/rfind when both inputs are str, bytes.find/rfind when both are
-bytes, tuple.index/list.index for forward searches over a tuple or
-list, and a plain element loop for everything else. The threshold folds
-and the branch search (:mod:`lcs_enum.hirschberg`,
-:mod:`lcs_enum.branching`) call these unmetered searches directly and
-charge the meter themselves.
+The view fixes the form in which it searches the pair once, at
+construction (:func:`_code`): a str pair stays str, byte-valued inputs
+become two bytes, and anything else is searched as given, by element
+loops. Its one scan primitive, :meth:`MatchView.next_y_match`, charges
+the probes a left-to-right scan with early exit would make, so probe
+counts never depend on the search underneath. The threshold folds and
+the branch search (:mod:`lcs_enum.hirschberg`, :mod:`lcs_enum.branching`)
+call the view's two unmetered searches directly and charge the meter
+themselves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-_BYTES = (bytes, bytearray)
-_Search = Callable[[Sequence, object, int, int], int]
+_CODABLE = (bytes, bytearray, tuple, list)
 
 
 class Meter:
@@ -68,11 +63,26 @@ class Meter:
                 f"live_cells={self.live_cells}, peak_cells={self.peak_cells})")
 
 
-def _index_find(seq, item, lo: int, hi: int) -> int:
+def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
+    """The pair in a form whose own find/rfind search it exactly, or None.
+
+    A str pair is returned unchanged. Two inputs that are exactly bytes,
+    bytearray, tuple or list become two bytes when every token is an int
+    in 0..255 equal to its byte. ``bytes()`` also takes any object with
+    ``__index__``, so the round trip ``type(s)(bytes(s)) == s`` is what
+    keeps two tokens with the same index but unequal apart.
+    """
+    if isinstance(x, str) and isinstance(y, str):
+        return x, y
+    if type(x) not in _CODABLE or type(y) not in _CODABLE:
+        return None
     try:
-        return seq.index(item, lo, hi)
-    except ValueError:
-        return -1
+        bx, by = bytes(x), bytes(y)
+    except (TypeError, ValueError):
+        return None
+    if type(x)(bx) == x and type(y)(by) == y:
+        return bx, by
+    return None
 
 
 def _loop_find(seq, item, lo: int, hi: int) -> int:
@@ -91,28 +101,6 @@ def _loop_rfind(seq, item, lo: int, hi: int) -> int:
     return -1
 
 
-def _searches(seq: Sequence, other: Sequence) -> tuple[_Search, _Search]:
-    """Unmetered forward and backward searches over ``seq`` for elements
-    of ``other``.
-
-    ``find(seq, item, lo, hi)`` is the least 0-based k in [lo, hi) with
-    seq[k] equal to ``item``, ``rfind`` the greatest; both return -1 when
-    there is none. Equality is the token rule of :class:`MatchView`.
-    Substring search is exact only when every element of ``other`` is a
-    single character (byte) of ``seq``'s own type, so str.find/rfind and
-    bytes.find/rfind serve only same-type pairs. tuple.index and
-    list.index already compare with the token rule; the rest is a plain
-    element loop.
-    """
-    if isinstance(seq, str) and isinstance(other, str):
-        return str.find, str.rfind
-    if isinstance(seq, bytes) and isinstance(other, bytes):
-        return bytes.find, bytes.rfind
-    if isinstance(seq, (tuple, list)):
-        return _index_find, _loop_rfind
-    return _loop_find, _loop_rfind
-
-
 class MatchView:
     """Read-only view of an input pair (X, Y) with metered access.
 
@@ -122,31 +110,51 @@ class MatchView:
     with a bytes input is rejected: they share no token, which almost
     always means one side was not decoded.
 
+    ``_x`` and ``_y`` hold the pair as searched, coded or as given, and
+    ``_find``/``_rfind(seq, item, lo, hi)`` search either side of it:
+    the least (greatest) 0-based k in [lo, hi) with seq[k] equal to
+    ``item``, or -1. ``_bits`` is None unless the folds may take the bit
+    form; then it turns a slice of ``_y`` into bytes, one per position.
+    The coded pair is read-only input storage, outside the cell count.
+    ``y_slice`` renders the original Y.
+
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
     meter is a plain counter; give each thread its own view via
     :meth:`with_meter` if per-thread counts matter.
     """
 
-    __slots__ = ("_x", "_y", "len_x", "len_y", "meter",
-                 "_x_find", "_y_find", "_y_rfind")
+    __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "meter",
+                 "_find", "_rfind", "_bits")
 
     def __init__(self, x: Sequence, y: Sequence, meter: Meter | None = None):
-        if (isinstance(x, str) and isinstance(y, _BYTES)) or (
-                isinstance(x, _BYTES) and isinstance(y, str)):
+        if (isinstance(x, str) and isinstance(y, (bytes, bytearray))) or (
+                isinstance(x, (bytes, bytearray)) and isinstance(y, str)):
             raise TypeError("cannot pair str with bytes input: decode the "
                             "bytes or encode the str first")
-        self._x = x
-        self._y = y
+        self._y_in = y
         self.len_x = len(x)
         self.len_y = len(y)
         self.meter = meter if meter is not None else Meter()
-        self._x_find = _searches(x, y)[0]
-        self._y_find, self._y_rfind = _searches(y, x)
+        coded = _code(x, y)
+        self._x, self._y = coded or (x, y)
+        if coded is None:
+            self._find, self._rfind = _loop_find, _loop_rfind
+            self._bits = None
+        elif isinstance(y, str):
+            self._find, self._rfind = str.find, str.rfind
+            self._bits = str.encode if x.isascii() and y.isascii() else None
+        else:
+            self._find, self._rfind = bytes.find, bytes.rfind
+            self._bits = bytes
 
     def with_meter(self, meter: Meter) -> "MatchView":
-        """Same underlying inputs, separate instrumentation."""
-        return MatchView(self._x, self._y, meter)
+        """Same inputs and coded pair, separate instrumentation."""
+        view = object.__new__(MatchView)
+        for name in MatchView.__slots__:
+            setattr(view, name, getattr(self, name))
+        view.meter = meter
+        return view
 
     def eq(self, i: int, j: int) -> bool:
         """Whether X[i] == Y[j] under the token rule. One metered probe."""
@@ -159,7 +167,7 @@ class MatchView:
 
     def y_slice(self, positions: Sequence[int]):
         """Y read at the given positions, in Y's own type (str/bytes/tuple)."""
-        y = self._y
+        y = self._y_in
         if isinstance(y, str):
             return "".join(y[j - 1] for j in positions)
         if isinstance(y, bytes):
@@ -177,7 +185,7 @@ class MatchView:
             return None
         if not (1 <= i <= self.len_x and 1 <= j_lo and j_hi <= self.len_y):
             raise IndexError(f"next_y_match({i}, {j_lo}, {j_hi}) out of range")
-        k = self._y_find(self._y, self._x[i - 1], j_lo - 1, j_hi)
+        k = self._find(self._y, self._x[i - 1], j_lo - 1, j_hi)
         if k < 0:
             self.meter.eq_queries += j_hi - j_lo + 1
             return None

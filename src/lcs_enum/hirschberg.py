@@ -22,12 +22,12 @@ update: each match of that character inside the Y range lowers
 (prefix) or raises (suffix) the threshold of the level found by
 bisection. It visits only the matches that can change a level,
 skipping from each one past the old threshold it replaced, and finds
-them with the view's bound searches (C-level str/bytes find or
-tuple/list index where the input allows).
+them with the search the view bound when it was built: str or bytes
+find/rfind on a str or coded bytes pair, an element loop otherwise.
 
 Once a fold over w >= 64 positions of Y holds at least w/8 levels, and
-the pair is str against an ASCII str Y or bytes against bytes, it
-switches to the bit form (Allison-Dix, Hyyro): the thresholds become
+the view's ``_bits`` flag is set (the pair is bytes, or two ASCII str),
+it switches to the bit form (Allison-Dix, Hyyro): the thresholds become
 the 0-bits of a w-bit integer V, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
 mask, cut from the Y segment by ``bytes.translate`` and ``int(.., 2)``.
@@ -77,7 +77,7 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     1 <= i <= len_x and 1 <= j_lo <= j_hi <= len_y.
     """
     view.meter.eq_queries += j_hi - j_lo + 1
-    find = view._y_find
+    find = view._find
     y = view._y
     c = view._x[i - 1]
     top = len(levels)
@@ -106,7 +106,7 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     j_hi - j_lo + 1 probes and unchecked, like the prefix fold.
     """
     view.meter.eq_queries += j_hi - j_lo + 1
-    rfind = view._y_rfind
+    rfind = view._rfind
     y = view._y
     c = view._x[i - 1]
     top = len(levels)
@@ -132,14 +132,6 @@ _BIT_MIN_WIDTH = 64
 _BIT_POSITIONS_PER_LEVEL = 8
 
 
-def _bit_rows_apply(view: MatchView) -> bool:
-    """Whether Y segments of the view encode to one byte per position."""
-    x, y = view._x, view._y
-    if isinstance(x, str) and isinstance(y, str):
-        return y.isascii()
-    return isinstance(x, bytes) and isinstance(y, bytes)
-
-
 def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
                levels: list[int], suffix: bool) -> None:
     """Fold the X rows into ``levels`` in the bit form, in place.
@@ -160,20 +152,13 @@ def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
     levels.clear()
     # Y[j_lo..j_hi] as bytes, cut once, with the position of bit 0 last:
     # int(.., 2) reads its first character as the highest bit.
-    seg = view._y[j_lo - 1:j_hi]
-    if isinstance(seg, str):
-        seg = seg.encode("ascii")
+    seg = view._bits(view._y[j_lo - 1:j_hi])
     if not suffix:
         seg = seg[::-1]
     x = view._x
-    text = isinstance(x, str)
     for i in rows:
         meter.eq_queries += w
-        c = x[i - 1]
-        if text:
-            c = ord(c)
-            if c > 127:  # absent from an ASCII Y: the row changes nothing
-                continue
+        c = ord(x[i - 1:i])  # the byte of a one-character str or bytes slice
         u = v & int(seg.translate(_ONE_HOT[255 - c:511 - c]), 2)
         v = ((v + u) | (v - u)) & full
         if w - v.bit_count() > count:
@@ -193,9 +178,9 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     Folds the rows in increasing i (prefix orientation) or decreasing i
     (``suffix``), starting in the list form and switching to the bit
     form before a row once w = j_hi - j_lo + 1 >= 64, 8 * levels >= w
-    and the input types allow it. Returns the levels, one charged cell
-    each; the caller releases them. On an exception every cell charged
-    here is released before it propagates.
+    and the view's ``_bits`` flag is set. Returns the levels, one
+    charged cell each; the caller releases them. On an exception every
+    cell charged here is released before it propagates.
     """
     levels: list[int] = []
     if j_lo > j_hi:
@@ -211,8 +196,8 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     # len(rows) levels never fires, and neither can one in a fold of at
     # most w/8 rows; most folds are a row or two long.
     switch = len(rows)
-    if (w >= _BIT_MIN_WIDTH and _BIT_POSITIONS_PER_LEVEL * switch > w
-            and _bit_rows_apply(view)):
+    if (view._bits and w >= _BIT_MIN_WIDTH
+            and _BIT_POSITIONS_PER_LEVEL * switch > w):
         switch = -(-w // _BIT_POSITIONS_PER_LEVEL)
     base = view.meter.live_cells
     try:

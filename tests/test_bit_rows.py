@@ -1,16 +1,17 @@
 """The bit form of a threshold fold agrees with the list form exactly.
 
-A fold over str (ASCII Y) or bytes inputs switches to bit rows once it
-is at least 64 positions wide and holds a level per eight positions. A
-tuple view of the same content always keeps the list form, so it is the
-reference: values, probes, peak cells and live cells must all match.
+A fold over a bytes pair, or two ASCII str, switches to bit rows once
+it is at least 64 positions wide and holds a level per eight positions.
+A ``MinimalSeq`` view of the same content is never coded, so it always
+keeps the list form and is the reference: values, probes, peak cells
+and live cells must all match.
 """
 
 import random
 
 import pytest
 
-from conftest import rand_string
+from conftest import MinimalSeq, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, first_lcs,
                       prefix_thresholds, split_point, suffix_thresholds)
 from lcs_enum import hirschberg
@@ -30,7 +31,7 @@ def instances(draw):
     sigma = draw(st.integers(1, 26))
     common = list(range(ord("a"), ord("a") + sigma))
     # Symbols only X can hold: absent from Y, 0x80 and up, and for str
-    # non-ASCII code points against the ASCII Y that takes bit rows.
+    # non-ASCII code points, which keep the pair in the list form.
     only_x = draw(st.sampled_from([[], [ord("0")], [0x80, 0xFF],
                                    [0xE9, 0x3B1] if kind == "str" else [0x9C]]))
     y_extra = [0x80, 0xFF] if kind == "bytes" and draw(st.booleans()) else []
@@ -69,7 +70,8 @@ def test_bit_rows_agree_with_list_rows(case):
         if fn is split_point and xr.length < 2:
             continue
         assert (_metered(fn, MatchView(x, y), xr, yr)
-                == _metered(fn, MatchView(tuple(x), tuple(y)), xr, yr)), fn
+                == _metered(fn, MatchView(MinimalSeq(x), MinimalSeq(y)),
+                            xr, yr)), fn
 
 
 @pytest.fixture
@@ -97,12 +99,24 @@ def test_switch_only_when_levels_cover_the_bits(bit_entries):
     assert all(8 * levels >= w >= 64 for w, levels in bit_entries)
 
 
+def test_byte_valued_sequences_switch(bit_entries):
+    rng = random.Random(4)
+    x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
+    bx, by = x.encode(), y.encode()
+    for pair in [(list(bx), list(by)), (tuple(bx), by),
+                 (bytearray(bx), bytearray(by))]:
+        first_lcs(MatchView(*pair))
+        assert bit_entries, pair
+        bit_entries.clear()
+
+
 def test_other_inputs_never_switch(bit_entries):
     rng = random.Random(4)
     x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
-    first_lcs(MatchView(tuple(x), tuple(y)))
-    first_lcs(MatchView(list(x.encode()), list(y.encode())))
+    first_lcs(MatchView(MinimalSeq(x.encode()), MinimalSeq(y.encode())))
+    first_lcs(MatchView(tuple(x), tuple(y)))  # str tokens
     first_lcs(MatchView(x, y + "é"))  # non-ASCII Y
+    first_lcs(MatchView(x + "é", y))  # non-ASCII X
     assert bit_entries == []
 
 

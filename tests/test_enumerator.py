@@ -173,19 +173,27 @@ def _stream(x, y):
 
 
 def test_every_input_type_gives_the_same_stream():
-    # Each backing type takes its own search (str.find, bytes.find,
-    # tuple/list.index, element loops), and mixed pairs must not use
-    # substring search on the other side's elements.
+    # A str pair is searched with str.find; bytes, bytearray and int
+    # tuples or lists of bytes are coded as two bytes and searched with
+    # bytes.find; every other pair, mixed ones included, takes the
+    # element loops and must not use substring search on the other
+    # side's elements. An int above 255 keeps its list uncoded.
     rng = random.Random(11)
     for _ in range(60):
         x, y = rand_pair(rng, 24, sigmas=(1, 2, 4))
         want = _stream(x, y)
         bx, by = x.encode(), y.encode()
-        for pair in [(bx, by), (tuple(x), tuple(y)), (list(x), list(y)),
-                     (MinimalSeq(x), MinimalSeq(y)), (tuple(x), y),
-                     (x, list(y)), (list(bx), by),
-                     (MinimalSeq(bx), list(by))]:
+        wide_x, wide_y = ([1000 if t == ord("a") else t for t in s]
+                          for s in (bx, by))
+        for pair in [(bx, by), (bytearray(bx), bytearray(by)),
+                     (bytearray(bx), by), (tuple(x), tuple(y)),
+                     (list(x), list(y)), (MinimalSeq(x), MinimalSeq(y)),
+                     (tuple(x), y), (x, list(y)), (list(bx), by),
+                     (MinimalSeq(bx), list(by)),
+                     (wide_x, wide_y), (tuple(wide_x), wide_y)]:
             assert _stream(*pair) == want
+    wide = [ord("a"), 1000]
+    assert MatchView(wide, b"a")._x is wide  # searched as given
 
 
 def test_multi_character_tokens_are_not_substrings():
