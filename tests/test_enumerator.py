@@ -2,6 +2,7 @@
 
 import math
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -202,6 +203,40 @@ def test_multi_character_tokens_are_not_substrings():
     got = list(LcsEnumerator(MatchView(x, y)))
     assert got == all_lcs_position_sequences(MatchView(x, y))
     assert got == [(1,), (3,)]
+
+
+class Tok:
+    """A token with an index whose copies are never equal (identity)."""
+
+    def __index__(self):
+        return 0
+
+
+def test_tokens_sharing_a_byte_stay_apart():
+    # bytes() takes any __index__, so (a, a) and (b, a) would both code
+    # to two zero bytes and merge b with a.
+    a, b = Tok(), Tok()
+    for wrap in (tuple, list):
+        view = MatchView(wrap((a, a)), wrap((b, a)))
+        assert list(LcsEnumerator(view)) == [(2,)]
+        assert view.y_slice((1, 2)) == (b, a)
+
+
+class Bit(IntEnum):
+    OFF = 0
+    ON = 1
+
+
+def test_bool_and_int_enum_tokens_give_the_int_stream():
+    x, y = (1, 0, 1, 1, 0, 0, 1), (0, 1, 1, 0, 1, 0)
+    want = _stream(x, y)
+    for kind in (bool, Bit):
+        kx, ky = tuple(map(kind, x)), tuple(map(kind, y))
+        assert _stream(kx, ky) == want
+        assert _stream(list(kx), bytes(y)) == want
+        rendered = MatchView(kx, ky).y_slice((1, 2))
+        assert rendered == (kind(0), kind(1))
+        assert all(type(t) is kind for t in rendered)
 
 
 def test_shared_nan_token_matches_the_oracle():
