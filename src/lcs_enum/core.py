@@ -28,6 +28,9 @@ from __future__ import annotations
 from typing import Sequence
 
 _CODABLE = (bytes, bytearray, tuple, list)
+# Byte value c selects _ONE_HOT[255 - c:511 - c], a translate table that
+# maps byte c to b"1" and every other byte to b"0".
+_ONE_HOT = b"0" * 255 + b"1" + b"0" * 255
 
 
 class Meter:
@@ -85,6 +88,26 @@ def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
     return None
 
 
+def _bit_planes(x, y) -> dict:
+    """Per-token bit-planes of Y for the tokens that X and Y share.
+
+    Maps each shared token, as ``x`` holds it, to a pair of little-endian
+    bitsets of ``(len(y) + 7) // 8`` bytes: forward, whose bit j - 1 is
+    set when Y[j] is the token, and reverse, whose bit len(y) - j is.
+    The pair must be bytes or two ASCII str.
+    """
+    yb = y.encode() if isinstance(y, str) else y
+    size = (len(yb) + 7) // 8
+    planes = {}
+    for t in set(x) & set(y):
+        c = ord(t) if isinstance(t, str) else t
+        s = yb.translate(_ONE_HOT[255 - c:511 - c])  # character k is Y[k + 1]
+        # int(.., 2) reads its first character as the highest bit.
+        planes[t] = (int(s[::-1], 2).to_bytes(size, "little"),
+                     int(s, 2).to_bytes(size, "little"))
+    return planes
+
+
 def _loop_find(seq, item, lo: int, hi: int) -> int:
     for k in range(lo, hi):
         e = seq[k]
@@ -113,10 +136,12 @@ class MatchView:
     ``_x`` and ``_y`` hold the pair as searched, coded or as given, and
     ``_find``/``_rfind(seq, item, lo, hi)`` search either side of it:
     the least (greatest) 0-based k in [lo, hi) with seq[k] equal to
-    ``item``, or -1. ``_bits`` is None unless the folds may take the bit
-    form; then it turns a slice of ``_y`` into bytes, one per position.
-    The coded pair is read-only input storage, outside the cell count.
-    ``y_slice`` renders the original Y.
+    ``item``, or -1. ``_planes`` is None unless the folds may take the
+    bit form (the pair is bytes, or two ASCII str); then it is a dict
+    that the first bit fold fills with :func:`_bit_planes`, shared by
+    every view :meth:`with_meter` makes. The coded pair and the planes,
+    2 * len_y bits per token X and Y share, are read-only input storage,
+    outside the cell count. ``y_slice`` renders the original Y.
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -125,7 +150,7 @@ class MatchView:
     """
 
     __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "meter",
-                 "_find", "_rfind", "_bits")
+                 "_find", "_rfind", "_planes")
 
     def __init__(self, x: Sequence, y: Sequence, meter: Meter | None = None):
         if (isinstance(x, str) and isinstance(y, (bytes, bytearray))) or (
@@ -140,16 +165,16 @@ class MatchView:
         self._x, self._y = coded or (x, y)
         if coded is None:
             self._find, self._rfind = _loop_find, _loop_rfind
-            self._bits = None
+            self._planes = None
         elif isinstance(y, str):
             self._find, self._rfind = str.find, str.rfind
-            self._bits = str.encode if x.isascii() and y.isascii() else None
+            self._planes = {} if x.isascii() and y.isascii() else None
         else:
             self._find, self._rfind = bytes.find, bytes.rfind
-            self._bits = bytes
+            self._planes = {}
 
     def with_meter(self, meter: Meter) -> "MatchView":
-        """Same inputs and coded pair, separate instrumentation."""
+        """Same inputs, coded pair and planes, separate instrumentation."""
         view = object.__new__(MatchView)
         for name in MatchView.__slots__:
             setattr(view, name, getattr(self, name))
@@ -166,12 +191,15 @@ class MatchView:
         return a is b or a == b
 
     def y_slice(self, positions: Sequence[int]):
-        """Y read at the given positions, in Y's own type (str/bytes/tuple)."""
+        """Y read at the given positions, in Y's own type
+        (str/bytes/bytearray, any other sequence as a tuple)."""
         y = self._y_in
         if isinstance(y, str):
             return "".join(y[j - 1] for j in positions)
         if isinstance(y, bytes):
             return bytes(y[j - 1] for j in positions)
+        if isinstance(y, bytearray):
+            return bytearray(y[j - 1] for j in positions)
         return tuple(y[j - 1] for j in positions)
 
     def next_y_match(self, i: int, j_lo: int, j_hi: int) -> int | None:

@@ -25,17 +25,20 @@ skipping from each one past the old threshold it replaced, and finds
 them with the search the view bound when it was built: str or bytes
 find/rfind on a str or coded bytes pair, an element loop otherwise.
 
-Once a fold over w >= 64 positions of Y holds at least w/8 levels, and
-the view's ``_bits`` flag is set (the pair is bytes, or two ASCII str),
-it switches to the bit form (Allison-Dix, Hyyro): the thresholds become
+Once a fold over w >= 64 positions of Y holds at least w/64 levels,
+and the view has bit-planes (the pair is bytes, or two ASCII str), it
+switches to the bit form (Allison-Dix, Hyyro): the thresholds become
 the 0-bits of a w-bit integer V, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
-mask, cut from the Y segment by ``bytes.translate`` and ``int(.., 2)``.
-No per-symbol mask table is kept; the bit form holds V, a few w-bit
-temporaries and two w-byte strings, a constant number of machine
-words per level once 8 * levels >= w, so the one-cell-per-level charge
-stays an upper bound on its space. Other inputs, narrower ranges and
-folds with few levels stay in the list form; so do the suffix rows of
+mask. M is read from the view's bit-plane of the row's token, about
+w/8 bytes of it. The planes hold 2 * len_y bits per token X and Y
+share; they are read-only storage of the input, built once per view,
+and outside the cell count like the coded pair. Beyond them the bit
+form holds V, a few w-bit temporaries and, at the end, a w-character
+readback string: a constant number of machine words per level once
+64 * levels >= w, so the one-cell-per-level charge stays an upper
+bound on its space. Other inputs, narrower ranges and folds with few
+levels stay in the list form; so do the suffix rows of
 :mod:`lcs_enum.branching`, which reads its thresholds between rows.
 
 Either form charges a length-n row exactly n equality probes, what a
@@ -54,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import neg
 
-from .core import IndexRange, MatchView
+from .core import IndexRange, MatchView, _bit_planes
 
 # One live recursion frame holds the two range endpoints plus the split
 # pair; counted so the O(log n) bookkeeping shows up in the cell meter.
@@ -123,51 +126,59 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
         k = rfind(y, c, j_lo - 1, old - 1)
 
 
-# Byte value c selects _ONE_HOT[255 - c:511 - c], a translate table that
-# maps byte c to b"1" and every other byte to b"0".
-_ONE_HOT = b"0" * 255 + b"1" + b"0" * 255
-# The bit form pays once a fold is this wide and holds a level per
-# this many positions; narrower rows cost more to cut a mask than to walk.
+# The bit form pays once a fold is this wide: narrower rows cost more to
+# cut a mask than to walk. It switches at a level per this many
+# positions, where V and each w-bit temporary take a word per level.
 _BIT_MIN_WIDTH = 64
-_BIT_POSITIONS_PER_LEVEL = 8
+_BIT_POSITIONS_PER_LEVEL = 64
 
 
 def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
                levels: list[int], suffix: bool) -> None:
     """Fold the X rows into ``levels`` in the bit form, in place.
 
-    Bit k of V stands for j_lo + k (prefix) or j_hi - k (suffix); its
-    0-bits are the thresholds. The list is emptied while the rows run
-    and refilled with the same values the list form would give. Each
-    row is charged j_hi - j_lo + 1 probes and, when the level count
-    rises, one cell, like the list form.
+    Bit r + k of V stands for j_lo + k (prefix) or j_hi - k (suffix),
+    where r < 8 aligns bit 0 of V with a byte of the view's bit-planes;
+    the 0-bits among bits r..r + w - 1 are the thresholds, and every
+    other bit of V stays 0. The list is emptied while the rows run and
+    refilled with the same values the list form would give. Each row is
+    charged j_hi - j_lo + 1 probes and, when the level count rises, one
+    cell, like the list form. A row's match mask is cut from the plane
+    of its token, built on the view's first bit fold; a token absent
+    from Y leaves V as it is.
     """
     meter = view.meter
+    planes = view._planes
+    if not planes:
+        planes.update(_bit_planes(view._x, view._y))
     w = j_hi - j_lo + 1
-    full = (1 << w) - 1
+    # Plane bit b0 + k stands for the position of bit r + k of V; plane
+    # bytes a..b - 1 hold bits b0..b0 + w - 1 and up to 7 bits on either side.
+    b0 = view.len_y - j_hi if suffix else j_lo - 1
+    a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
+    full = ((1 << w) - 1) << r
     v = full
     for t in levels:
-        v ^= 1 << (j_hi - t if suffix else t - j_lo)
-    count = len(levels)
+        v ^= 1 << (r + (j_hi - t if suffix else t - j_lo))
     levels.clear()
-    # Y[j_lo..j_hi] as bytes, cut once, with the position of bit 0 last:
-    # int(.., 2) reads its first character as the highest bit.
-    seg = view._bits(view._y[j_lo - 1:j_hi])
-    if not suffix:
-        seg = seg[::-1]
     x = view._x
     for i in rows:
         meter.eq_queries += w
-        c = ord(x[i - 1:i])  # the byte of a one-character str or bytes slice
-        u = v & int(seg.translate(_ONE_HOT[255 - c:511 - c]), 2)
-        v = ((v + u) | (v - u)) & full
-        if w - v.bit_count() > count:
-            count += 1
+        plane = planes.get(x[i - 1])
+        if plane is None:
+            continue
+        # V & M drops the mask bits outside r..r + w - 1, so no carry or
+        # borrow reaches them. V + U carries past the top exactly when a
+        # match lies above the highest threshold: a new level.
+        u = v & int.from_bytes(plane[suffix][a:b], "little")
+        s = v + u
+        v = (s | (v - u)) & full
+        if s > full:
             meter.grow(1)
-    zeros = bin(v ^ full)[:1:-1]  # character k is bit k
+    zeros = bin(v ^ full)[:1:-1]  # character r + k is bit r + k
     k = zeros.find("1")
     while k >= 0:
-        levels.append(j_hi - k if suffix else j_lo + k)
+        levels.append(j_hi + r - k if suffix else j_lo - r + k)
         k = zeros.find("1", k + 1)
 
 
@@ -177,10 +188,10 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
 
     Folds the rows in increasing i (prefix orientation) or decreasing i
     (``suffix``), starting in the list form and switching to the bit
-    form before a row once w = j_hi - j_lo + 1 >= 64, 8 * levels >= w
-    and the view's ``_bits`` flag is set. Returns the levels, one
-    charged cell each; the caller releases them. On an exception every
-    cell charged here is released before it propagates.
+    form before a row once w = j_hi - j_lo + 1 >= 64, 64 * levels >= w
+    and the view has bit-planes (``_planes`` is not None). Returns the
+    levels, one charged cell each; the caller releases them. On an
+    exception every cell charged here is released before it propagates.
     """
     levels: list[int] = []
     if j_lo > j_hi:
@@ -194,9 +205,9 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     w = j_hi - j_lo + 1
     # Levels never outnumber the rows already folded, so a switch at
     # len(rows) levels never fires, and neither can one in a fold of at
-    # most w/8 rows; most folds are a row or two long.
+    # most w/64 rows; most folds are a row or two long.
     switch = len(rows)
-    if (view._bits and w >= _BIT_MIN_WIDTH
+    if (view._planes is not None and w >= _BIT_MIN_WIDTH
             and _BIT_POSITIONS_PER_LEVEL * switch > w):
         switch = -(-w // _BIT_POSITIONS_PER_LEVEL)
     base = view.meter.live_cells

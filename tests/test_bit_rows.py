@@ -1,7 +1,7 @@
 """The bit form of a threshold fold agrees with the list form exactly.
 
 A fold over a bytes pair, or two ASCII str, switches to bit rows once
-it is at least 64 positions wide and holds a level per eight positions.
+it is at least 64 positions wide and holds a level per 64 positions.
 A ``MinimalSeq`` view of the same content is never coded, so it always
 keeps the list form and is the reference: values, probes, peak cells
 and live cells must all match.
@@ -36,9 +36,9 @@ def instances(draw):
                                    [0xE9, 0x3B1] if kind == "str" else [0x9C]]))
     y_extra = [0x80, 0xFF] if kind == "bytes" and draw(st.booleans()) else []
     w = draw(st.sampled_from(EDGE_WIDTHS) | st.integers(1, 160))
-    # X row counts near the switch (a level per eight positions) as
-    # well as anywhere.
-    rows = draw(st.integers(max(1, w // 8 - 3), w // 8 + 3)
+    # X row counts near the switch (a level per 64 positions) as well
+    # as anywhere.
+    rows = draw(st.integers(max(1, w // 64 - 3), w // 64 + 3)
                 | st.integers(1, 160))
     y_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     x_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -96,7 +96,7 @@ def test_switch_only_when_levels_cover_the_bits(bit_entries):
             for view in (MatchView(x, y), MatchView(x.encode(), y.encode())):
                 first_lcs(view)
     assert bit_entries
-    assert all(8 * levels >= w >= 64 for w, levels in bit_entries)
+    assert all(64 * levels >= w >= 64 for w, levels in bit_entries)
 
 
 def test_byte_valued_sequences_switch(bit_entries):
@@ -120,9 +120,75 @@ def test_other_inputs_never_switch(bit_entries):
     assert bit_entries == []
 
 
-@pytest.mark.parametrize("n", [64, 256, 2048])
+@pytest.mark.parametrize("n", [65, 256, 2048])
 def test_space_family_never_switches(bit_entries, n):
-    # Criterion 7's family has L = 1: one level never pays for w bits.
+    # Criterion 7's family has L = 1: one level pays for at most 64 bits.
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
     assert list(LcsEnumerator(view)) == [(1,)]
+    assert bit_entries == []
+
+
+def test_wide_folds_agree_with_list_rows(bit_entries):
+    # Hypothesis widths stop at 160; these folds are up to 512 wide, so
+    # their masks start and end inside plane bytes at many offsets.
+    rng = random.Random(5)
+    for _ in range(2):
+        x, y = rand_string(rng, 512, 4), rand_string(rng, 512, 4)
+        want = _metered(first_lcs, MatchView(MinimalSeq(x), MinimalSeq(y)),
+                        None, None)
+        for view in (MatchView(x.encode(), y.encode()), MatchView(x, y)):
+            assert _metered(first_lcs, view, None, None) == want
+    assert max(w for w, _ in bit_entries) == 512
+
+
+def test_planes_hold_the_positions_of_shared_tokens():
+    y = b"abcab" * 3 + b"zz"
+    view = MatchView(b"xba" * 3, y)
+    assert view._planes == {}  # built by the first bit fold, not here
+    planes = hirschberg._bit_planes(view._x, view._y)
+    assert set(planes) == {ord("a"), ord("b")}
+    n = len(y)
+    for t, (forward, reverse) in planes.items():
+        assert len(forward) == len(reverse) == (n + 7) // 8
+        f, r = (int.from_bytes(p, "little") for p in (forward, reverse))
+        for j in range(1, n + 1):
+            assert (f >> (j - 1)) & 1 == (y[j - 1] == t)
+            assert (r >> (n - j)) & 1 == (y[j - 1] == t)
+    assert set(hirschberg._bit_planes("xba", "abz")) == {"a", "b"}
+
+
+def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
+    built = []
+    bit_planes = hirschberg._bit_planes
+
+    def record(x, y):
+        built.append(len(y))
+        return bit_planes(x, y)
+
+    monkeypatch.setattr(hirschberg, "_bit_planes", record)
+    rng = random.Random(6)
+    x, y = rand_string(rng, 200, 4), rand_string(rng, 200, 4)
+    view = MatchView(x, y)
+    enum = LcsEnumerator(view)
+    for _ in range(3):
+        enum.next_sequence()
+    assert len(bit_entries) > 1 and built == [200]
+    other = view.with_meter(type(view.meter)())
+    assert other._planes is view._planes
+    first_lcs(other)
+    assert built == [200]
+
+
+def test_list_form_views_have_no_planes(monkeypatch, bit_entries):
+    monkeypatch.setattr(hirschberg, "_bit_planes", None)  # must not be called
+    rng = random.Random(7)
+    x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
+    wide_x, wide_y = ([1000 if t == ord("a") else t for t in s.encode()]
+                      for s in (x, y))
+    for pair in [(MinimalSeq(x.encode()), MinimalSeq(y.encode())),
+                 (x, y + "é"), (x + "é", y), (tuple(x), tuple(y)),
+                 (wide_x, wide_y)]:
+        view = MatchView(*pair)
+        first_lcs(view)
+        assert view._planes is None, pair
     assert bit_entries == []

@@ -57,6 +57,14 @@ def test_render_bytes_and_tuples():
     assert tview.y_slice((2, 3)) == (10, 30)
 
 
+def test_render_bytearray_as_bytearray():
+    # The pair is searched as two bytes; Y still renders in its own type.
+    view = MatchView(bytearray(b"abc"), bytearray(b"cab"))
+    got = view.y_slice((1, 2))
+    assert type(got) is bytearray and got == b"ca"
+    assert type(MatchView(b"abc", bytearray(b"cab")).y_slice(())) is bytearray
+
+
 def test_index_range():
     r = IndexRange(3, 7)
     assert r.length == 5
