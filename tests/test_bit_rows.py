@@ -12,9 +12,9 @@ import random
 import pytest
 
 from conftest import MinimalSeq, rand_string
-from lcs_enum import (IndexRange, LcsEnumerator, MatchView, first_lcs,
+from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, first_lcs,
                       prefix_thresholds, split_point, suffix_thresholds)
-from lcs_enum import hirschberg
+from lcs_enum import core, hirschberg
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -110,13 +110,19 @@ def test_byte_valued_sequences_switch(bit_entries):
         bit_entries.clear()
 
 
-def test_other_inputs_never_switch(bit_entries):
+def test_other_inputs_never_switch(monkeypatch, bit_entries):
+    monkeypatch.setattr(hirschberg, "_bit_planes", None)  # never built
     rng = random.Random(4)
     x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
-    first_lcs(MatchView(MinimalSeq(x.encode()), MinimalSeq(y.encode())))
-    first_lcs(MatchView(tuple(x), tuple(y)))  # str tokens
-    first_lcs(MatchView(x, y + "é"))  # non-ASCII Y
-    first_lcs(MatchView(x + "é", y))  # non-ASCII X
+    wide_x, wide_y = ([1000 if t == ord("a") else t for t in s.encode()]
+                      for s in (x, y))
+    for pair in [(MinimalSeq(x.encode()), MinimalSeq(y.encode())),
+                 (tuple(x), tuple(y)),  # str tokens
+                 (x, y + "é"), (x + "é", y),  # non-ASCII Y or X
+                 (wide_x, wide_y)]:  # ints above 255
+        view = MatchView(*pair)
+        first_lcs(view)
+        assert view._planes is None, pair
     assert bit_entries == []
 
 
@@ -145,7 +151,7 @@ def test_planes_hold_the_positions_of_shared_tokens():
     y = b"abcab" * 3 + b"zz"
     view = MatchView(b"xba" * 3, y)
     assert view._planes == {}  # built by the first bit fold, not here
-    planes = hirschberg._bit_planes(view._x, view._y)
+    planes = core._bit_planes(view._x, view._y)
     assert set(planes) == {ord("a"), ord("b")}
     n = len(y)
     for t, (forward, reverse) in planes.items():
@@ -154,7 +160,7 @@ def test_planes_hold_the_positions_of_shared_tokens():
         for j in range(1, n + 1):
             assert (f >> (j - 1)) & 1 == (y[j - 1] == t)
             assert (r >> (n - j)) & 1 == (y[j - 1] == t)
-    assert set(hirschberg._bit_planes("xba", "abz")) == {"a", "b"}
+    assert set(core._bit_planes("xba", "abz")) == {"a", "b"}
 
 
 def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
@@ -173,22 +179,7 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     for _ in range(3):
         enum.next_sequence()
     assert len(bit_entries) > 1 and built == [200]
-    other = view.with_meter(type(view.meter)())
+    other = view.with_meter(Meter())
     assert other._planes is view._planes
     first_lcs(other)
     assert built == [200]
-
-
-def test_list_form_views_have_no_planes(monkeypatch, bit_entries):
-    monkeypatch.setattr(hirschberg, "_bit_planes", None)  # must not be called
-    rng = random.Random(7)
-    x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
-    wide_x, wide_y = ([1000 if t == ord("a") else t for t in s.encode()]
-                      for s in (x, y))
-    for pair in [(MinimalSeq(x.encode()), MinimalSeq(y.encode())),
-                 (x, y + "é"), (x + "é", y), (tuple(x), tuple(y)),
-                 (wide_x, wide_y)]:
-        view = MatchView(*pair)
-        first_lcs(view)
-        assert view._planes is None, pair
-    assert bit_entries == []
