@@ -14,9 +14,16 @@ frontier i*), and do the remaining inputs after that embedding still
 admit |P| - k more common characters? The first question is answered by
 searching X for a match; the second by a suffix threshold sequence for
 X[i*+1..] against all of Y, maintained incrementally: every time i*
-moves one step left, one in-place suffix row fold adds X[i*] to it in
-O(|Y|) probes. i* never moves right, so a whole call performs at most
-|X| folds and O(|X| * |Y|) probes overall while keeping O(L) integers.
+moves one step left, one suffix row fold adds X[i*] to it in O(|Y|)
+probes. i* never moves right, so a whole call performs at most |X|
+folds and O(|X| * |Y|) probes overall while keeping O(L) integers.
+
+The rows start in the list form of :mod:`lcs_enum.hirschberg` and
+switch to its bit form under the same rule as the restart's folds:
+once |Y| >= 64, the search holds a level per 64 positions of Y and the
+view has bit-planes. From then on the thresholds are the 0-bits of one
+|Y|-bit integer, each row's mask is its token's whole reverse plane,
+and the second question is one ``bit_count`` of the bits above j*.
 
 X is searched with the view's bound search, charged what a scan with
 early exit would cost. The greedy embedding is one loop charged once:
@@ -39,7 +46,8 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
-from .hirschberg import _FRAME_CELLS, _fold_suffix_row
+from .hirschberg import (_BIT_MIN_WIDTH, _BIT_POSITIONS_PER_LEVEL,
+                         _FRAME_CELLS, _bit_form, _bit_rows, _fold_suffix_row)
 
 
 class BranchPoint(NamedTuple):
@@ -122,19 +130,42 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     # walk's probes; j_suffix[l-1]: greatest j with L(X[i*+1..], Y[j..]) = l.
     # q is a stack read from the top; it holds q[0] and q[k_kept..] until
     # the search reaches k_kept, which walks the kept prefix to fill it.
-    cells = _FRAME_CELLS + 1 + length
-    meter.grow(cells)
+    live = meter.live_cells
+    meter.grow(_FRAME_CELLS + 1 + length)
     q = [0, i_kept] if k_kept else [0]
     j_suffix: list[int] = []
+    # Once the search holds a level per 64 positions of Y and the view has
+    # planes (the rule of hirschberg._fold_rows), the thresholds become the
+    # 0-bits of v, bit len_y - j standing for j: the rows span all of Y,
+    # so a row's mask is its token's whole reverse plane.
+    v = None
+    switch = len_y + 1  # more levels than an LCS can have: never
+    if view._planes is not None and len_y >= _BIT_MIN_WIDTH:
+        switch = -(-len_y // _BIT_POSITIONS_PER_LEVEL)
+    full = (1 << len_y) - 1
+    size = (len_y + 7) >> 3
+
+    def fold(i: int, stop: int) -> None:
+        """Fold X[i], X[i - 1], .., X[stop + 1] into the thresholds."""
+        nonlocal v
+        if v is None:
+            while i > stop and len(j_suffix) < switch:
+                _fold_suffix_row(view, i, 1, len_y, j_suffix)
+                i -= 1
+            if i == stop:
+                return
+            v = _bit_form(j_suffix, 1, len_y, 0, True)
+        v = _bit_rows(view, range(i, stop, -1), v, full, 0, size, True)
+
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),
                                    i_kept, q)
         i_star = view.len_x
         for k in range(length, 0, -1):
             end = q.pop()
-            while i_star >= end:
-                _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
-                i_star -= 1
+            if i_star >= end:
+                fold(i_star, end - 1)
+                i_star = end - 1
             if k == k_kept:
                 _embed(view, islice(positions, k - 1), 0, q)
             base = q[-1]
@@ -148,17 +179,25 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                     meter.eq_queries += i_star - base
                     continue
                 meter.eq_queries += hit + 1 - base
-                while i_star > hit + 1:
-                    _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
-                    i_star -= 1
+                if i_star > hit + 1:
+                    fold(i_star, hit + 1)
+                    i_star = hit + 1
                 # Residual check: the inputs after (i_star, j_star) must reach
                 # level need; more would contradict L being the LCS length.
-                if need == 0 or (len(j_suffix) >= need
-                                 and j_star < j_suffix[need - 1]):
+                # In the bit form, the levels above j_star are the 0-bits
+                # below bit t = len_y - j_star.
+                if need == 0:
                     return k, j_star, i_star
+                if v is None:
+                    if len(j_suffix) >= need and j_star < j_suffix[need - 1]:
+                        return k, j_star, i_star
+                else:
+                    t = len_y - j_star
+                    if t - (v & ((1 << t) - 1)).bit_count() >= need:
+                        return k, j_star, i_star
                 # Larger i*, j* pairs cannot help once this one failed.
-                _fold_suffix_row(view, i_star, 1, len_y, j_suffix)
+                fold(i_star, i_star - 1)
                 i_star -= 1
         return None
     finally:
-        meter.shrink(cells + len(j_suffix))
+        meter.shrink(meter.live_cells - live)

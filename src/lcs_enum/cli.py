@@ -1,13 +1,15 @@
 """Command line front end: enumerate or self-check.
 
 Exit codes: 0 success, 1 bad usage, 2 I/O failure, 3 self-check
-mismatch.
+mismatch. A reader that closes standard output early (``| head``) ends
+the run with 0 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import MatchView
@@ -149,7 +151,14 @@ def main(argv=None) -> int:
                     for path in args.files)
         else:
             x, y = args.x, args.y
-        return _run_pair(args, x, y)
+        code = _run_pair(args, x, y)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's final flush of
+        # what is still buffered stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as e:
         print(f"lcs-enum: error: {e}", file=sys.stderr)
         return 2

@@ -38,8 +38,9 @@ form holds V, a few w-bit temporaries and, at the end, a w-character
 readback string: a constant number of machine words per level once
 64 * levels >= w, so the one-cell-per-level charge stays an upper
 bound on its space. Other inputs, narrower ranges and folds with few
-levels stay in the list form; so do the suffix rows of
-:mod:`lcs_enum.branching`, which reads its thresholds between rows.
+levels stay in the list form. The suffix rows of the branch search
+(:mod:`lcs_enum.branching`) switch under the same rule and share the
+row step, but keep V between rows and read it without a list.
 
 Either form charges a length-n row exactly n equality probes, what a
 scan of the whole row costs, and one cell whenever the level count
@@ -133,41 +134,43 @@ _BIT_MIN_WIDTH = 64
 _BIT_POSITIONS_PER_LEVEL = 64
 
 
-def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
-               levels: list[int], suffix: bool) -> None:
-    """Fold the X rows into ``levels`` in the bit form, in place.
+def _bit_form(levels: list[int], j_lo: int, j_hi: int, r: int,
+              suffix: bool) -> int:
+    """V for the thresholds in ``levels``, which it empties.
 
-    Bit r + k of V stands for j_lo + k (prefix) or j_hi - k (suffix),
-    where r < 8 aligns bit 0 of V with a byte of the view's bit-planes;
-    the 0-bits among bits r..r + w - 1 are the thresholds, and every
-    other bit of V stays 0. The list is emptied while the rows run and
-    refilled with the same values the list form would give. Each row is
-    charged j_hi - j_lo + 1 probes and, when the level count rises, one
-    cell, like the list form. A row's match mask is cut from the plane
-    of its token, built on the view's first bit fold; a token absent
-    from Y leaves V as it is.
+    Bit r + k of V stands for j_lo + k (prefix) or j_hi - k (suffix);
+    the thresholds are its 0-bits among bits r..r + j_hi - j_lo, and
+    every other bit is 0.
+    """
+    v = ((1 << (j_hi - j_lo + 1)) - 1) << r
+    for t in levels:
+        v ^= 1 << (r + (j_hi - t if suffix else t - j_lo))
+    levels.clear()
+    return v
+
+
+def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
+              b: int, suffix: bool) -> int:
+    """V after folding the X rows into it, one bit row each.
+
+    ``full`` holds the 1-bits of V's w positions, and plane bytes a..b - 1
+    hold them (prefix or ``suffix`` plane). Each row is charged w probes
+    and, when the level count rises, one cell, like the list form. A
+    row's match mask is cut from the plane of its token, built on the
+    view's first bit row; a token absent from Y leaves V as it is.
     """
     meter = view.meter
     planes = view._planes
     if not planes:
         planes.update(_bit_planes(view._x, view._y))
-    w = j_hi - j_lo + 1
-    # Plane bit b0 + k stands for the position of bit r + k of V; plane
-    # bytes a..b - 1 hold bits b0..b0 + w - 1 and up to 7 bits on either side.
-    b0 = view.len_y - j_hi if suffix else j_lo - 1
-    a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
-    full = ((1 << w) - 1) << r
-    v = full
-    for t in levels:
-        v ^= 1 << (r + (j_hi - t if suffix else t - j_lo))
-    levels.clear()
+    w = full.bit_count()
     x = view._x
     for i in rows:
         meter.eq_queries += w
         plane = planes.get(x[i - 1])
         if plane is None:
             continue
-        # V & M drops the mask bits outside r..r + w - 1, so no carry or
+        # V & M drops the mask bits outside V's positions, so no carry or
         # borrow reaches them. V + U carries past the top exactly when a
         # match lies above the highest threshold: a new level.
         u = v & int.from_bytes(plane[suffix][a:b], "little")
@@ -175,6 +178,27 @@ def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
         v = (s | (v - u)) & full
         if s > full:
             meter.grow(1)
+    return v
+
+
+def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
+               levels: list[int], suffix: bool) -> None:
+    """Fold the X rows into ``levels`` in the bit form, in place.
+
+    V is :func:`_bit_form` with r = the bit offset of its first position
+    within a byte of the view's bit-planes, r < 8, so a row's mask needs
+    no shift. The list is emptied while the rows run and refilled with
+    the same values the list form would give; probes and cells are
+    charged as in the list form.
+    """
+    w = j_hi - j_lo + 1
+    # Plane bit b0 + k stands for the position of bit r + k of V; plane
+    # bytes a..b - 1 hold bits b0..b0 + w - 1 and up to 7 bits on either side.
+    b0 = view.len_y - j_hi if suffix else j_lo - 1
+    a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
+    full = ((1 << w) - 1) << r
+    v = _bit_rows(view, rows, _bit_form(levels, j_lo, j_hi, r, suffix),
+                  full, a, b, suffix)
     zeros = bin(v ^ full)[:1:-1]  # character r + k is bit r + k
     k = zeros.find("1")
     while k >= 0:
