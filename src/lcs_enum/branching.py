@@ -46,8 +46,8 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
-from .hirschberg import (_BIT_MIN_WIDTH, _BIT_POSITIONS_PER_LEVEL,
-                         _FRAME_CELLS, _bit_form, _bit_rows, _fold_suffix_row)
+from .hirschberg import (_FRAME_CELLS, _bit_form, _bit_rows, _fold_suffix_row,
+                         _switch_levels)
 
 
 class BranchPoint(NamedTuple):
@@ -135,13 +135,11 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     q = [0, i_kept] if k_kept else [0]
     j_suffix: list[int] = []
     # Once the search holds a level per 64 positions of Y and the view has
-    # planes (the rule of hirschberg._fold_rows), the thresholds become the
+    # planes (the rule of the restart's folds), the thresholds become the
     # 0-bits of v, bit len_y - j standing for j: the rows span all of Y,
     # so a row's mask is its token's whole reverse plane.
     v = None
-    switch = len_y + 1  # more levels than an LCS can have: never
-    if view._planes is not None and len_y >= _BIT_MIN_WIDTH:
-        switch = -(-len_y // _BIT_POSITIONS_PER_LEVEL)
+    switch = _switch_levels(view, len_y)
     full = (1 << len_y) - 1
     size = (len_y + 7) >> 3
 

@@ -181,6 +181,15 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
     return v
 
 
+def _switch_levels(view: MatchView, w: int) -> int:
+    """Levels from which rows over w positions of Y take the bit form:
+    w/64 rounded up if w >= 64 and the view has bit-planes, else w + 1,
+    more levels than w positions hold."""
+    if view._planes is None or w < _BIT_MIN_WIDTH:
+        return w + 1
+    return -(-w // _BIT_POSITIONS_PER_LEVEL)
+
+
 def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
                levels: list[int], suffix: bool) -> None:
     """Fold the X rows into ``levels`` in the bit form, in place.
@@ -213,7 +222,7 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     Folds the rows in increasing i (prefix orientation) or decreasing i
     (``suffix``), starting in the list form and switching to the bit
     form before a row once w = j_hi - j_lo + 1 >= 64, 64 * levels >= w
-    and the view has bit-planes (``_planes`` is not None). Returns the
+    and the view has bit-planes (:func:`_switch_levels`). Returns the
     levels, one charged cell each; the caller releases them. On an
     exception every cell charged here is released before it propagates.
     """
@@ -226,14 +235,9 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     else:
         rows = range(i_first, i_last + 1)
         fold = _fold_prefix_row
-    w = j_hi - j_lo + 1
-    # Levels never outnumber the rows already folded, so a switch at
-    # len(rows) levels never fires, and neither can one in a fold of at
-    # most w/64 rows; most folds are a row or two long.
-    switch = len(rows)
-    if (view._planes is not None and w >= _BIT_MIN_WIDTH
-            and _BIT_POSITIONS_PER_LEVEL * switch > w):
-        switch = -(-w // _BIT_POSITIONS_PER_LEVEL)
+    # Levels never outnumber the rows already folded, so a fold of at
+    # most w/64 rows never switches; most folds are a row or two long.
+    switch = _switch_levels(view, j_hi - j_lo + 1)
     base = view.meter.live_cells
     try:
         for n, i in enumerate(rows):

@@ -1,20 +1,23 @@
 """The bit form of a threshold fold agrees with the list form exactly.
 
 A fold over a bytes pair, or two ASCII str, switches to bit rows once
-it is at least 64 positions wide and holds a level per 64 positions.
+it is at least 64 positions wide and holds a level per 64 positions;
+so do the suffix rows of the branch search, which span all of Y.
 A ``MinimalSeq`` view of the same content is never coded, so it always
 keeps the list form and is the reference: values, probes, peak cells
 and live cells must all match.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
 from conftest import MinimalSeq, rand_string
-from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, first_lcs,
-                      prefix_thresholds, split_point, suffix_thresholds)
-from lcs_enum import core, hirschberg
+from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
+                      first_lcs, prefix_thresholds, split_point,
+                      suffix_thresholds)
+from lcs_enum import branching, core, hirschberg
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -22,6 +25,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 FUNCTIONS = (prefix_thresholds, suffix_thresholds, first_lcs, split_point)
 # Widths on both sides of the 64-position floor.
 EDGE_WIDTHS = (1, 2, 8, 62, 63, 64, 65, 66, 127, 128, 129)
+# Lengths of Y on both sides of one and two levels' worth of positions.
+SEARCH_WIDTHS = (63, 64, 65, 127, 128, 129)
 
 
 @st.composite
@@ -74,6 +79,63 @@ def test_bit_rows_agree_with_list_rows(case):
                             xr, yr)), fn
 
 
+@st.composite
+def search_pairs(draw):
+    """(x, y): a str or bytes pair whose Y is about 64 or 128 long."""
+    kind = draw(st.sampled_from(["str", "bytes"]))
+    sigma = draw(st.integers(1, 8))
+    common = list(range(ord("a"), ord("a") + sigma))
+    only_x = draw(st.sampled_from([[], [ord("0")]]))  # absent from Y
+    len_y = draw(st.sampled_from(SEARCH_WIDTHS))
+    len_x = draw(st.integers(1, 160))
+    y = draw(st.lists(st.sampled_from(common), min_size=len_y,
+                      max_size=len_y))
+    x = draw(st.lists(st.sampled_from(common + only_x), min_size=len_x,
+                      max_size=len_x))
+    if kind == "str":
+        return "".join(map(chr, x)), "".join(map(chr, y))
+    return bytes(x), bytes(y)
+
+
+def _searched(search, view, *args):
+    return (search(view, *args), view.meter.eq_queries,
+            view.meter.peak_cells, view.meter.live_cells)
+
+
+def _check_searches(x, y, outputs):
+    """``find_branch``, and ``_branch_search`` from the frontier the
+    enumerator carried, agree on the pair and on its ``MinimalSeq`` form
+    for the first ``outputs`` outputs."""
+    enum = LcsEnumerator(MatchView(x, y))
+    lists = MinimalSeq(x), MinimalSeq(y)
+    for _ in range(outputs):
+        carried = enum._k_star, enum._frontier
+        p = enum.next_sequence()
+        if p is None:
+            break
+        for search, args in ((find_branch, (p,)),
+                             (branching._branch_search, (p, *carried))):
+            want = _searched(search, MatchView(*lists), *args)
+            assert want[3] == 0
+            assert _searched(search, MatchView(x, y), *args) == want, (
+                search.__name__, p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(search_pairs())
+def test_search_bit_rows_agree_with_list_rows(pair):
+    _check_searches(*pair, outputs=4)
+
+
+def test_wide_searches_agree_with_list_rows(search_switches):
+    rng = random.Random(8)
+    for _ in range(2):
+        x, y = rand_string(rng, 512, 4), rand_string(rng, 512, 4)
+        for pair in ((x, y), (x.encode(), y.encode())):
+            _check_searches(*pair, outputs=3)
+    assert {w for w, _ in search_switches} == {512}
+
+
 @pytest.fixture
 def bit_entries(monkeypatch):
     """(w, levels) at every switch of a fold to the bit form."""
@@ -88,15 +150,31 @@ def bit_entries(monkeypatch):
     return entries
 
 
-def test_switch_only_when_levels_cover_the_bits(bit_entries):
+@pytest.fixture
+def search_switches(monkeypatch):
+    """(len_y, levels) at every switch of a branch search to the bit form."""
+    switches = []
+    bit_form = branching._bit_form
+
+    def record(levels, j_lo, j_hi, r, suffix):
+        switches.append((j_hi - j_lo + 1, len(levels)))
+        return bit_form(levels, j_lo, j_hi, r, suffix)
+
+    monkeypatch.setattr(branching, "_bit_form", record)
+    return switches
+
+
+def test_switch_only_when_levels_cover_the_bits(bit_entries, search_switches):
     rng = random.Random(3)
     for sigma in (1, 2, 4, 26):
         for n in (63, 64, 65, 200):
             x, y = rand_string(rng, n, sigma), rand_string(rng, n, sigma)
             for view in (MatchView(x, y), MatchView(x.encode(), y.encode())):
                 first_lcs(view)
-    assert bit_entries
-    assert all(64 * levels >= w >= 64 for w, levels in bit_entries)
+                list(islice(LcsEnumerator(view), 5))
+    for entries in (bit_entries, search_switches):
+        assert entries
+        assert all(64 * levels >= w >= 64 for w, levels in entries)
 
 
 def test_byte_valued_sequences_switch(bit_entries):
@@ -110,7 +188,7 @@ def test_byte_valued_sequences_switch(bit_entries):
         bit_entries.clear()
 
 
-def test_other_inputs_never_switch(monkeypatch, bit_entries):
+def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
     monkeypatch.setattr(hirschberg, "_bit_planes", None)  # never built
     rng = random.Random(4)
     x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
@@ -122,16 +200,17 @@ def test_other_inputs_never_switch(monkeypatch, bit_entries):
                  (wide_x, wide_y)]:  # ints above 255
         view = MatchView(*pair)
         first_lcs(view)
+        list(islice(LcsEnumerator(view), 5))
         assert view._planes is None, pair
-    assert bit_entries == []
+    assert bit_entries == [] and search_switches == []
 
 
 @pytest.mark.parametrize("n", [65, 256, 2048])
-def test_space_family_never_switches(bit_entries, n):
+def test_space_family_never_switches(bit_entries, search_switches, n):
     # Criterion 7's family has L = 1: one level pays for at most 64 bits.
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
     assert list(LcsEnumerator(view)) == [(1,)]
-    assert bit_entries == []
+    assert bit_entries == [] and search_switches == []
 
 
 def test_wide_folds_agree_with_list_rows(bit_entries):

@@ -181,3 +181,32 @@ def test_installed_entry_point():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1 2 3 4 5\n"
+
+
+def test_closed_stdout_exits_0_silently():
+    # ``lcs-enum ... | head -1``: the periodic stream is about 1.5 MB, far
+    # more than a pipe holds, so the writer meets the closed pipe.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lcs_enum.cli", "abcd" * 25, "dcba" * 25],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"1 2 3 4 5 ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+def test_other_output_errors_exit_2(capsys, monkeypatch):
+    class Full:
+        def write(self, s):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = cli.main(["ab", "ab"])
+    assert code == 2
+    assert "No space left" in capsys.readouterr().err

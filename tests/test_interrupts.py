@@ -3,10 +3,10 @@
 ``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
 charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form), in a match search of ``first_lcs``,
-or inside the branch search. After the interrupt the caller simply calls
-again: the stream must equal the uninterrupted one, every cell must be
-released at exhaustion, and ``outputs_emitted`` must count exactly the
-outputs returned. Standalone library calls, ``find_branch`` and
+or inside the branch search, whose rows also take either form. After
+the interrupt the caller simply calls again: the stream must equal the
+uninterrupted one, every cell must be released at exhaustion, and
+``outputs_emitted`` must count exactly the outputs returned. Standalone library calls, ``find_branch`` and
 ``greedy_embedding`` among them, must release every cell they charged.
 """
 
@@ -50,15 +50,16 @@ LIMIT = 30
 
 
 def _run(enum, limit=LIMIT):
-    """Up to ``limit`` outputs, resuming after every interrupt, and the
-    names of the functions the interrupts came from."""
+    """Up to ``limit`` outputs, resuming after every interrupt, and for
+    each interrupt the names of the functions on its traceback."""
     outputs = []
-    where = set()
+    where = []
     while len(outputs) < limit:
         try:
             p = enum.next_sequence()
         except KeyboardInterrupt as e:
-            where.update(f.name for f in traceback.extract_tb(e.__traceback__))
+            where.append({f.name for f in
+                          traceback.extract_tb(e.__traceback__)})
             continue
         if p is None:
             break
@@ -70,7 +71,7 @@ def _cases():
     rng = random.Random(1)
     x = rand_string(rng, 130, 4)
     y = rand_string(rng, 20, 4) + x[10:120] + rand_string(rng, 20, 4)
-    # (x, y, whether some folds take the bit form)
+    # (x, y, whether some folds and some search rows take the bit form)
     return [("abcab" * 8, "bacba" * 8, False),  # many outputs: the first 30
             (x, y, True),  # 15 outputs
             (x.encode(), y.encode(), True),
@@ -84,6 +85,7 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
     hit = set()
+    search_bit_rows = False
     total = ref.counters.eq_queries_total
     for at in range(0, total, max(1, total // 25)):
         monkeypatch.setattr(enumerator_module, "Meter",
@@ -91,7 +93,9 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         enum = LcsEnumerator(MatchView(x, y))
         got, where = _run(enum)
         assert where, at  # the interrupt fired
-        hit |= where
+        hit = hit.union(*where)
+        search_bit_rows |= any({"_branch_search", "_bit_rows"} <= names
+                               for names in where)
         assert got == want, at
         assert enum.finished == ref.finished, at
         assert enum.view.meter.live_cells == ref.view.meter.live_cells, at
@@ -106,6 +110,7 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         assert ref.view.meter.live_cells == 0
     assert {"_fold_prefix_row", "_fold_suffix_row", "_branch_search"} <= hit
     assert ("_fold_bits" in hit) == bit_rows
+    assert search_bit_rows == bit_rows
 
 
 def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
@@ -170,3 +175,24 @@ def test_interrupted_branch_search_releases_every_cell(fn, x, y):
             assert meter.live_cells == 0, at
             assert fn(view, p) == want, at
             assert meter.live_cells == 0, at
+
+
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_interrupted_search_bit_rows_release_every_cell(kind):
+    # A pair of 70 switches its search rows to the bit form at two levels.
+    # An interrupt in a run of bit rows must also release the levels that
+    # the run's earlier rows added.
+    rng = random.Random(0)
+    x, y = rand_string(rng, 70, 4), rand_string(rng, 70, 4)
+    x, y = (x.encode(), y.encode()) if kind is bytes else (x, y)
+    outputs, _ = _run(LcsEnumerator(MatchView(x, y)), 4)
+    for p in outputs:
+        probe = MatchView(x, y)
+        want = find_branch(probe, p)
+        for at in range(probe.meter.eq_queries):
+            meter = InterruptingMeter(at)
+            view = MatchView(x, y, meter)
+            with pytest.raises(KeyboardInterrupt):
+                find_branch(view, p)
+            assert meter.live_cells == 0, (p, at)
+            assert find_branch(view, p) == want, (p, at)
