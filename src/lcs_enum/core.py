@@ -38,8 +38,9 @@ class Meter:
 
     ``eq_queries`` counts positionwise equality probes and only ever
     grows. ``live_cells`` tracks the number of auxiliary integer cells
-    (threshold levels, embeddings, output buffers, recursion frames)
-    currently allocated by the algorithms; ``peak_cells`` records its
+    (threshold levels, embeddings, output buffers, the frames of the
+    restart's range stack and of the branch search) currently allocated
+    by the algorithms; ``peak_cells`` records its
     high-water mark. Inputs, outputs handed to the caller, and the
     quadratic reference oracle are outside the accounting scope.
     """

@@ -4,8 +4,8 @@ Each distinct longest common subsequence is emitted exactly once, as
 the strictly increasing tuple of 1-based Y positions of its leftmost
 occurrence, and outputs arrive in lexicographic order of those tuples.
 The work between two consecutive outputs is O(len_x * len_y) equality
-probes and the auxiliary state is O(L) integers plus O(log len_x)
-recursion bookkeeping, however many outputs there are.
+probes and the auxiliary state is O(L) integers plus an O(log len_x)
+range stack, however many outputs there are.
 
 One iteration: keep the prefix of the current buffer up to the branch
 index found after the previous output, append the leftmost LCS of what

@@ -5,8 +5,8 @@ common subsequence of X[xr] and Y[yr]: the unique occurrence P such
 that every prefix Y[..P[k]] is the shortest one containing the first k
 chosen characters, and among all such canonical occurrences P is the
 lexicographically least. It runs in O(|xr| * |yr|) equality probes but
-keeps only O(L) integers alive at any moment (L = LCS length), plus
-O(log |xr|) recursion bookkeeping.
+keeps only O(L) integers alive at any moment (L = LCS length), plus a
+stack of O(log |xr|) pending ranges.
 
 The method is divide and conquer on X. Split X at its midpoint, then
 find where to split Y so the two halves' LCS lengths add up to the
@@ -50,7 +50,11 @@ the Y split. Unlike the classic linear-space LCS construction, which
 may pick any maximizing split, the walk keeps the least maximizer;
 this is what makes the leftmost occurrence of the whole problem equal
 the concatenation of the leftmost occurrences of the two halves, so
-plain left-to-right recursion emits it.
+solving the halves left to right emits it. One loop does so over an
+explicit stack of pending ranges, and solves a range of two X
+characters in place, with the one or two searches its split and
+leaves need; it charges every probe and cell that a recursion over the
+same splits would, where the recursion would charge it.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ from operator import neg
 
 from .core import IndexRange, MatchView, _bit_planes
 
-# One live recursion frame holds the two range endpoints plus the split
-# pair; counted so the O(log n) bookkeeping shows up in the cell meter.
+# One charged frame per level of the range being solved: its 6 cells
+# cover one pending range of the stack (5 ints, its ends and depth), so
+# the O(log n) stack shows up in the cell meter.
 _FRAME_CELLS = 6
 
 
@@ -263,9 +268,19 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     meter = view.meter
     base = meter.live_cells
     i_mid = (i_lo + i_hi) // 2
+    w = j_hi - j_lo + 1
     try:
-        lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi, False)
-        hi_levels = _fold_rows(view, i_mid + 1, i_hi, j_lo, j_hi, True)
+        if _switch_levels(view, w) > w:
+            # Folds that never switch to the bit form need no _fold_rows.
+            lo_levels: list[int] = []
+            hi_levels: list[int] = []
+            for i in range(i_lo, i_mid + 1):
+                _fold_prefix_row(view, i, j_lo, j_hi, lo_levels)
+            for i in range(i_hi, i_mid, -1):
+                _fold_suffix_row(view, i, j_lo, j_hi, hi_levels)
+        else:
+            lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi, False)
+            hi_levels = _fold_rows(view, i_mid + 1, i_hi, j_lo, j_hi, True)
 
         # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j.
         l_hi = best = len(hi_levels)
@@ -281,30 +296,90 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     return i_mid, j_mid
 
 
+def _two_rows(view: MatchView, i: int, j_lo: int, j_hi: int,
+              out: list[int]) -> None:
+    """Append the leftmost LCS positions of X[i..i + 1], Y[j_lo..j_hi].
+
+    Solves the range as :func:`_split` and two one-row leaves would, and
+    charges what they charge. The split's prefix row holds a, the first
+    match of X[i], and its suffix row b, the last match of X[i + 1]; its
+    walk splits after a when a exists and b is absent or past it, else
+    before j_lo. The left leaf's scan then ends at a, and the right leaf
+    scans X[i + 1]'s row from the split on. The range costs the two rows'
+    2w probes plus both scans, charged at once, and the leaves' frame and
+    appended cells, so the meter's peak is the one the leaves would set.
+    Requires j_lo <= j_hi.
+    """
+    find = view._find
+    x = view._x
+    y = view._y
+    # Searches take and return 0-based indices: the match k is j = k + 1.
+    lo = j_lo - 1
+    a = find(y, x[i - 1], lo, j_hi)
+    b = view._rfind(y, x[i], lo, j_hi)
+    probes = 2 * (j_hi - lo)
+    left = a >= 0 and (b < 0 or b > a)
+    if left:
+        probes += a + 1 - lo
+        lo = a + 1
+    right = b >= lo
+    if right:
+        k = find(y, x[i], lo, j_hi)
+        probes += k + 1 - lo
+    else:
+        probes += j_hi - lo
+    meter = view.meter
+    meter.eq_queries += probes
+    if left:
+        out.append(a + 1)
+    if right:
+        out.append(k + 1)
+    meter.grow(_FRAME_CELLS + left + right)
+    meter.shrink(_FRAME_CELLS)
+
+
 def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                     j_hi: int, out: list[int]) -> None:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi].
 
     Appends are in left-to-right output order and each is charged to the
-    meter; the caller owns the buffer. Single-character X: linear scan
-    for the least match. Otherwise split, recurse left, recurse right.
+    meter; the caller owns the buffer. One loop walks a stack of pending
+    ranges, each with its depth in the divide and conquer, left range
+    first. A range of one X character is a scan for its least match, one
+    of two is :func:`_two_rows`, and a longer one is split, pushing the
+    right part under the left. The meter holds one frame per level of
+    the range being solved, grown and shrunk where a recursion would
+    enter and leave its calls, so probes and peak cells are the
+    recursion's. Frames are released when it returns or raises.
     """
     meter = view.meter
-    meter.grow(_FRAME_CELLS)
+    stack = [(i_lo, i_hi, j_lo, j_hi, 1)]
+    depth = 0
     try:
-        if i_lo > i_hi or j_lo > j_hi:
-            return
-        if i_lo == i_hi:
-            j = view.next_y_match(i_lo, j_lo, j_hi)
-            if j is not None:
-                out.append(j)
-                meter.grow(1)
-            return
-        i_mid, j_mid = _split(view, i_lo, i_hi, j_lo, j_hi)
-        _first_lcs_into(view, i_lo, i_mid, j_lo, j_mid, out)
-        _first_lcs_into(view, i_mid + 1, i_hi, j_mid + 1, j_hi, out)
+        while stack:
+            i_lo, i_hi, j_lo, j_hi, d = stack.pop()
+            # The next range is the left part of the one just split, a
+            # level deeper, or a right part pushed before, no deeper.
+            if d > depth:
+                meter.grow(_FRAME_CELLS)
+            elif d < depth:
+                meter.shrink((depth - d) * _FRAME_CELLS)
+            depth = d
+            if i_lo > i_hi or j_lo > j_hi:
+                continue
+            if i_lo == i_hi:
+                j = view.next_y_match(i_lo, j_lo, j_hi)
+                if j is not None:
+                    out.append(j)
+                    meter.grow(1)
+            elif i_lo + 1 == i_hi:
+                _two_rows(view, i_lo, j_lo, j_hi, out)
+            else:
+                i_mid, j_mid = _split(view, i_lo, i_hi, j_lo, j_hi)
+                stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1))
+                stack.append((i_lo, i_mid, j_lo, j_mid, d + 1))
     finally:
-        meter.shrink(_FRAME_CELLS)
+        meter.shrink(depth * _FRAME_CELLS)
 
 
 def _resolve_ranges(view: MatchView, xr: IndexRange | None, yr: IndexRange | None

@@ -3,11 +3,13 @@
 ``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
 charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form), in a match search of ``first_lcs``,
-or inside the branch search, whose rows also take either form. After
-the interrupt the caller simply calls again: the stream must equal the
-uninterrupted one, every cell must be released at exhaustion, and
-``outputs_emitted`` must count exactly the outputs returned. Standalone library calls, ``find_branch`` and
-``greedy_embedding`` among them, must release every cell they charged.
+at the one charge of its two-row kernel, or inside the branch search,
+whose rows also take either form. After the interrupt the caller simply
+calls again: the stream must equal the uninterrupted one, every cell
+must be released at exhaustion, and ``outputs_emitted`` must count
+exactly the outputs returned. Standalone library calls, ``find_branch``
+and ``greedy_embedding`` among them, must release every cell they
+charged.
 """
 
 import random
@@ -82,12 +84,24 @@ def _cases():
                          ids=["periodic", "str", "bytes", "tuple"])
 def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
                                                             bit_rows):
+    # The two-row kernel holds 1-3% of the probes, in one charge per call:
+    # the sweep also interrupts five of those charges.
+    kernel_at = []
+    two_rows = hirschberg._two_rows
+
+    def record(view, *args):
+        kernel_at.append(view.meter.eq_queries)
+        two_rows(view, *args)
+
+    monkeypatch.setattr(hirschberg, "_two_rows", record)
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
+    monkeypatch.undo()
     hit = set()
     search_bit_rows = False
     total = ref.counters.eq_queries_total
-    for at in range(0, total, max(1, total // 25)):
+    for at in [*range(0, total, max(1, total // 25)),
+               *kernel_at[::max(1, len(kernel_at) // 5)]]:
         monkeypatch.setattr(enumerator_module, "Meter",
                             lambda: InterruptingMeter(at))
         enum = LcsEnumerator(MatchView(x, y))
@@ -108,7 +122,8 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     assert ref.finished == (len(want) < LIMIT)
     if ref.finished:
         assert ref.view.meter.live_cells == 0
-    assert {"_fold_prefix_row", "_fold_suffix_row", "_branch_search"} <= hit
+    assert {"_fold_prefix_row", "_fold_suffix_row", "_two_rows",
+            "_branch_search"} <= hit
     assert ("_fold_bits" in hit) == bit_rows
     assert search_bit_rows == bit_rows
 
@@ -142,11 +157,13 @@ def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
 @pytest.mark.parametrize("fn", [first_lcs, prefix_thresholds,
                                 suffix_thresholds, split_point])
 @pytest.mark.parametrize("kind", [str, bytes, tuple])
-def test_interrupted_library_calls_release_every_cell(fn, kind):
+@pytest.mark.parametrize("xr", [IndexRange(3, 118), IndexRange(3, 4)],
+                         ids=["long", "two_rows"])
+def test_interrupted_library_calls_release_every_cell(fn, kind, xr):
     rng = random.Random(11)
     x, y = rand_string(rng, 120, 2), rand_string(rng, 100, 2)
     x, y = (x.encode(), y.encode()) if kind is bytes else (kind(x), kind(y))
-    xr, yr = IndexRange(3, 118), IndexRange(2, 99)
+    yr = IndexRange(2, 99)
     probe = MatchView(x, y)
     fn(probe, xr, yr)
     total = probe.meter.eq_queries
