@@ -271,7 +271,8 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     w = j_hi - j_lo + 1
     try:
         if _switch_levels(view, w) > w:
-            # Folds that never switch to the bit form need no _fold_rows.
+            # Folds that can never switch take the list-form rows directly:
+            # most are a row or two, where _fold_rows' set-up weighs.
             lo_levels: list[int] = []
             hi_levels: list[int] = []
             for i in range(i_lo, i_mid + 1):
