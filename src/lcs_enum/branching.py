@@ -19,9 +19,10 @@ probes. i* never moves right, so a whole call performs at most |X|
 folds and O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 The rows start in the list form of :mod:`lcs_enum.hirschberg` and
-switch to its bit form under the same rule as the restart's folds:
-once |Y| >= 64, the search holds a level per 64 positions of Y and the
-view has bit-planes. From then on the thresholds are the 0-bits of one
+switch to its bit form under the rule of the restart's folds over w =
+|Y| positions, where the rows left are X[i*], .., X[1]: with bit-planes,
+at a level per 64 positions of Y if |Y| >= 64, else at 4 levels with
+at least 4 rows left. From then on the thresholds are the 0-bits of one
 |Y|-bit integer, each row's mask is its token's whole reverse plane,
 and the second question is one ``bit_count`` of the bits above j*.
 
@@ -47,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
 from .hirschberg import (_FRAME_CELLS, _bit_form, _bit_rows, _fold_suffix_row,
-                         _switch_levels)
+                         _switch_rule)
 
 
 class BranchPoint(NamedTuple):
@@ -134,12 +135,11 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     meter.grow(_FRAME_CELLS + 1 + length)
     q = [0, i_kept] if k_kept else [0]
     j_suffix: list[int] = []
-    # Once the search holds a level per 64 positions of Y and the view has
-    # planes (the rule of the restart's folds), the thresholds become the
+    # Under the rule of the restart's folds, the thresholds become the
     # 0-bits of v, bit len_y - j standing for j: the rows span all of Y,
     # so a row's mask is its token's whole reverse plane.
     v = None
-    switch = _switch_levels(view, len_y)
+    switch, rows_left = _switch_rule(view, len_y)
     full = (1 << len_y) - 1
     size = (len_y + 7) >> 3
 
@@ -147,7 +147,8 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
         """Fold X[i], X[i - 1], .., X[stop + 1] into the thresholds."""
         nonlocal v
         if v is None:
-            while i > stop and len(j_suffix) < switch:
+            # Rows X[i], .., X[1] are all the search can still fold.
+            while i > stop and (len(j_suffix) < switch or i < rows_left):
                 _fold_suffix_row(view, i, 1, len_y, j_suffix)
                 i -= 1
             if i == stop:

@@ -14,7 +14,6 @@ import sys
 
 from .core import MatchView
 from .enumerator import LcsEnumerator
-from . import oracle
 
 _FORMATS = ("positions", "strings", "jsonl")
 
@@ -69,16 +68,19 @@ def _read_input(path: str, trim: bool) -> str:
                          f"{e.reason})") from None
 
 
-def _emit(out, fmt: str, ordinal: int, positions: tuple[int, ...],
-          view: MatchView) -> None:
+def _line(fmt: str, ordinal: int, positions: tuple[int, ...],
+          view: MatchView) -> str:
+    """One output line, newline included. It is written with one call,
+    so an unbuffered stdout makes one system call per line; the text is
+    what ``print(*positions)``, ``print(string)`` and ``json.dumps`` of
+    the line's object would give."""
     if fmt == "positions":
-        print(*positions, file=out)
-    elif fmt == "strings":
-        print(view.y_slice(positions), file=out)
-    else:
-        print(json.dumps({"ordinal": ordinal,
-                          "positions": list(positions),
-                          "string": view.y_slice(positions)}), file=out)
+        return " ".join(map(str, positions)) + "\n"
+    if fmt == "strings":
+        return view.y_slice(positions) + "\n"
+    return (f'{{"ordinal": {ordinal}, '
+            f'"positions": [{", ".join(map(str, positions))}], '
+            f'"string": {json.dumps(view.y_slice(positions))}}}\n')
 
 
 def _run_pair(args: argparse.Namespace, x: str, y: str) -> int:
@@ -86,17 +88,21 @@ def _run_pair(args: argparse.Namespace, x: str, y: str) -> int:
         print("lcs-enum: error: inputs must be non-empty", file=sys.stderr)
         return 1
     view = MatchView(x, y)
-    # The oracle runs first so that an input too large for it fails
-    # before anything is printed.
-    want = oracle.all_lcs_position_sequences(view) if args.check else None
+    want = None
+    if args.check:
+        # Imported only here. The oracle runs first so that an input too
+        # large for it fails before anything is printed.
+        from . import oracle
+        want = oracle.all_lcs_position_sequences(view)
     enum = LcsEnumerator(view)
+    write = sys.stdout.write
     emitted: list[tuple[int, ...]] = []
     ordinal = 0
     length = 0
     while (p := enum.next_sequence()) is not None:
         ordinal += 1
         length = len(p)
-        _emit(sys.stdout, args.format, ordinal, p, enum.view)
+        write(_line(args.format, ordinal, p, enum.view))
         if args.check:
             emitted.append(p)
         if args.limit is not None and ordinal >= args.limit:

@@ -25,10 +25,11 @@ skipping from each one past the old threshold it replaced, and finds
 them with the search the view bound when it was built: str or bytes
 find/rfind on a str or coded bytes pair, an element loop otherwise.
 
-Once a fold over w >= 64 positions of Y holds at least w/64 levels,
-and the view has bit-planes (the pair is bytes, or two ASCII str), it
-switches to the bit form (Allison-Dix, Hyyro): the thresholds become
-the 0-bits of a w-bit integer V, and one row is
+When the view has bit-planes (the pair is bytes, or two ASCII str), a
+fold over w positions of Y switches to the bit form (Allison-Dix,
+Hyyro) once it holds at least w/64 levels if w >= 64, or 4 levels
+with at least 4 rows left to fold if w < 64 (:func:`_switch_rule`):
+the thresholds become the 0-bits of a w-bit integer V, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
 mask. M is read from the view's bit-plane of the row's token, about
 w/8 bytes of it. The planes hold 2 * len_y bits per token X and Y
@@ -37,8 +38,8 @@ and outside the cell count like the coded pair. Beyond them the bit
 form holds V, a few w-bit temporaries and, at the end, a w-character
 readback string: a constant number of machine words per level once
 64 * levels >= w, so the one-cell-per-level charge stays an upper
-bound on its space. Other inputs, narrower ranges and folds with few
-levels stay in the list form. The suffix rows of the branch search
+bound on its space. Other inputs and folds with few levels or few
+rows left stay in the list form. The suffix rows of the branch search
 (:mod:`lcs_enum.branching`) switch under the same rule and share the
 row step, but keep V between rows and read it without a list.
 
@@ -132,11 +133,13 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
         k = rfind(y, c, j_lo - 1, old - 1)
 
 
-# The bit form pays once a fold is this wide: narrower rows cost more to
-# cut a mask than to walk. It switches at a level per this many
-# positions, where V and each w-bit temporary take a word per level.
-_BIT_MIN_WIDTH = 64
+# V and each w-bit temporary take a word per this many positions, so a
+# fold switches no sooner than at a level per this many (_switch_rule).
 _BIT_POSITIONS_PER_LEVEL = 64
+# A fold narrower than that switches once it holds this many levels and
+# has this many rows left: where the bit rows pay back the switch.
+_NARROW_LEVELS = 4
+_NARROW_ROWS = 4
 
 
 def _bit_form(levels: list[int], j_lo: int, j_hi: int, r: int,
@@ -186,13 +189,31 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
     return v
 
 
-def _switch_levels(view: MatchView, w: int) -> int:
-    """Levels from which rows over w positions of Y take the bit form:
-    w/64 rounded up if w >= 64 and the view has bit-planes, else w + 1,
-    more levels than w positions hold."""
-    if view._planes is None or w < _BIT_MIN_WIDTH:
-        return w + 1
-    return -(-w // _BIT_POSITIONS_PER_LEVEL)
+def _switch_rule(view: MatchView, w: int) -> tuple[int, int]:
+    """(levels, rows): a fold over w positions of Y takes the bit form
+    before a row once it holds that many levels and that many rows, the
+    row included, are left to fold. (w + 1, 1) if the view has no
+    bit-planes: more levels than w positions hold.
+
+    Space: V and each temporary take ceil(w/64) words, so the bit form
+    keeps the one-cell-per-level charge an upper bound from
+    64 * levels >= w on. At w >= 64 the fold switches right there.
+
+    Time, below 64 positions, where one level already covers the space:
+    a list row visits up to levels + 1 matches, a search and a bisection
+    each, while a bit row is a fixed handful of one-word operations, and
+    entering the bit form and reading V back costs a few list rows more.
+    At 4 levels a list row over 16-63 positions takes about 3 us and a
+    bit row about 1.3 us, and the switch about 4 us (CPython 3.11 on a
+    shared 2-core x86-64 VM), so a fold switches once it holds 4 levels
+    and has at least 4 rows left. A fold narrower than 4 positions never
+    holds 4 levels, and one of fewer than 8 rows never switches.
+    """
+    if view._planes is None:
+        return w + 1, 1
+    if w >= _BIT_POSITIONS_PER_LEVEL:
+        return -(-w // _BIT_POSITIONS_PER_LEVEL), 1
+    return _NARROW_LEVELS, _NARROW_ROWS
 
 
 def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
@@ -226,10 +247,11 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
 
     Folds the rows in increasing i (prefix orientation) or decreasing i
     (``suffix``), starting in the list form and switching to the bit
-    form before a row once w = j_hi - j_lo + 1 >= 64, 64 * levels >= w
-    and the view has bit-planes (:func:`_switch_levels`). Returns the
-    levels, one charged cell each; the caller releases them. On an
-    exception every cell charged here is released before it propagates.
+    form before the first row at which the fold holds the levels and has
+    the rows left that :func:`_switch_rule` names for w = j_hi - j_lo + 1.
+    Returns the levels, one charged cell each; the caller releases them.
+    On an exception every cell charged here is released before it
+    propagates.
     """
     levels: list[int] = []
     if j_lo > j_hi:
@@ -240,13 +262,12 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     else:
         rows = range(i_first, i_last + 1)
         fold = _fold_prefix_row
-    # Levels never outnumber the rows already folded, so a fold of at
-    # most w/64 rows never switches; most folds are a row or two long.
-    switch = _switch_levels(view, j_hi - j_lo + 1)
+    switch, rows_left = _switch_rule(view, j_hi - j_lo + 1)
+    last = len(rows) - rows_left  # the last row that may switch, 0-based
     base = view.meter.live_cells
     try:
         for n, i in enumerate(rows):
-            if len(levels) >= switch:
+            if n <= last and len(levels) >= switch:
                 _fold_bits(view, rows[n:], j_lo, j_hi, levels, suffix)
                 break
             fold(view, i, j_lo, j_hi, levels)
@@ -260,19 +281,23 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
            ) -> tuple[int, int]:
     """Midpoint of X and the least Y split whose half-LCS lengths sum to L.
 
-    Requires i_lo < i_hi. Builds both threshold sequences, then walks the
-    prefix thresholds, the only places where the level sum can rise, in
-    O(L); strict improvement keeps the least maximizer. Every cell
-    charged here is released before it returns or raises.
+    Requires i_lo < i_hi. Builds both threshold sequences, with the
+    list-form rows directly when neither half can switch to the bit
+    form, else through :func:`_fold_rows`. Then walks the prefix
+    thresholds, the only places where the level sum can rise, in O(L);
+    strict improvement keeps the least maximizer. Every cell charged
+    here is released before it returns or raises.
     """
     meter = view.meter
     base = meter.live_cells
     i_mid = (i_lo + i_hi) // 2
     w = j_hi - j_lo + 1
     try:
-        if _switch_levels(view, w) > w:
-            # Folds that can never switch take the list-form rows directly:
-            # most are a row or two, where _fold_rows' set-up weighs.
+        switch, rows_left = _switch_rule(view, w)
+        # Levels never outnumber the rows folded, so folds that can never
+        # switch take the list-form rows directly: most are a row or two,
+        # where _fold_rows' set-up weighs. The prefix half is the larger.
+        if switch > w or switch + rows_left > i_mid - i_lo + 1:
             lo_levels: list[int] = []
             hi_levels: list[int] = []
             for i in range(i_lo, i_mid + 1):

@@ -1,7 +1,8 @@
 """The bit form of a threshold fold agrees with the list form exactly.
 
 A fold over a bytes pair, or two ASCII str, switches to bit rows once
-it is at least 64 positions wide and holds a level per 64 positions;
+it holds a level per 64 positions when it is at least 64 positions
+wide, and once it holds 4 levels with 4 rows left when it is narrower;
 so do the suffix rows of the branch search, which span all of Y.
 A ``MinimalSeq`` view of the same content is never coded, so it always
 keeps the list form and is the reference: values, probes, peak cells
@@ -23,10 +24,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 FUNCTIONS = (prefix_thresholds, suffix_thresholds, first_lcs, split_point)
-# Widths on both sides of the 64-position floor.
-EDGE_WIDTHS = (1, 2, 8, 62, 63, 64, 65, 66, 127, 128, 129)
-# Lengths of Y on both sides of one and two levels' worth of positions.
-SEARCH_WIDTHS = (63, 64, 65, 127, 128, 129)
+# Widths on both sides of 16 and 64 positions and of two words.
+EDGE_WIDTHS = (1, 2, 8, 15, 16, 17, 62, 63, 64, 65, 66, 127, 128, 129)
+# Lengths of Y about as wide.
+SEARCH_WIDTHS = (15, 16, 17, 62, 63, 64, 65, 127, 128, 129)
+
+
+def _rule(w):
+    """(levels, rows left, that row included) from which a fold over w
+    positions of a view with bit-planes takes the bit form."""
+    return (-(-w // 64), 1) if w >= 64 else (4, 4)
 
 
 @st.composite
@@ -41,9 +48,10 @@ def instances(draw):
                                    [0xE9, 0x3B1] if kind == "str" else [0x9C]]))
     y_extra = [0x80, 0xFF] if kind == "bytes" and draw(st.booleans()) else []
     w = draw(st.sampled_from(EDGE_WIDTHS) | st.integers(1, 160))
-    # X row counts near the switch (a level per 64 positions) as well
-    # as anywhere.
-    rows = draw(st.integers(max(1, w // 64 - 3), w // 64 + 3)
+    # X row counts near the fewest that can switch (levels + rows left)
+    # as well as anywhere.
+    least = sum(_rule(w))
+    rows = draw(st.integers(max(1, least - 3), least + 3)
                 | st.integers(1, 160))
     y_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     x_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -81,7 +89,7 @@ def test_bit_rows_agree_with_list_rows(case):
 
 @st.composite
 def search_pairs(draw):
-    """(x, y): a str or bytes pair whose Y is about 64 or 128 long."""
+    """(x, y): a str or bytes pair whose Y is about 16, 64 or 128 long."""
     kind = draw(st.sampled_from(["str", "bytes"]))
     sigma = draw(st.integers(1, 8))
     common = list(range(ord("a"), ord("a") + sigma))
@@ -133,17 +141,17 @@ def test_wide_searches_agree_with_list_rows(search_switches):
         x, y = rand_string(rng, 512, 4), rand_string(rng, 512, 4)
         for pair in ((x, y), (x.encode(), y.encode())):
             _check_searches(*pair, outputs=3)
-    assert {w for w, _ in search_switches} == {512}
+    assert {w for w, *_ in search_switches} == {512}
 
 
 @pytest.fixture
 def bit_entries(monkeypatch):
-    """(w, levels) at every switch of a fold to the bit form."""
+    """(w, levels, rows left) at every switch of a fold to the bit form."""
     entries = []
     fold_bits = hirschberg._fold_bits
 
     def record(view, rows, j_lo, j_hi, levels, suffix):
-        entries.append((j_hi - j_lo + 1, len(levels)))
+        entries.append((j_hi - j_lo + 1, len(levels), len(rows)))
         return fold_bits(view, rows, j_lo, j_hi, levels, suffix)
 
     monkeypatch.setattr(hirschberg, "_fold_bits", record)
@@ -152,29 +160,71 @@ def bit_entries(monkeypatch):
 
 @pytest.fixture
 def search_switches(monkeypatch):
-    """(len_y, levels) at every switch of a branch search to the bit form."""
+    """(len_y, levels, rows left) at every switch of a branch search to
+    the bit form; the rows left are X[i], .., X[1] for the first bit row i."""
     switches = []
-    bit_form = branching._bit_form
+    bit_form, bit_rows = branching._bit_form, branching._bit_rows
 
     def record(levels, j_lo, j_hi, r, suffix):
-        switches.append((j_hi - j_lo + 1, len(levels)))
+        switches.append([j_hi - j_lo + 1, len(levels), None])
         return bit_form(levels, j_lo, j_hi, r, suffix)
 
+    def record_rows(view, rows, *args):
+        if switches[-1][2] is None:
+            switches[-1][2] = rows.start
+        return bit_rows(view, rows, *args)
+
     monkeypatch.setattr(branching, "_bit_form", record)
+    monkeypatch.setattr(branching, "_bit_rows", record_rows)
     return switches
 
 
-def test_switch_only_when_levels_cover_the_bits(bit_entries, search_switches):
+def _list_levels(view, rows, j_lo, j_hi, suffix):
+    """Levels of the list-form fold of the X rows, on a fresh meter."""
+    view = view.with_meter(Meter())
+    fold = (hirschberg._fold_suffix_row if suffix
+            else hirschberg._fold_prefix_row)
+    levels = []
+    for i in rows:
+        fold(view, i, j_lo, j_hi, levels)
+    return len(levels)
+
+
+def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
+                                                search_switches):
+    # Each half of a split switches exactly when the list form holds the
+    # rule's levels before a row with the rule's rows left, and then at
+    # the first such row; the search likewise. Both keep 64 * levels >= w.
+    split = hirschberg._split
+
+    def checked(view, i_lo, i_hi, j_lo, j_hi):
+        before = len(bit_entries)
+        result = split(view, i_lo, i_hi, j_lo, j_hi)
+        levels, left = _rule(j_hi - j_lo + 1)
+        i_mid = (i_lo + i_hi) // 2
+        want = 0
+        for rows, suffix in ((range(i_lo, i_mid + 1), False),
+                             (range(i_hi, i_mid, -1), True)):
+            last = len(rows) - left  # rows[last] is the last one that may switch
+            want += last >= 0 and _list_levels(
+                view, rows[:last], j_lo, j_hi, suffix) >= levels
+        assert len(bit_entries) - before == want, (i_lo, i_hi, j_lo, j_hi)
+        return result
+
+    monkeypatch.setattr(hirschberg, "_split", checked)
     rng = random.Random(3)
     for sigma in (1, 2, 4, 26):
-        for n in (63, 64, 65, 200):
+        for n in (17, 40, 63, 64, 65, 200):
             x, y = rand_string(rng, n, sigma), rand_string(rng, n, sigma)
             for view in (MatchView(x, y), MatchView(x.encode(), y.encode())):
                 first_lcs(view)
                 list(islice(LcsEnumerator(view), 5))
     for entries in (bit_entries, search_switches):
-        assert entries
-        assert all(64 * levels >= w >= 64 for w, levels in entries)
+        assert {w < 64 for w, _, _ in entries} == {True, False}
+        for w, levels, rows_left in entries:
+            want_levels, want_left = _rule(w)
+            assert levels == want_levels and rows_left >= want_left
+            assert 64 * levels >= w
 
 
 def test_byte_valued_sequences_switch(bit_entries):
@@ -205,9 +255,10 @@ def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
     assert bit_entries == [] and search_switches == []
 
 
-@pytest.mark.parametrize("n", [65, 256, 2048])
+@pytest.mark.parametrize("n", [17, 63, 65, 256, 2048])
 def test_space_family_never_switches(bit_entries, search_switches, n):
-    # Criterion 7's family has L = 1: one level pays for at most 64 bits.
+    # Criterion 7's family has L = 1: one level pays for at most 64 bits,
+    # and a narrower fold needs 4.
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
     assert list(LcsEnumerator(view)) == [(1,)]
     assert bit_entries == [] and search_switches == []
@@ -223,7 +274,7 @@ def test_wide_folds_agree_with_list_rows(bit_entries):
                         None, None)
         for view in (MatchView(x.encode(), y.encode()), MatchView(x, y)):
             assert _metered(first_lcs, view, None, None) == want
-    assert max(w for w, _ in bit_entries) == 512
+    assert max(w for w, *_ in bit_entries) == 512
 
 
 def test_planes_hold_the_positions_of_shared_tokens():

@@ -1,12 +1,15 @@
 """Command line behaviour: formats, flags, exit codes, reproducibility."""
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from lcs_enum import cli
+import pytest
+
+from lcs_enum import LcsEnumerator, MatchView, cli
 from lcs_enum import oracle
 
 X1 = "acddadacbcb"
@@ -55,6 +58,58 @@ def test_jsonl_format(capsys):
         {"ordinal": 1, "positions": [1, 2, 3, 4, 5], "string": "caccb"},
         {"ordinal": 2, "positions": [1, 2, 3, 5, 9], "string": "cacbc"},
     ]
+
+
+# Quotes, backslashes, non-ASCII and non-BMP characters; and no common
+# character, an empty LCS.
+TEXT_PAIRS = [(X1, Y1), ('a"\\é😀b\'', '"\\x😀éa\''), ("ab", "cd")]
+
+
+@pytest.mark.parametrize("x, y", TEXT_PAIRS, ids=["plain", "escapes", "empty"])
+@pytest.mark.parametrize("fmt", ["positions", "strings", "jsonl"])
+def test_lines_are_what_print_and_json_dumps_give(capsys, x, y, fmt):
+    want = io.StringIO()
+    for ordinal, p in enumerate(LcsEnumerator(MatchView(x, y)), 1):
+        string = MatchView(x, y).y_slice(p)
+        if fmt == "positions":
+            print(*p, file=want)
+        elif fmt == "strings":
+            print(string, file=want)
+        else:
+            print(json.dumps({"ordinal": ordinal, "positions": list(p),
+                              "string": string}), file=want)
+    code, out, _ = run_cli(capsys, x, y, "--format", fmt)
+    assert code == 0
+    assert out == want.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["positions", "strings", "jsonl"])
+def test_one_write_per_line(monkeypatch, fmt):
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, s):
+            self.writes += 1
+            return super().write(s)
+
+    out = Counting()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main([*TEXT_PAIRS[1], "--format", fmt]) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 and out.writes == 2
+
+
+def test_oracle_is_imported_only_for_check():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; from lcs_enum import cli; cli.main(sys.argv[1:]); "
+             "print('lcs_enum.oracle' in sys.modules, file=sys.stderr)")
+    for flags, imported in (([], "False"), (["--check"], "True")):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, X1, Y1, *flags],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines()[-1] == imported
 
 
 def test_stats_go_to_stderr(capsys):

@@ -74,7 +74,7 @@ def _cases():
     x = rand_string(rng, 130, 4)
     y = rand_string(rng, 20, 4) + x[10:120] + rand_string(rng, 20, 4)
     # (x, y, whether some folds and some search rows take the bit form)
-    return [("abcab" * 8, "bacba" * 8, False),  # many outputs: the first 30
+    return [("abcab" * 8, "bacba" * 8, True),  # many outputs: the first 30
             (x, y, True),  # 15 outputs
             (x.encode(), y.encode(), True),
             (tuple(x), tuple(y), False)]
