@@ -78,8 +78,8 @@ def _line(fmt: str, ordinal: int, positions: tuple[int, ...],
         return " ".join(map(str, positions)) + "\n"
     if fmt == "strings":
         return view.y_slice(positions) + "\n"
-    return (f'{{"ordinal": {ordinal}, '
-            f'"positions": [{", ".join(map(str, positions))}], '
+    # A list of ints prints as JSON with json.dumps' separators.
+    return (f'{{"ordinal": {ordinal}, "positions": {list(positions)}, '
             f'"string": {json.dumps(view.y_slice(positions))}}}\n')
 
 
@@ -90,8 +90,9 @@ def _run_pair(args: argparse.Namespace, x: str, y: str) -> int:
     view = MatchView(x, y)
     want = None
     if args.check:
-        # Imported only here. The oracle runs first so that an input too
-        # large for it fails before anything is printed.
+        # Imported only here, which keeps it out of every other run's
+        # start-up. It runs first so that an input too large for it fails
+        # before anything is printed.
         from . import oracle
         want = oracle.all_lcs_position_sequences(view)
     enum = LcsEnumerator(view)
