@@ -199,4 +199,8 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                 i_star -= 1
         return None
     finally:
+        # Nothing the search charges is released before it ends, so its
+        # levels are charged once, here, and the peak is the one a charge
+        # per new level would set. In the bit form they are v's 0-bits.
+        meter.grow(len(j_suffix) if v is None else len_y - v.bit_count())
         meter.shrink(meter.live_cells - live)

@@ -14,8 +14,9 @@ of the view reach the inputs only through it, and the attached
 
 The view fixes the form in which it searches the pair once, at
 construction (:func:`_code`): a str pair stays str, byte-valued inputs
-become two bytes, and anything else is searched as given, by element
-loops. Its one scan primitive, :meth:`MatchView.next_y_match`, charges
+become two bytes, and anything else is searched as given: forward by
+``index`` when both sides are a tuple or a list, else by element loops.
+Its one scan primitive, :meth:`MatchView.next_y_match`, charges
 the probes a left-to-right scan with early exit would make, so probe
 counts never depend on the search underneath. The threshold folds and
 the branch search (:mod:`lcs_enum.hirschberg`, :mod:`lcs_enum.branching`)
@@ -28,6 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 _CODABLE = (bytes, bytearray, tuple, list)
+_INDEXABLE = (tuple, list)
 # Byte value c selects _ONE_HOT[255 - c:511 - c], a translate table that
 # maps byte c to b"1" and every other byte to b"0".
 _ONE_HOT = b"0" * 255 + b"1" + b"0" * 255
@@ -109,6 +111,13 @@ def _bit_planes(x, y) -> dict:
     return planes
 
 
+def _index_find(seq, item, lo: int, hi: int) -> int:
+    try:
+        return seq.index(item, lo, hi)
+    except ValueError:
+        return -1
+
+
 def _loop_find(seq, item, lo: int, hi: int) -> int:
     for k in range(lo, hi):
         e = seq[k]
@@ -137,12 +146,13 @@ class MatchView:
     ``_x`` and ``_y`` hold the pair as searched, coded or as given, and
     ``_find``/``_rfind(seq, item, lo, hi)`` search either side of it:
     the least (greatest) 0-based k in [lo, hi) with seq[k] equal to
-    ``item``, or -1. ``_planes`` is None unless the folds may take the
-    bit form (the pair is bytes, or two ASCII str); then it is a dict
-    that the first bit fold fills with :func:`_bit_planes`, shared by
-    every view :meth:`with_meter` makes. The coded pair and the planes,
-    2 * len_y bits per token X and Y share, are read-only input storage,
-    outside the cell count. ``y_slice`` renders the original Y.
+    ``item``, or -1; an uncoded tuple or list pair searches forward with
+    ``index``, C-level and under the same rule. ``_planes`` is None
+    unless the folds may take the bit form (the pair is bytes, or two
+    ASCII str); then it is a dict that the first bit fold fills with
+    :func:`_bit_planes`, shared by every view :meth:`with_meter` makes.
+    The coded pair and the planes, 2 * len_y bits per token X and Y
+    share, are read-only input storage, outside the cell count. ``y_slice`` renders the original Y.
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -165,7 +175,10 @@ class MatchView:
         coded = _code(x, y)
         self._x, self._y = coded or (x, y)
         if coded is None:
-            self._find, self._rfind = _loop_find, _loop_rfind
+            # tuple.index and list.index compare by identity, then ==.
+            indexable = type(x) in _INDEXABLE and type(y) in _INDEXABLE
+            self._find = _index_find if indexable else _loop_find
+            self._rfind = _loop_rfind
             self._planes = None
         elif isinstance(y, str):
             self._find, self._rfind = str.find, str.rfind

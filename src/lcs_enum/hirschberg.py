@@ -41,33 +41,48 @@ readback string: a constant number of machine words per level once
 bound on its space. Other inputs and folds with few levels or few
 rows left stay in the list form. The suffix rows of the branch search
 (:mod:`lcs_enum.branching`) switch under the same rule and share the
-row step, but keep V between rows and read it without a list.
+row step, but keep V between rows and read it without a list; the
+search charges their levels once, when it returns.
 
 Either form charges a length-n row exactly n equality probes, what a
-scan of the whole row costs, and one cell whenever the level count
-rises, so probe and cell counts measure the algorithm and not the
-form. A walk over both sequences, O(L) and free of probes, then yields
-the Y split. Unlike the classic linear-space LCS construction, which
-may pick any maximizing split, the walk keeps the least maximizer;
-this is what makes the leftmost occurrence of the whole problem equal
-the concatenation of the leftmost occurrences of the two halves, so
-solving the halves left to right emits it. One loop does so over an
-explicit stack of pending ranges, and solves a range of two X
-characters in place, with the one or two searches its split and
-leaves need; it charges every probe and cell that a recursion over the
-same splits would, where the recursion would charge it.
+scan of the whole row costs, and a fold one cell per level it holds,
+so probe and cell counts measure the algorithm and not the form. The
+cells are charged once per fold, when it returns: within a fold the
+level count only rises, so the peak is the one a charge per new level
+would set, and a fold cut short by an exception has charged nothing.
+A walk over both sequences, O(L) and free of probes, then yields the Y
+split and both halves' LCS lengths. Unlike the classic linear-space
+LCS construction, which may pick any maximizing split, the walk keeps
+the least maximizer; this is what makes the leftmost occurrence of the
+whole problem equal the concatenation of the leftmost occurrences of
+the two halves, so solving the halves left to right emits it.
+
+One loop does so over an explicit stack of pending ranges, each with
+its LCS length once a split has found it. It solves two kinds of range
+without folding: one of two X characters, with the one or two searches
+its split and leaves need (:func:`_two_rows`), and one whose LCS
+length equals its number of X characters, with one forward search per
+character (:func:`_matched_rows`). Every character of such a range is
+matched, so its leftmost LCS is the greedy embedding, and each split a
+recursion would make falls at a greedy end; its probes and peak cells
+follow in closed form. The loop charges every probe and cell that a
+recursion over the same splits would, where the recursion would charge
+it, or for a kernel at once. The levels and frames that a kernel
+replays in the meter never exist, so the real auxiliary memory stays
+under the charge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from operator import neg
 
 from .core import IndexRange, MatchView, _bit_planes
 
 # One charged frame per level of the range being solved: its 6 cells
-# cover one pending range of the stack (5 ints, its ends and depth), so
-# the O(log n) stack shows up in the cell meter.
+# cover one pending range of the stack (6 ints: its ends, depth and LCS
+# length), so the O(log n) stack shows up in the cell meter.
 _FRAME_CELLS = 6
 
 
@@ -83,7 +98,8 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     resumes just past that old value; after a new top level nothing can
     follow. The row is charged j_hi - j_lo + 1 probes, what a scan of
     the whole row costs, so per-gap probe counts do not depend on how
-    many positions the skips jump over. Nothing is checked: callers pass
+    many positions the skips jump over. No cell is charged: the fold's
+    caller charges its levels once. Nothing is checked: callers pass
     1 <= i <= len_x and 1 <= j_lo <= j_hi <= len_y.
     """
     view.meter.eq_queries += j_hi - j_lo + 1
@@ -98,7 +114,6 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
         l = bisect_left(levels, k + 1, l)
         if l == top:
             levels.append(k + 1)
-            view.meter.grow(1)
             return
         old = levels[l]
         levels[l] = k + 1
@@ -113,7 +128,7 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     matches are found in decreasing j by backward search, the greatest
     match at each level wins, and the decreasing list is bisected
     through ``operator.neg`` so it keeps its representation. Charged
-    j_hi - j_lo + 1 probes and unchecked, like the prefix fold.
+    j_hi - j_lo + 1 probes, no cell and unchecked, like the prefix fold.
     """
     view.meter.eq_queries += j_hi - j_lo + 1
     rfind = view._rfind
@@ -126,7 +141,6 @@ def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
         l = bisect_left(levels, -1 - k, l, key=neg)
         if l == top:
             levels.append(k + 1)
-            view.meter.grow(1)
             return
         old = levels[l]
         levels[l] = k + 1
@@ -162,8 +176,8 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
     """V after folding the X rows into it, one bit row each.
 
     ``full`` holds the 1-bits of V's w positions, and plane bytes a..b - 1
-    hold them (prefix or ``suffix`` plane). Each row is charged w probes
-    and, when the level count rises, one cell, like the list form. A
+    hold them (prefix or ``suffix`` plane). Each row is charged w probes,
+    like the list form; the caller charges the levels' cells. A
     row's match mask is cut from the plane of its token, built on the
     view's first bit row; a token absent from Y leaves V as it is.
     """
@@ -179,13 +193,9 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
         if plane is None:
             continue
         # V & M drops the mask bits outside V's positions, so no carry or
-        # borrow reaches them. V + U carries past the top exactly when a
-        # match lies above the highest threshold: a new level.
+        # borrow reaches them.
         u = v & int.from_bytes(plane[suffix][a:b], "little")
-        s = v + u
-        v = (s | (v - u)) & full
-        if s > full:
-            meter.grow(1)
+        v = ((v + u) | (v - u)) & full
     return v
 
 
@@ -223,8 +233,8 @@ def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
     V is :func:`_bit_form` with r = the bit offset of its first position
     within a byte of the view's bit-planes, r < 8, so a row's mask needs
     no shift. The list is emptied while the rows run and refilled with
-    the same values the list form would give; probes and cells are
-    charged as in the list form.
+    the same values the list form would give; probes are charged as in
+    the list form, and cells by the caller.
     """
     w = j_hi - j_lo + 1
     # Plane bit b0 + k stands for the position of bit r + k of V; plane
@@ -249,9 +259,9 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     (``suffix``), starting in the list form and switching to the bit
     form before the first row at which the fold holds the levels and has
     the rows left that :func:`_switch_rule` names for w = j_hi - j_lo + 1.
-    Returns the levels, one charged cell each; the caller releases them.
-    On an exception every cell charged here is released before it
-    propagates.
+    Returns the levels, one cell each, charged once when the fold is
+    done; the caller releases them. An exception in a row propagates
+    before any cell is charged.
     """
     levels: list[int] = []
     if j_lo > j_hi:
@@ -264,29 +274,28 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
         fold = _fold_prefix_row
     switch, rows_left = _switch_rule(view, j_hi - j_lo + 1)
     last = len(rows) - rows_left  # the last row that may switch, 0-based
-    base = view.meter.live_cells
-    try:
-        for n, i in enumerate(rows):
-            if n <= last and len(levels) >= switch:
-                _fold_bits(view, rows[n:], j_lo, j_hi, levels, suffix)
-                break
-            fold(view, i, j_lo, j_hi, levels)
-        return levels
-    except BaseException:
-        view.meter.shrink(view.meter.live_cells - base)
-        raise
+    for n, i in enumerate(rows):
+        if n <= last and len(levels) >= switch:
+            _fold_bits(view, rows[n:], j_lo, j_hi, levels, suffix)
+            break
+        fold(view, i, j_lo, j_hi, levels)
+    view.meter.grow(len(levels))
+    return levels
 
 
 def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
-           ) -> tuple[int, int]:
-    """Midpoint of X and the least Y split whose half-LCS lengths sum to L.
+           ) -> tuple[int, int, int, int]:
+    """(i_mid, j_mid, l_lo, l_hi): the midpoint of X, the least Y split
+    whose half-LCS lengths sum to L, and those two lengths.
 
     Requires i_lo < i_hi. Builds both threshold sequences, with the
     list-form rows directly when neither half can switch to the bit
-    form, else through :func:`_fold_rows`. Then walks the prefix
-    thresholds, the only places where the level sum can rise, in O(L);
-    strict improvement keeps the least maximizer. Every cell charged
-    here is released before it returns or raises.
+    form, else through :func:`_fold_rows`; either way each fold's levels
+    are charged once, when it is done. Then walks the prefix thresholds,
+    the only places where the level sum can rise, in O(L); strict
+    improvement keeps the least maximizer, and the walk's two level
+    counts there are the halves' lengths. Every cell charged here is
+    released before it returns or raises.
     """
     meter = view.meter
     base = meter.live_cells
@@ -304,6 +313,7 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
                 _fold_prefix_row(view, i, j_lo, j_hi, lo_levels)
             for i in range(i_hi, i_mid, -1):
                 _fold_suffix_row(view, i, j_lo, j_hi, hi_levels)
+            meter.grow(len(lo_levels) + len(hi_levels))
         else:
             lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi, False)
             hi_levels = _fold_rows(view, i_mid + 1, i_hi, j_lo, j_hi, True)
@@ -311,15 +321,17 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
         # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j.
         l_hi = best = len(hi_levels)
         j_mid = j_lo - 1
+        lo_length = 0
         for l_lo, j in enumerate(lo_levels, 1):
             while l_hi and hi_levels[l_hi - 1] <= j:
                 l_hi -= 1
             if l_lo + l_hi > best:
                 j_mid = j
+                lo_length = l_lo
                 best = l_lo + l_hi
     finally:
         meter.shrink(meter.live_cells - base)
-    return i_mid, j_mid
+    return i_mid, j_mid, lo_length, best - lo_length
 
 
 def _two_rows(view: MatchView, i: int, j_lo: int, j_hi: int,
@@ -364,26 +376,101 @@ def _two_rows(view: MatchView, i: int, j_lo: int, j_hi: int,
     meter.shrink(_FRAME_CELLS)
 
 
+def _matched_probes(g: list[int], a: int, b: int, j_lo: int, j_hi: int
+                    ) -> int:
+    """Probes of the recursion on rows a < b of a fully matched range over
+    Y[j_lo..j_hi], g[k] the greedy match of row k (:func:`_matched_rows`).
+
+    A split of r rows folds r rows of w = j_hi - j_lo + 1 probes and
+    falls at the greedy end g[m]; a two-row node costs its two rows and
+    its leaves' scans, which run from j_lo to its second match; the right
+    leaf of a three-row split scans from past g[m] to its match.
+    """
+    w = j_hi - j_lo + 1
+    if a + 1 == b:
+        return 2 * w + g[b] - j_lo + 1
+    m = (a + b) // 2
+    lo = _matched_probes(g, a, m, j_lo, g[m])
+    hi = (g[b] - g[m] if m + 1 == b
+          else _matched_probes(g, m + 1, b, g[m] + 1, j_hi))
+    return (b - a + 1) * w + lo + hi
+
+
+@cache
+def _matched_peak(r: int) -> int:
+    """Peak cells above its entry of the recursion on r fully matched rows.
+
+    The shape of that recursion, and so its cells, depend on r alone: a
+    leaf appends 1 cell; a two-row node holds a frame for its leaves and
+    their 2; a split holds its r levels, then a frame over its left part,
+    then the left part's r - r // 2 appended cells and a frame over its
+    right part. Cached: one small int per row count met, so no more
+    entries than the longest X range solved.
+    """
+    if r < 3:
+        return 1 if r == 1 else _FRAME_CELLS + 2
+    lo = (r + 1) // 2
+    return max(r, _FRAME_CELLS + max(_matched_peak(lo),
+                                      lo + _matched_peak(r - lo)))
+
+
+def _matched_rows(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
+                  j_hi: int, out: list[int]) -> None:
+    """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
+    a range of at least two rows whose LCS length is its row count.
+
+    Every row is matched, so the LCS is X[i_lo..i_hi] itself and its
+    leftmost occurrence is the greedy embedding g, one forward search per
+    row. The recursion over the same range splits where the least
+    maximizer falls, at g's end of the left half: both halves are fully
+    matched again, with the same greedy matches. So its probes are
+    :func:`_matched_probes` of g and its peak :func:`_matched_peak`;
+    both are charged at once, after the searches and before g is
+    appended, so an interrupt at the charge leaves nothing appended. The
+    levels and frames the recursion would hold never exist here.
+    """
+    find = view._find
+    x = view._x
+    y = view._y
+    g = []
+    k = j_lo - 1
+    # Searches take and return 0-based indices: position k, one past the
+    # match at index k - 1, is where the next search starts.
+    for i in range(i_lo - 1, i_hi):
+        k = find(y, x[i], k, j_hi) + 1
+        g.append(k)
+    r = len(g)
+    meter = view.meter
+    meter.eq_queries += _matched_probes(g, 0, r - 1, j_lo, j_hi)
+    out += g
+    peak = _matched_peak(r)
+    meter.grow(peak)
+    meter.shrink(peak - r)
+
+
 def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                     j_hi: int, out: list[int]) -> None:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi].
 
     Appends are in left-to-right output order and each is charged to the
     meter; the caller owns the buffer. One loop walks a stack of pending
-    ranges, each with its depth in the divide and conquer, left range
-    first. A range of one X character is a scan for its least match, one
-    of two is :func:`_two_rows`, and a longer one is split, pushing the
-    right part under the left. The meter holds one frame per level of
+    ranges, each with its depth in the divide and conquer and its LCS
+    length (unknown at the root), left range first. A range of one X
+    character is a scan for its least match, a longer one whose length
+    is its row count is :func:`_matched_rows`, one of two is
+    :func:`_two_rows`, and any other is split, pushing the right part
+    under the left with the lengths the split found. The meter holds one frame per level of
     the range being solved, grown and shrunk where a recursion would
     enter and leave its calls, so probes and peak cells are the
     recursion's. Frames are released when it returns or raises.
     """
     meter = view.meter
-    stack = [(i_lo, i_hi, j_lo, j_hi, 1)]
+    # The root's LCS length is unknown: -1 matches no row count.
+    stack = [(i_lo, i_hi, j_lo, j_hi, 1, -1)]
     depth = 0
     try:
         while stack:
-            i_lo, i_hi, j_lo, j_hi, d = stack.pop()
+            i_lo, i_hi, j_lo, j_hi, d, length = stack.pop()
             # The next range is the left part of the one just split, a
             # level deeper, or a right part pushed before, no deeper.
             if d > depth:
@@ -398,12 +485,16 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                 if j is not None:
                     out.append(j)
                     meter.grow(1)
+            elif length == i_hi - i_lo + 1:
+                _matched_rows(view, i_lo, i_hi, j_lo, j_hi, out)
             elif i_lo + 1 == i_hi:
                 _two_rows(view, i_lo, j_lo, j_hi, out)
             else:
-                i_mid, j_mid = _split(view, i_lo, i_hi, j_lo, j_hi)
-                stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1))
-                stack.append((i_lo, i_mid, j_lo, j_mid, d + 1))
+                i_mid, j_mid, lo_length, hi_length = _split(
+                    view, i_lo, i_hi, j_lo, j_hi)
+                stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1,
+                              hi_length))
+                stack.append((i_lo, i_mid, j_lo, j_mid, d + 1, lo_length))
     finally:
         meter.shrink(depth * _FRAME_CELLS)
 
@@ -459,7 +550,7 @@ def split_point(view: MatchView, xr: IndexRange | None = None,
     xr, yr = _resolve_ranges(view, xr, yr)
     if xr.length < 2:
         raise ValueError("split_point needs an X range of at least two characters")
-    return _split(view, xr.lo, xr.hi, yr.lo, yr.hi)
+    return _split(view, xr.lo, xr.hi, yr.lo, yr.hi)[:2]
 
 
 def first_lcs(view: MatchView, xr: IndexRange | None = None,

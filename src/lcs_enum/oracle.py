@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: a full DP length table, a
 memoized traceback that collects the set of distinct LCS strings, and
-an even slower generator that tries every index combination. The two
+an even slower generator that tries every index combination. A suffix
+table walk gives the first of those sequences at any size. The two
 disagree-by-construction implementations exist so the fast enumerator
 can be validated against answers produced two independent ways.
 
@@ -82,6 +83,38 @@ def all_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
     all_strings = strings(view.len_x, view.len_y)
     strings.cache_clear()
     return sorted(_leftmost_embedding(y, s) for s in all_strings)
+
+
+def leftmost_lcs_positions(view: MatchView) -> tuple[int, ...]:
+    """The lexicographically least LCS position sequence, any input size.
+
+    Equals ``all_lcs_position_sequences(view)[0]`` without collecting the
+    set, so it checks ``first_lcs`` past the traceback's size guard. A
+    suffix table s[i][j] = L(X[i..], Y[j..]) gives every level, then the
+    walk takes the least j' whose least match i' still reaches the
+    needed level: a later i' only leaves less of X. Each j' is tried
+    once, so the walk adds at most len_x * len_y probes to the table's.
+    """
+    m, n = view.len_x, view.len_y
+    s = [[0] * (n + 2) for _ in range(m + 2)]
+    for i in range(m, 0, -1):
+        row, below = s[i], s[i + 1]
+        for j in range(n, 0, -1):
+            if view.eq(i, j):
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
+    out = []
+    i, j, need = 1, 1, s[1][1]
+    while need:
+        i_match = i
+        while i_match <= m and not view.eq(i_match, j):
+            i_match += 1
+        if i_match <= m and s[i_match + 1][j + 1] == need - 1:
+            out.append(j)
+            i, need = i_match + 1, need - 1
+        j += 1
+    return tuple(out)
 
 
 def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:

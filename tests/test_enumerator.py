@@ -6,8 +6,8 @@ from enum import IntEnum
 
 import pytest
 
-from conftest import MinimalSeq, rand_pair
-from lcs_enum import MatchView, LcsEnumerator, iter_lcs_positions
+from conftest import MinimalSeq, rand_pair, rand_string
+from lcs_enum import MatchView, LcsEnumerator, core, iter_lcs_positions
 from lcs_enum.oracle import all_lcs_position_sequences, \
     exhaustive_lcs_position_sequences
 
@@ -160,17 +160,19 @@ def test_eq_queries_this_delay_resets_per_output():
     assert c.mean_delay * c.gaps_closed == c.eq_queries_total
 
 
-def _stream(x, y):
-    """Outputs, probes of every next_sequence() call, and peak cells."""
+def _stream(x, y, limit=None):
+    """Outputs, probes of every next_sequence() call, and peak cells, up to
+    ``limit`` outputs."""
     enum = LcsEnumerator(MatchView(x, y))
     outputs, probes = [], []
-    while True:
+    while len(outputs) != limit:
         before = enum.view.meter.eq_queries
         p = enum.next_sequence()
         probes.append(enum.view.meter.eq_queries - before)
         if p is None:
-            return outputs, probes, enum.counters.peak_aux_cells
+            break
         outputs.append(p)
+    return outputs, probes, enum.counters.peak_aux_cells
 
 
 def test_every_input_type_gives_the_same_stream():
@@ -195,6 +197,21 @@ def test_every_input_type_gives_the_same_stream():
             assert _stream(*pair) == want
     wide = [ord("a"), 1000]
     assert MatchView(wide, b"a")._x is wide  # searched as given
+
+
+def test_uncoded_tuples_and_lists_search_with_index():
+    # One-letter str tokens are not bytes, so a tuple or list pair of them
+    # stays uncoded and searches forward with index; it must give the str
+    # pair's stream, per-gap probes and peak cells.
+    rng = random.Random(12)
+    for n in (64, 150):
+        x, y = rand_string(rng, n, 4), rand_string(rng, n, 4)
+        want = _stream(x, y, 200)
+        for pair in [(tuple(x), tuple(y)), (list(x), list(y)),
+                     (tuple(x), list(y))]:
+            assert MatchView(*pair)._find is core._index_find
+            assert _stream(*pair, 200) == want
+    assert MatchView(MinimalSeq("ab"), tuple("ab"))._find is core._loop_find
 
 
 def test_multi_character_tokens_are_not_substrings():

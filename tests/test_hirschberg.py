@@ -6,13 +6,16 @@ quadratic-space oracle.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import rand_pair
+from conftest import rand_pair, rand_string
+from lcs_enum import hirschberg
 from lcs_enum import MatchView, IndexRange, first_lcs, prefix_thresholds, \
     suffix_thresholds, split_point
-from lcs_enum.oracle import all_lcs_position_sequences, lcs_length
+from lcs_enum.oracle import all_lcs_position_sequences, lcs_length, \
+    leftmost_lcs_positions
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -179,6 +182,51 @@ def test_first_lcs_on_subranges():
         sub = MatchView(x[i_lo - 1:i_hi], y[j_lo - 1:j_hi])
         want = all_lcs_position_sequences(sub)[0]
         assert got == tuple(j + j_lo - 1 for j in want)
+
+
+def _kind_view(kind, x, y):
+    if kind is bytes:
+        return MatchView(x.encode(), y.encode())
+    return MatchView(kind(x), kind(y))
+
+
+def test_first_lcs_is_the_leftmost_past_the_traceback(monkeypatch):
+    # The suffix-table oracle has no size guard, so it checks pairs where
+    # the restart's folds take the bit form and its fully matched ranges
+    # take the greedy kernel; both must run.
+    ran = Counter()
+
+    def counted(name):
+        fn = getattr(hirschberg, name)
+
+        def wrapped(*args):
+            ran[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("_fold_bits", "_matched_rows"):
+        monkeypatch.setattr(hirschberg, name, counted(name))
+    rng = random.Random(110)
+    for k in range(200):
+        kind = (str, bytes, tuple)[k % 3]
+        sigma = rng.choice([2, 3, 4, 8])
+        x = rand_string(rng, rng.randint(16, 200), sigma)
+        if k % 2:  # a long LCS: Y is X with some characters dropped or changed
+            y = "".join(c if rng.random() < 0.8 else rand_string(rng, 1, sigma)
+                        for c in x if rng.random() < 0.9) or x
+        else:
+            y = rand_string(rng, rng.randint(16, 200), sigma)
+        assert first_lcs(_kind_view(kind, x, y)) == \
+            leftmost_lcs_positions(_kind_view(kind, x, y)), (kind, x, y)
+        i_lo = rng.randint(1, len(x))
+        i_hi = rng.randint(i_lo - 1, len(x))
+        j_lo = rng.randint(1, len(y))
+        j_hi = rng.randint(j_lo - 1, len(y))
+        got = first_lcs(_kind_view(kind, x, y), IndexRange(i_lo, i_hi),
+                        IndexRange(j_lo, j_hi))
+        sub = _kind_view(kind, x[i_lo - 1:i_hi], y[j_lo - 1:j_hi])
+        assert got == tuple(j + j_lo - 1 for j in leftmost_lcs_positions(sub))
+    assert ran["_fold_bits"] and ran["_matched_rows"]
 
 
 def test_first_lcs_query_bound():

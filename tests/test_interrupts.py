@@ -3,8 +3,9 @@
 ``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
 charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form), in a match search of ``first_lcs``,
-at the one charge of its two-row kernel, or inside the branch search,
-whose rows also take either form. After the interrupt the caller simply
+at the one charge of its two-row kernel or of its kernel for fully
+matched ranges, or inside the branch search, whose rows also take
+either form. After the interrupt the caller simply
 calls again: the stream must equal the uninterrupted one, every cell
 must be released at exhaustion, and ``outputs_emitted`` must count
 exactly the outputs returned. Standalone library calls, ``find_branch``
@@ -84,24 +85,29 @@ def _cases():
                          ids=["periodic", "str", "bytes", "tuple"])
 def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
                                                             bit_rows):
-    # The two-row kernel holds 1-3% of the probes, in one charge per call:
-    # the sweep also interrupts five of those charges.
-    kernel_at = []
-    two_rows = hirschberg._two_rows
+    # Each kernel holds a few percent of the probes, in one charge per
+    # call: the sweep also interrupts five of each kernel's charges.
+    kernel_at = {"_two_rows": [], "_matched_rows": []}
 
-    def record(view, *args):
-        kernel_at.append(view.meter.eq_queries)
-        two_rows(view, *args)
+    def recorder(name):
+        kernel = getattr(hirschberg, name)
 
-    monkeypatch.setattr(hirschberg, "_two_rows", record)
+        def record(view, *args):
+            kernel_at[name].append(view.meter.eq_queries)
+            kernel(view, *args)
+        return record
+
+    for name in kernel_at:
+        monkeypatch.setattr(hirschberg, name, recorder(name))
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
     monkeypatch.undo()
     hit = set()
     search_bit_rows = False
     total = ref.counters.eq_queries_total
-    for at in [*range(0, total, max(1, total // 25)),
-               *kernel_at[::max(1, len(kernel_at) // 5)]]:
+    kernel_sweep = [at for ats in kernel_at.values()
+                    for at in ats[::max(1, len(ats) // 5)]]
+    for at in [*range(0, total, max(1, total // 25)), *kernel_sweep]:
         monkeypatch.setattr(enumerator_module, "Meter",
                             lambda: InterruptingMeter(at))
         enum = LcsEnumerator(MatchView(x, y))
@@ -123,7 +129,7 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     if ref.finished:
         assert ref.view.meter.live_cells == 0
     assert {"_fold_prefix_row", "_fold_suffix_row", "_two_rows",
-            "_branch_search"} <= hit
+            "_matched_rows", "_branch_search"} <= hit
     assert ("_fold_bits" in hit) == bit_rows
     assert search_bit_rows == bit_rows
 

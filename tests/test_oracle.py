@@ -7,7 +7,7 @@ import pytest
 from conftest import rand_pair
 from lcs_enum import MatchView
 from lcs_enum.oracle import dp_table, lcs_length, all_lcs_position_sequences, \
-    exhaustive_lcs_position_sequences
+    exhaustive_lcs_position_sequences, leftmost_lcs_positions
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -112,3 +112,13 @@ def test_oracles_agree():
         a = all_lcs_position_sequences(MatchView(x, y))
         b = exhaustive_lcs_position_sequences(MatchView(x, y))
         assert a == b, (x, y)
+
+
+def test_leftmost_is_the_first_traceback_sequence():
+    rng = random.Random(405)
+    for _ in range(500):
+        x, y = rand_pair(rng, 14, sigmas=(1, 2, 3, 4))
+        for pair in ((x, y), (x.encode(), y.encode()), (tuple(x), tuple(y))):
+            assert leftmost_lcs_positions(MatchView(*pair)) == \
+                all_lcs_position_sequences(MatchView(*pair))[0], pair
+    assert leftmost_lcs_positions(MatchView("ab", "cd")) == ()

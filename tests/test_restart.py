@@ -1,9 +1,9 @@
 """The restart's range-stack loop charges exactly what a recursion would.
 
 ``first_lcs`` runs one loop over a stack of pending ranges and solves
-two-row ranges in one kernel. The reference below is the plain
-recursion on the same split: one frame per call, one-row leaves
-scanned with ``next_y_match``. Positions, probes, peak cells and the
+two-row ranges, and ranges whose LCS takes every X row, each in one
+kernel. The reference below is the plain recursion on the same split:
+one frame per call, one-row leaves scanned with ``next_y_match``. Positions, probes, peak cells and the
 live cells left over must all be the same, for str, bytes and tuple
 views.
 """
@@ -15,7 +15,8 @@ import pytest
 from conftest import rand_string
 from lcs_enum import IndexRange, LcsEnumerator, MatchView, first_lcs
 from lcs_enum import enumerator as enumerator_module
-from lcs_enum.hirschberg import _FRAME_CELLS, _split
+from lcs_enum import hirschberg
+from lcs_enum.hirschberg import _FRAME_CELLS, _matched_rows, _split
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -37,7 +38,7 @@ def _recursive_into(view, i_lo, i_hi, j_lo, j_hi, out):
                 out.append(j)
                 meter.grow(1)
             return
-        i_mid, j_mid = _split(view, i_lo, i_hi, j_lo, j_hi)
+        i_mid, j_mid = _split(view, i_lo, i_hi, j_lo, j_hi)[:2]
         _recursive_into(view, i_lo, i_mid, j_lo, j_mid, out)
         _recursive_into(view, i_mid + 1, i_hi, j_mid + 1, j_hi, out)
     finally:
@@ -124,6 +125,52 @@ def test_deep_ranges_charge_what_the_recursion_charges(kind):
         y = rand_string(rng, rng.randint(1, 140), sigma)
         _assert_same_charge(kind, x, y, IndexRange(1, len(x)),
                             IndexRange(1, len(y)))
+
+
+# Widths of the fully matched ranges: both sides of one and two bit words.
+MATCHED_WIDTHS = (63, 64, 65, 127, 128)
+
+
+def _matched_pair(rng, rows, w, sigma):
+    """(x, y, xr, yr): X[xr] is a random subsequence of Y[yr], |yr| = w,
+    and a random character pads each end of both inputs."""
+    y = rand_string(rng, w, sigma)
+    x = "".join(y[k] for k in sorted(rng.sample(range(w), rows)))
+    pad = [rand_string(rng, 1, sigma) for _ in range(4)]
+    return (pad[0] + x + pad[1], pad[2] + y + pad[3],
+            IndexRange(2, rows + 1), IndexRange(2, w + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("w", MATCHED_WIDTHS)
+def test_fully_matched_ranges_charge_what_the_recursion_charges(
+        monkeypatch, kind, w):
+    calls = []
+
+    def record(view, i_lo, i_hi, *args):
+        calls.append(i_hi - i_lo + 1)
+        return _matched_rows(view, i_lo, i_hi, *args)
+
+    monkeypatch.setattr(hirschberg, "_matched_rows", record)
+    rng = random.Random(w)
+    for rows in range(2, 41):
+        x, y, xr, yr = _matched_pair(rng, rows, w, rng.choice([1, 2, 4]))
+        # The kernel alone, under the frame the loop grows for its range.
+        got_view, want_view = _view(kind, x, y), _view(kind, x, y)
+        got, want = got_view.meter, want_view.meter
+        got.grow(1)
+        want.grow(1)
+        out = []
+        got.grow(_FRAME_CELLS)
+        _matched_rows(got_view, xr.lo, xr.hi, yr.lo, yr.hi, out)
+        got.shrink(_FRAME_CELLS + len(out))
+        assert tuple(out) == _reference(want_view, xr, yr)
+        assert (got.eq_queries, got.peak_cells, got.live_cells) == \
+            (want.eq_queries, want.peak_cells, want.live_cells)
+        # Whole calls: the root's length is unknown, so its halves take it.
+        calls.clear()
+        _assert_same_charge(kind, x, y, xr, yr)
+        assert calls if rows > 2 else not calls
 
 
 def _stream(enum, limit):
