@@ -152,7 +152,8 @@ class MatchView:
     ASCII str); then it is a dict that the first bit fold fills with
     :func:`_bit_planes`, shared by every view :meth:`with_meter` makes.
     The coded pair and the planes, 2 * len_y bits per token X and Y
-    share, are read-only input storage, outside the cell count. ``y_slice`` renders the original Y.
+    share, are read-only input storage, outside the cell count.
+    ``y_slice`` renders the original Y.
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the

@@ -459,10 +459,10 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     character is a scan for its least match, a longer one whose length
     is its row count is :func:`_matched_rows`, one of two is
     :func:`_two_rows`, and any other is split, pushing the right part
-    under the left with the lengths the split found. The meter holds one frame per level of
-    the range being solved, grown and shrunk where a recursion would
-    enter and leave its calls, so probes and peak cells are the
-    recursion's. Frames are released when it returns or raises.
+    under the left with the lengths the split found. The meter holds one
+    frame per level of the range being solved, grown and shrunk where a
+    recursion would enter and leave its calls, so probes and peak cells
+    are the recursion's. Frames are released when it returns or raises.
     """
     meter = view.meter
     # The root's LCS length is unknown: -1 matches no row count.

@@ -5,12 +5,11 @@ charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form), in a match search of ``first_lcs``,
 at the one charge of its two-row kernel or of its kernel for fully
 matched ranges, or inside the branch search, whose rows also take
-either form. After the interrupt the caller simply
-calls again: the stream must equal the uninterrupted one, every cell
-must be released at exhaustion, and ``outputs_emitted`` must count
-exactly the outputs returned. Standalone library calls, ``find_branch``
-and ``greedy_embedding`` among them, must release every cell they
-charged.
+either form. After the interrupt the caller simply calls again: the
+stream must equal the uninterrupted one, every cell must be released
+at exhaustion, and ``outputs_emitted`` must count exactly the outputs
+returned. Standalone library calls, ``find_branch`` and
+``greedy_embedding`` among them, must release every cell they charged.
 """
 
 import random

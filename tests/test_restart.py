@@ -3,9 +3,9 @@
 ``first_lcs`` runs one loop over a stack of pending ranges and solves
 two-row ranges, and ranges whose LCS takes every X row, each in one
 kernel. The reference below is the plain recursion on the same split:
-one frame per call, one-row leaves scanned with ``next_y_match``. Positions, probes, peak cells and the
-live cells left over must all be the same, for str, bytes and tuple
-views.
+one frame per call, one-row leaves scanned with ``next_y_match``.
+Positions, probes, peak cells and the live cells left over must all be
+the same, for str, bytes and tuple views.
 """
 
 import random
