@@ -13,10 +13,12 @@ leftmost rule (ending at some X position at or before the current scan
 frontier i*), and do the remaining inputs after that embedding still
 admit |P| - k more common characters? The first question is answered by
 searching X for a match; the second by a suffix threshold sequence for
-X[i*+1..] against all of Y, maintained incrementally: every time i*
-moves one step left, one suffix row fold adds X[i*] to it in O(|Y|)
-probes. i* never moves right, so a whole call performs at most |X|
-folds and O(|X| * |Y|) probes overall while keeping O(L) integers.
+X[i*+1..] against all of Y, maintained incrementally: a suffix row fold
+adds a row of X to it in O(|Y|) probes, and the rows i* has passed
+since the last check are folded in one run, in decreasing i, just
+before each check (and before the search returns). i* never moves
+right, so a whole call folds at most |X| rows and charges
+O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 The rows start in the list form of :mod:`lcs_enum.hirschberg` and
 switch to its bit form under the rule of the restart's folds over w =
@@ -159,12 +161,14 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),
                                    i_kept, q)
-        i_star = view.len_x
+        # The thresholds hold X[folded + 1..]; the rows X[folded], ..,
+        # X[i_star + 1] that i* has passed since are folded in one run
+        # before the next residual check, or before the search returns.
+        folded = i_star = view.len_x
         for k in range(length, 0, -1):
             end = q.pop()
             if i_star >= end:
-                fold(i_star, end - 1)
-                i_star = end - 1
+                i_star = end - 1  # X[end..folded] wait for the next run
             if k == k_kept:
                 _embed(view, islice(positions, k - 1), 0, q)
             base = q[-1]
@@ -178,9 +182,9 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                     meter.eq_queries += i_star - base
                     continue
                 meter.eq_queries += hit + 1 - base
-                if i_star > hit + 1:
-                    fold(i_star, hit + 1)
-                    i_star = hit + 1
+                i_star = hit + 1  # X[hit + 2..folded] wait too, if any
+                fold(folded, i_star)
+                folded = i_star
                 # Residual check: the inputs after (i_star, j_star) must reach
                 # level need; more would contradict L being the LCS length.
                 # In the bit form, the levels above j_star are the 0-bits
@@ -194,9 +198,10 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                     t = len_y - j_star
                     if t - (v & ((1 << t) - 1)).bit_count() >= need:
                         return k, j_star, i_star
-                # Larger i*, j* pairs cannot help once this one failed.
-                fold(i_star, i_star - 1)
+                # Larger i*, j* pairs cannot help once this one failed;
+                # X[i_star] waits for the next run with the others.
                 i_star -= 1
+        fold(folded, i_star)
         return None
     finally:
         # Nothing the search charges is released before it ends, so its

@@ -187,6 +187,7 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
         planes.update(_bit_planes(view._x, view._y))
     w = full.bit_count()
     x = view._x
+    from_bytes = int.from_bytes
     for i in rows:
         meter.eq_queries += w
         plane = planes.get(x[i - 1])
@@ -194,7 +195,7 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
             continue
         # V & M drops the mask bits outside V's positions, so no carry or
         # borrow reaches them.
-        u = v & int.from_bytes(plane[suffix][a:b], "little")
+        u = v & from_bytes(plane[suffix][a:b], "little")
         v = ((v + u) | (v - u)) & full
     return v
 

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: a full DP length table, a
 memoized traceback that collects the set of distinct LCS strings, and
-an even slower generator that tries every index combination. A suffix
-table walk gives the first of those sequences at any size. The two
-disagree-by-construction implementations exist so the fast enumerator
-can be validated against answers produced two independent ways.
+an even slower generator that tries every index combination. Suffix
+table walks give the first of those sequences, and the whole stream
+lazily, at any size. The two disagree-by-construction implementations
+exist so the fast enumerator can be validated against answers produced
+two independent ways.
 
 Canonical form matches the enumerator's: each distinct LCS string is
 reported once, as the positions of its leftmost embedding into Y, and
@@ -115,6 +116,59 @@ def leftmost_lcs_positions(view: MatchView) -> tuple[int, ...]:
             i, need = i_match + 1, need - 1
         j += 1
     return tuple(out)
+
+
+def lcs_position_stream(view: MatchView):
+    """Yield every distinct LCS as leftmost Y positions, in lexicographic
+    order, lazily, at any input size.
+
+    Equals ``iter(all_lcs_position_sequences(view))`` without collecting
+    the set. With t[i][j] = L(X[i..], Y[j..]), a distinct LCS of X[i..],
+    Y[j..] is a token c, at its first occurrences a = nx(i, c) in X and
+    b = ny(j, c) in Y, followed by a distinct LCS of X[a+1..], Y[b+1..];
+    c qualifies when t[a + 1][b + 1] = t[i][j] - 1. A depth-first walk
+    that takes these children in increasing b yields the leftmost
+    positions in the enumerator's order. nx and ny are tables too, and
+    the walk keeps an explicit stack, since L may run to the hundreds.
+    """
+    m, n = view.len_x, view.len_y
+    t = [[0] * (n + 2) for _ in range(m + 2)]
+    nx = [[m + 1] * (n + 2) for _ in range(m + 2)]  # least a >= i, X[a] = Y[j]
+    ny = [[n + 1] * (n + 2) for _ in range(m + 2)]  # least b >= j, Y[b] = X[i]
+    for i in range(m, 0, -1):
+        row, below, nx_row, ny_row = t[i], t[i + 1], nx[i], ny[i]
+        for j in range(n, 0, -1):
+            if view.eq(i, j):
+                row[j] = below[j + 1] + 1
+                nx_row[j], ny_row[j] = i, j
+            else:
+                row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
+                nx_row[j], ny_row[j] = nx[i + 1][j], ny_row[j + 1]
+    if t[1][1] == 0:
+        yield ()
+        return
+    path: list[int] = []
+    stack = [[1, 1, 1]]  # a node (i, j) and the next b to try as a child
+    while stack:
+        frame = stack[-1]
+        i, j, b = frame
+        level = t[i][j]
+        # b is the first occurrence of its token in Y[j..] if ny finds it.
+        while b <= n and not ((a := nx[i][b]) <= m and ny[a][j] == b
+                              and t[a + 1][b + 1] == level - 1):
+            b += 1
+        if b > n:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        frame[2] = b + 1
+        path.append(b)
+        if level == 1:
+            yield tuple(path)
+            path.pop()
+        else:
+            stack.append([a + 1, b + 1, b + 1])
 
 
 def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:

@@ -13,15 +13,13 @@ import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MinimalSeq, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
                       first_lcs, prefix_thresholds, split_point,
                       suffix_thresholds)
 from lcs_enum import branching, core, hirschberg
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 FUNCTIONS = (prefix_thresholds, suffix_thresholds, first_lcs, split_point)
 # Widths on both sides of 16 and 64 positions and of two words.

@@ -1,13 +1,18 @@
 """Branch search: greedy embedding, the i* frontier, and (k*, j*)."""
 
 import random
+import sys
+from itertools import islice
 
 import pytest
 
-from conftest import rand_pair
+from conftest import MinimalSeq, rand_pair, rand_string
 from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
-    BranchPoint, suffix_thresholds
-from lcs_enum.hirschberg import _fold_suffix_row
+    BranchPoint, LcsEnumerator, suffix_thresholds
+from lcs_enum import branching, enumerator as enumerator_module
+from lcs_enum.branching import _embed
+from lcs_enum.hirschberg import _FRAME_CELLS, _bit_form, _bit_rows, \
+    _fold_suffix_row, _switch_rule
 from lcs_enum.oracle import all_lcs_position_sequences
 
 X1 = "acddadacbcb"
@@ -183,3 +188,174 @@ def test_find_branch_releases_all_cells():
         view = MatchView(x, y)
         find_branch(view, all_lcs_position_sequences(view)[0])
         assert view.meter.live_cells == 0
+
+
+# --- the search folds its pending rows in one run per residual check ----
+
+def _eager_search(view, positions, k_kept, i_kept):
+    """The branch search that folds each suffix row as soon as i* passes
+    it: the reference the lazy search must charge exactly like."""
+    meter = view.meter
+    x, y, find, len_y = view._x, view._y, view._find, view.len_y
+    length = len(positions)
+    live = meter.live_cells
+    meter.grow(_FRAME_CELLS + 1 + length)
+    q = [0, i_kept] if k_kept else [0]
+    j_suffix = []
+    v = None
+    switch, rows_left = _switch_rule(view, len_y)
+    full = (1 << len_y) - 1
+    size = (len_y + 7) >> 3
+
+    def fold(i, stop):
+        nonlocal v
+        if v is None:
+            while i > stop and (len(j_suffix) < switch or i < rows_left):
+                _fold_suffix_row(view, i, 1, len_y, j_suffix)
+                i -= 1
+            if i == stop:
+                return
+            v = _bit_form(j_suffix, 1, len_y, 0, True)
+        v = _bit_rows(view, range(i, stop, -1), v, full, 0, size, True)
+
+    try:
+        meter.eq_queries += _embed(view, islice(positions, k_kept, None),
+                                   i_kept, q)
+        i_star = view.len_x
+        for k in range(length, 0, -1):
+            end = q.pop()
+            if i_star >= end:
+                fold(i_star, end - 1)
+                i_star = end - 1
+            if k == k_kept:
+                _embed(view, islice(positions, k - 1), 0, q)
+            base = q[-1]
+            need = length - k
+            for j_star in range(positions[k - 1] + 1, len_y + 1):
+                if base >= i_star:
+                    break
+                hit = find(x, y[j_star - 1], base, i_star)
+                if hit < 0:
+                    meter.eq_queries += i_star - base
+                    continue
+                meter.eq_queries += hit + 1 - base
+                if i_star > hit + 1:
+                    fold(i_star, hit + 1)
+                    i_star = hit + 1
+                if need == 0:
+                    return k, j_star, i_star
+                if v is None:
+                    if len(j_suffix) >= need and j_star < j_suffix[need - 1]:
+                        return k, j_star, i_star
+                else:
+                    t = len_y - j_star
+                    if t - (v & ((1 << t) - 1)).bit_count() >= need:
+                        return k, j_star, i_star
+                fold(i_star, i_star - 1)
+                i_star -= 1
+        return None
+    finally:
+        meter.grow(len(j_suffix) if v is None else len_y - v.bit_count())
+        meter.shrink(meter.live_cells - live)
+
+
+_FOLD_CODE = next(c for c in branching._branch_search.__code__.co_consts
+                  if getattr(c, "co_name", None) == "fold")
+
+
+def _lazy_search(view, positions, k_kept, i_kept):
+    """``_branch_search`` with its fold runs and residual checks counted.
+
+    Every hit of a candidate search, which scans X below len_x, is
+    followed by one residual check; ``fold`` calls are counted from the
+    profile hook, the candidate hits through a wrapped search.
+    """
+    counts = {"folds": 0, "checks": 0}
+    find, len_x = view._find, view.len_x
+
+    def counted_find(seq, item, lo, hi):
+        k = find(seq, item, lo, hi)
+        counts["checks"] += hi < len_x and k >= 0
+        return k
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is _FOLD_CODE:
+            counts["folds"] += 1
+
+    view._find = counted_find
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return branching._branch_search(view, positions, k_kept, i_kept), \
+            counts
+    finally:
+        sys.setprofile(old)
+        view._find = find
+
+
+def _search_calls(view, limit):
+    """(positions, k_kept, i_kept) of the searches in the first ``limit``
+    outputs of the enumeration of ``view``'s pair."""
+    calls = []
+    search = enumerator_module._branch_search
+
+    def record(view, p, k, i):
+        calls.append((tuple(p), k, i))
+        return search(view, p, k, i)
+
+    enumerator_module._branch_search = record
+    try:
+        for _ in islice(LcsEnumerator(view), limit):
+            pass
+    finally:
+        enumerator_module._branch_search = search
+    return calls
+
+
+def _lazy_pairs():
+    """Pairs with len_y around one and two bit words: random ones, whose
+    streams run long; X near a subsequence of Y, whose streams end; and
+    periodic ones, whose searches often return at the last position."""
+    rng = random.Random(206)
+    for w in (63, 64, 65, 127, 128, 129):
+        sigma = rng.choice((2, 4))
+        y = rand_string(rng, w, sigma)
+        yield rand_string(rng, rng.randint(40, 160), sigma), y
+        x = [c for c in y if rng.random() < 0.6]
+        for _ in range(3):
+            x.insert(rng.randrange(len(x) + 1), rand_string(rng, 1, sigma))
+        yield "".join(x), y
+        yield ("abcd" * 40)[:rng.randint(40, 160)], ("dcba" * 33)[:w]
+
+
+VIEW_KINDS = {"str": lambda s: s, "bytes": str.encode, "tuple": tuple,
+              "minimal": MinimalSeq}
+
+
+def test_lazy_search_charges_what_the_eager_search_charges():
+    ends = lasts = runs = 0
+    for x, y in _lazy_pairs():
+        for name, kind in VIEW_KINDS.items():
+            calls = _search_calls(MatchView(kind(x), kind(y)), 12)
+            for positions, k_kept, i_kept in calls:
+                got_view = MatchView(kind(x), kind(y))
+                want_view = MatchView(kind(x), kind(y))
+                # A live cell on entry shows that nothing below it is released.
+                got_view.meter.grow(1)
+                want_view.meter.grow(1)
+                got, counts = _lazy_search(got_view, positions, k_kept,
+                                           i_kept)
+                want = _eager_search(want_view, positions, k_kept, i_kept)
+                case = (name, x, y, positions, k_kept, i_kept)
+                assert got == want, case
+                g, w = got_view.meter, want_view.meter
+                assert (g.eq_queries, g.peak_cells, g.live_cells) == \
+                    (w.eq_queries, w.peak_cells, w.live_cells), case
+                assert w.live_cells == 1
+                # One fold run before each residual check, one at exit.
+                assert counts["folds"] <= counts["checks"] + 1, case
+                ends += got is None
+                lasts += got is not None and got[0] == len(positions)
+                runs += 1
+    # Searches that return None, and at need == 0, are both exercised.
+    assert ends >= 24 and lasts >= 16 and runs >= 360

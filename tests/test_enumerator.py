@@ -3,13 +3,14 @@
 import math
 import random
 from enum import IntEnum
+from itertools import islice
 
 import pytest
 
 from conftest import MinimalSeq, rand_pair, rand_string
 from lcs_enum import MatchView, LcsEnumerator, core, iter_lcs_positions
 from lcs_enum.oracle import all_lcs_position_sequences, \
-    exhaustive_lcs_position_sequences
+    exhaustive_lcs_position_sequences, lcs_position_stream
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -212,6 +213,24 @@ def test_uncoded_tuples_and_lists_search_with_index():
             assert MatchView(*pair)._find is core._index_find
             assert _stream(*pair, 200) == want
     assert MatchView(MinimalSeq("ab"), tuple("ab"))._find is core._loop_find
+
+
+def test_streams_past_the_traceback_equal_the_suffix_table_walk():
+    # len_y around one and two bit words, where the branch search's rows
+    # switch to the bit form, far past the traceback oracle's 14.
+    rng = random.Random(13)
+    for w in (63, 64, 65, 127, 128, 129):
+        for sigma in (2, 2, 4, 4):
+            x = rand_string(rng, rng.randint(40, 160), sigma)
+            y = rand_string(rng, w, sigma)
+            want = list(islice(lcs_position_stream(MatchView(x, y)), 300))
+            for pair in ((x, y), (x.encode(), y.encode()),
+                         (tuple(x), tuple(y))):
+                assert list(islice(LcsEnumerator(MatchView(*pair)), 300)) \
+                    == want, pair
+    x, y = "abcd" * 25, "dcba" * 25
+    assert list(islice(LcsEnumerator(MatchView(x, y)), 2000)) == \
+        list(islice(lcs_position_stream(MatchView(x, y)), 2000))
 
 
 def test_multi_character_tokens_are_not_substrings():

@@ -7,7 +7,8 @@ import pytest
 from conftest import rand_pair
 from lcs_enum import MatchView
 from lcs_enum.oracle import dp_table, lcs_length, all_lcs_position_sequences, \
-    exhaustive_lcs_position_sequences, leftmost_lcs_positions
+    exhaustive_lcs_position_sequences, leftmost_lcs_positions, \
+    lcs_position_stream
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -122,3 +123,15 @@ def test_leftmost_is_the_first_traceback_sequence():
             assert leftmost_lcs_positions(MatchView(*pair)) == \
                 all_lcs_position_sequences(MatchView(*pair))[0], pair
     assert leftmost_lcs_positions(MatchView("ab", "cd")) == ()
+
+
+def test_stream_is_the_traceback_oracle():
+    rng = random.Random(406)
+    for _ in range(500):
+        x, y = rand_pair(rng, 14, sigmas=(1, 2, 3, 4))
+        for pair in ((x, y), (x.encode(), y.encode()), (tuple(x), tuple(y))):
+            assert list(lcs_position_stream(MatchView(*pair))) == \
+                all_lcs_position_sequences(MatchView(*pair)), pair
+    assert list(lcs_position_stream(MatchView("ab", "cd"))) == [()]
+    assert list(lcs_position_stream(MatchView(X1, Y1))) == \
+        all_lcs_position_sequences(MatchView(X1, Y1))

@@ -8,13 +8,10 @@ reports: positions, probes and peak cells depend only on which
 positions match.
 """
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcs_enum import BranchPoint, LcsEnumerator, MatchView, find_branch
 from lcs_enum.oracle import all_lcs_position_sequences
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 DELAY_CONSTANT = 4
 

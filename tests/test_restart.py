@@ -11,15 +11,13 @@ the same, for str, bytes and tuple views.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rand_string
 from lcs_enum import IndexRange, LcsEnumerator, MatchView, first_lcs
 from lcs_enum import enumerator as enumerator_module
 from lcs_enum import hirschberg
 from lcs_enum.hirschberg import _FRAME_CELLS, _matched_rows, _split
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 KINDS = (str, bytes, tuple)
 # Y widths: empty, short, and on both sides of one and two bit words.
