@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive: a full DP length table, a
 memoized traceback that collects the set of distinct LCS strings, and
-an even slower generator that tries every index combination. Suffix
-table walks give the first of those sequences, and the whole stream
-lazily, at any size. The two disagree-by-construction implementations
-exist so the fast enumerator can be validated against answers produced
-two independent ways.
+an even slower generator that tries every index combination. A suffix
+table walk yields the same sequences lazily at any size, the first of
+them included. The two disagree-by-construction implementations exist
+so the fast enumerator can be validated against answers produced two
+independent ways.
 
 Canonical form matches the enumerator's: each distinct LCS string is
 reported once, as the positions of its leftmost embedding into Y, and
@@ -86,44 +86,13 @@ def all_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
     return sorted(_leftmost_embedding(y, s) for s in all_strings)
 
 
-def leftmost_lcs_positions(view: MatchView) -> tuple[int, ...]:
-    """The lexicographically least LCS position sequence, any input size.
-
-    Equals ``all_lcs_position_sequences(view)[0]`` without collecting the
-    set, so it checks ``first_lcs`` past the traceback's size guard. A
-    suffix table s[i][j] = L(X[i..], Y[j..]) gives every level, then the
-    walk takes the least j' whose least match i' still reaches the
-    needed level: a later i' only leaves less of X. Each j' is tried
-    once, so the walk adds at most len_x * len_y probes to the table's.
-    """
-    m, n = view.len_x, view.len_y
-    s = [[0] * (n + 2) for _ in range(m + 2)]
-    for i in range(m, 0, -1):
-        row, below = s[i], s[i + 1]
-        for j in range(n, 0, -1):
-            if view.eq(i, j):
-                row[j] = below[j + 1] + 1
-            else:
-                row[j] = below[j] if below[j] >= row[j + 1] else row[j + 1]
-    out = []
-    i, j, need = 1, 1, s[1][1]
-    while need:
-        i_match = i
-        while i_match <= m and not view.eq(i_match, j):
-            i_match += 1
-        if i_match <= m and s[i_match + 1][j + 1] == need - 1:
-            out.append(j)
-            i, need = i_match + 1, need - 1
-        j += 1
-    return tuple(out)
-
-
 def lcs_position_stream(view: MatchView):
     """Yield every distinct LCS as leftmost Y positions, in lexicographic
     order, lazily, at any input size.
 
     Equals ``iter(all_lcs_position_sequences(view))`` without collecting
-    the set. With t[i][j] = L(X[i..], Y[j..]), a distinct LCS of X[i..],
+    the set, so it checks the enumerator past the traceback's size
+    guard. With t[i][j] = L(X[i..], Y[j..]), a distinct LCS of X[i..],
     Y[j..] is a token c, at its first occurrences a = nx(i, c) in X and
     b = ny(j, c) in Y, followed by a distinct LCS of X[a+1..], Y[b+1..];
     c qualifies when t[a + 1][b + 1] = t[i][j] - 1. A depth-first walk
@@ -169,6 +138,16 @@ def lcs_position_stream(view: MatchView):
             path.pop()
         else:
             stack.append([a + 1, b + 1, b + 1])
+
+
+def leftmost_lcs_positions(view: MatchView) -> tuple[int, ...]:
+    """The lexicographically least LCS position sequence, any input size.
+
+    Equals ``all_lcs_position_sequences(view)[0]`` without collecting the
+    set, so it checks ``first_lcs`` past the traceback's size guard: the
+    first output of :func:`lcs_position_stream`.
+    """
+    return next(lcs_position_stream(view))
 
 
 def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:

@@ -293,25 +293,6 @@ def _lazy_search(view, positions, k_kept, i_kept):
         view._find = find
 
 
-def _search_calls(view, limit):
-    """(positions, k_kept, i_kept) of the searches in the first ``limit``
-    outputs of the enumeration of ``view``'s pair."""
-    calls = []
-    search = enumerator_module._branch_search
-
-    def record(view, p, k, i):
-        calls.append((tuple(p), k, i))
-        return search(view, p, k, i)
-
-    enumerator_module._branch_search = record
-    try:
-        for _ in islice(LcsEnumerator(view), limit):
-            pass
-    finally:
-        enumerator_module._branch_search = search
-    return calls
-
-
 def _lazy_pairs():
     """Pairs with len_y around one and two bit words: random ones, whose
     streams run long; X near a subsequence of Y, whose streams end; and
@@ -332,11 +313,21 @@ VIEW_KINDS = {"str": lambda s: s, "bytes": str.encode, "tuple": tuple,
               "minimal": MinimalSeq}
 
 
-def test_lazy_search_charges_what_the_eager_search_charges():
+def test_lazy_search_charges_what_the_eager_search_charges(monkeypatch):
+    # The searches of an enumeration, from its carried (k_kept, i_kept).
+    calls = []
+    search = branching._branch_search
+
+    def record(view, p, k, i):
+        calls.append((tuple(p), k, i))
+        return search(view, p, k, i)
+
+    monkeypatch.setattr(enumerator_module, "_branch_search", record)
     ends = lasts = runs = 0
     for x, y in _lazy_pairs():
         for name, kind in VIEW_KINDS.items():
-            calls = _search_calls(MatchView(kind(x), kind(y)), 12)
+            calls.clear()
+            list(islice(LcsEnumerator(MatchView(kind(x), kind(y))), 12))
             for positions, k_kept, i_kept in calls:
                 got_view = MatchView(kind(x), kind(y))
                 want_view = MatchView(kind(x), kind(y))
