@@ -13,20 +13,22 @@ leftmost rule (ending at some X position at or before the current scan
 frontier i*), and do the remaining inputs after that embedding still
 admit |P| - k more common characters? The first question is answered by
 searching X for a match; the second by a suffix threshold sequence for
-X[i*+1..] against all of Y, maintained incrementally: a suffix row fold
-adds a row of X to it in O(|Y|) probes, and the rows i* has passed
-since the last check are folded in one run, in decreasing i, just
-before each check (and before the search returns). i* never moves
-right, so a whole call folds at most |X| rows and charges
-O(|X| * |Y|) probes overall while keeping O(L) integers.
+X[i*+1..] against all of Y, maintained incrementally as the prefix
+thresholds of the view's mirror (its rows 1, 2, .. are X[|X|],
+X[|X| - 1], ..): a row fold adds a row of X in O(|Y|) probes, and the
+rows i* has passed since the last check are folded in one run, in
+decreasing i, just before each check (and before the search returns).
+i* never moves right, so a whole call folds at most |X| rows and
+charges O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 The rows start in the list form of :mod:`lcs_enum.hirschberg` and
 switch to its bit form under the rule of the restart's folds over w =
 |Y| positions, where the rows left are X[i*], .., X[1]: with bit-planes,
 at a level per 64 positions of Y if |Y| >= 64, else at 4 levels with
 at least 4 rows left. From then on the thresholds are the 0-bits of one
-|Y|-bit integer, each row's mask is its token's whole reverse plane,
-and the second question is one ``bit_count`` of the bits above j*.
+|Y|-bit integer, bit |Y| - j standing for j, each row's mask is its
+token's whole plane in the mirror, and the second question is one
+``bit_count`` of the bits above j*.
 
 X is searched with the view's bound search, charged what a scan with
 early exit would cost. The greedy embedding is one loop charged once:
@@ -49,7 +51,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
-from .hirschberg import (_FRAME_CELLS, _bit_form, _bit_rows, _fold_suffix_row,
+from .hirschberg import (_FRAME_CELLS, _bit_form, _bit_rows, _fold_prefix_row,
                          _switch_rule)
 
 
@@ -84,7 +86,7 @@ def _embed(view: MatchView, positions: Iterable[int], i: int,
         # The search is 0-based: the match at index k is X position k + 1.
         i = find(x, y[j - 1], i, len_x) + 1
         if not i:
-            view.meter.eq_queries += len_x
+            view._meter.eq_queries += len_x
             raise ValueError("sequence does not embed into the first input")
         q.append(i)
     return i
@@ -101,7 +103,7 @@ def greedy_embedding(view: MatchView, positions: Iterable[int]) -> list[int]:
     positions = tuple(positions)  # read twice: checked, then walked
     _check_positions(view, positions)
     q: list[int] = []
-    view.meter.eq_queries += _embed(view, positions, 0, q)
+    view._meter.eq_queries += _embed(view, positions, 0, q)
     return q
 
 
@@ -126,37 +128,41 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     k_kept is 0); the positions are valid. Probes and cells are those of
     a search that embeds all of P from X[1].
     """
-    meter = view.meter
+    meter = view._meter
+    mirror = view._mirror
     x, y, find, len_y = view._x, view._y, view._find, view.len_y
+    n1, m1 = view.len_x + 1, len_y + 1
     length = len(positions)
     # q[k]: least X end embedding Y[P[1..k]] (q[0] = 0), charged before the
-    # walk's probes; j_suffix[l-1]: greatest j with L(X[i*+1..], Y[j..]) = l.
+    # walk's probes; t[l-1]: least j' with L(X[i*+1..], Y[m1-j'..]) = l, the
+    # mirror's prefix threshold for the greatest such start m1 - j'.
     # q is a stack read from the top; it holds q[0] and q[k_kept..] until
     # the search reaches k_kept, which walks the kept prefix to fill it.
     live = meter.live_cells
     meter.grow(_FRAME_CELLS + 1 + length)
     q = [0, i_kept] if k_kept else [0]
-    j_suffix: list[int] = []
+    t: list[int] = []
     # Under the rule of the restart's folds, the thresholds become the
-    # 0-bits of v, bit len_y - j standing for j: the rows span all of Y,
-    # so a row's mask is its token's whole reverse plane.
+    # 0-bits of v, bit j' - 1 = len_y - j standing for j: the rows span
+    # all of Y, so a row's mask is its token's whole mirrored plane.
     v = None
     switch, rows_left = _switch_rule(view, len_y)
     full = (1 << len_y) - 1
     size = (len_y + 7) >> 3
 
     def fold(i: int, stop: int) -> None:
-        """Fold X[i], X[i - 1], .., X[stop + 1] into the thresholds."""
+        """Fold X[i], X[i - 1], .., X[stop + 1] into the thresholds: the
+        mirror's rows n1 - i, .., n1 - stop - 1."""
         nonlocal v
         if v is None:
             # Rows X[i], .., X[1] are all the search can still fold.
-            while i > stop and (len(j_suffix) < switch or i < rows_left):
-                _fold_suffix_row(view, i, 1, len_y, j_suffix)
+            while i > stop and (len(t) < switch or i < rows_left):
+                _fold_prefix_row(mirror, n1 - i, 1, len_y, t)
                 i -= 1
             if i == stop:
                 return
-            v = _bit_form(j_suffix, 1, len_y, 0, True)
-        v = _bit_rows(view, range(i, stop, -1), v, full, 0, size, True)
+            v = _bit_form(t, 1, len_y, 0)
+        v = _bit_rows(mirror, range(n1 - i, n1 - stop), v, full, 0, size)
 
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),
@@ -188,15 +194,15 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                 # Residual check: the inputs after (i_star, j_star) must reach
                 # level need; more would contradict L being the LCS length.
                 # In the bit form, the levels above j_star are the 0-bits
-                # below bit t = len_y - j_star.
+                # below bit b = len_y - j_star.
                 if need == 0:
                     return k, j_star, i_star
                 if v is None:
-                    if len(j_suffix) >= need and j_star < j_suffix[need - 1]:
+                    if len(t) >= need and t[need - 1] < m1 - j_star:
                         return k, j_star, i_star
                 else:
-                    t = len_y - j_star
-                    if t - (v & ((1 << t) - 1)).bit_count() >= need:
+                    b = len_y - j_star
+                    if b - (v & ((1 << b) - 1)).bit_count() >= need:
                         return k, j_star, i_star
                 # Larger i*, j* pairs cannot help once this one failed;
                 # X[i_star] waits for the next run with the others.
@@ -207,5 +213,5 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
         # Nothing the search charges is released before it ends, so its
         # levels are charged once, here, and the peak is the one a charge
         # per new level would set. In the bit form they are v's 0-bits.
-        meter.grow(len(j_suffix) if v is None else len_y - v.bit_count())
+        meter.grow(len(t) if v is None else len_y - v.bit_count())
         meter.shrink(meter.live_cells - live)

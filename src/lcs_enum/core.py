@@ -14,14 +14,17 @@ of the view reach the inputs only through it, and the attached
 
 The view fixes the form in which it searches the pair once, at
 construction (:func:`_code`): a str pair stays str, byte-valued inputs
-become two bytes, and anything else is searched as given: forward by
-``index`` when both sides are a tuple or a list, else by element loops.
-Its one scan primitive, :meth:`MatchView.next_y_match`, charges
+become two bytes, and anything else becomes two tuples, searched with
+``tuple.index``. Each form has one forward search. The view also holds
+its mirror, a view of the reversed searched pair that shares its meter:
+X[i] is the mirror's X[len_x + 1 - i] and Y[j] its Y[len_y + 1 - j], so
+every backward question about the pair is a forward one about the
+mirror. Its one scan primitive, :meth:`MatchView.next_y_match`, charges
 the probes a left-to-right scan with early exit would make, so probe
 counts never depend on the search underneath. The threshold folds and
 the branch search (:mod:`lcs_enum.hirschberg`, :mod:`lcs_enum.branching`)
-call the view's two unmetered searches directly and charge the meter
-themselves.
+call the unmetered search of the view or of its mirror directly and
+charge the meter themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 from typing import Sequence
 
 _CODABLE = (bytes, bytearray, tuple, list)
-_INDEXABLE = (tuple, list)
 # Byte value c selects _ONE_HOT[255 - c:511 - c], a translate table that
 # maps byte c to b"1" and every other byte to b"0".
 _ONE_HOT = b"0" * 255 + b"1" + b"0" * 255
@@ -70,7 +72,7 @@ class Meter:
 
 
 def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
-    """The pair in a form whose own find/rfind search it exactly, or None.
+    """The pair in a form whose own find searches it exactly, or None.
 
     A str pair is returned unchanged. Two inputs that are exactly bytes,
     bytearray, tuple or list become two bytes when every token is an int
@@ -94,10 +96,9 @@ def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
 def _bit_planes(x, y) -> dict:
     """Per-token bit-planes of Y for the tokens that X and Y share.
 
-    Maps each shared token, as ``x`` holds it, to a pair of little-endian
-    bitsets of ``(len(y) + 7) // 8`` bytes: forward, whose bit j - 1 is
-    set when Y[j] is the token, and reverse, whose bit len(y) - j is.
-    The pair must be bytes or two ASCII str.
+    Maps each shared token, as ``x`` holds it, to a little-endian bitset
+    of ``(len(y) + 7) // 8`` bytes whose bit j - 1 is set when Y[j] is
+    the token. The pair must be bytes or two ASCII str.
     """
     yb = y.encode() if isinstance(y, str) else y
     size = (len(yb) + 7) // 8
@@ -106,8 +107,7 @@ def _bit_planes(x, y) -> dict:
         c = ord(t) if isinstance(t, str) else t
         s = yb.translate(_ONE_HOT[255 - c:511 - c])  # character k is Y[k + 1]
         # int(.., 2) reads its first character as the highest bit.
-        planes[t] = (int(s[::-1], 2).to_bytes(size, "little"),
-                     int(s, 2).to_bytes(size, "little"))
+        planes[t] = int(s[::-1], 2).to_bytes(size, "little")
     return planes
 
 
@@ -116,22 +116,6 @@ def _index_find(seq, item, lo: int, hi: int) -> int:
         return seq.index(item, lo, hi)
     except ValueError:
         return -1
-
-
-def _loop_find(seq, item, lo: int, hi: int) -> int:
-    for k in range(lo, hi):
-        e = seq[k]
-        if e is item or e == item:
-            return k
-    return -1
-
-
-def _loop_rfind(seq, item, lo: int, hi: int) -> int:
-    for k in range(hi - 1, lo - 1, -1):
-        e = seq[k]
-        if e is item or e == item:
-            return k
-    return -1
 
 
 class MatchView:
@@ -143,17 +127,20 @@ class MatchView:
     with a bytes input is rejected: they share no token, which almost
     always means one side was not decoded.
 
-    ``_x`` and ``_y`` hold the pair as searched, coded or as given, and
-    ``_find``/``_rfind(seq, item, lo, hi)`` search either side of it:
-    the least (greatest) 0-based k in [lo, hi) with seq[k] equal to
-    ``item``, or -1; an uncoded tuple or list pair searches forward with
-    ``index``, C-level and under the same rule. ``_planes`` is None
-    unless the folds may take the bit form (the pair is bytes, or two
-    ASCII str); then it is a dict that the first bit fold fills with
-    :func:`_bit_planes`, shared by every view :meth:`with_meter` makes.
-    The coded pair and the planes, 2 * len_y bits per token X and Y
-    share, are read-only input storage, outside the cell count.
-    ``y_slice`` renders the original Y.
+    ``_x`` and ``_y`` hold the pair as searched: str, coded bytes, or
+    two tuples. ``_find(seq, item, lo, hi)`` searches either side of it:
+    the least 0-based k in [lo, hi) with seq[k] equal to ``item``, or
+    -1. ``_mirror`` is the view of the reversed searched pair, whose
+    own mirror is this view; the two share one meter, and assigning
+    ``meter`` sets both. ``_planes`` is None unless the folds may take
+    the bit form (the pair is bytes, or two ASCII str); then it is a
+    dict that the view's first bit fold fills with :func:`_bit_planes`,
+    and the mirror has its own. Every view :meth:`with_meter` makes
+    shares both dicts. The searched pair, its mirror (n + m characters
+    or bytes, or two tuples of references) and the planes, len_y bits
+    per token X and Y share in each orientation, are read-only input
+    storage, outside the cell count. ``y_slice`` renders the original Y
+    (the mirror's renders its searched Y).
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -161,8 +148,8 @@ class MatchView:
     :meth:`with_meter` if per-thread counts matter.
     """
 
-    __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "meter",
-                 "_find", "_rfind", "_planes")
+    __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "_meter",
+                 "_find", "_planes", "_mirror")
 
     def __init__(self, x: Sequence, y: Sequence, meter: Meter | None = None):
         if (isinstance(x, str) and isinstance(y, (bytes, bytearray))) or (
@@ -172,27 +159,42 @@ class MatchView:
         self._y_in = y
         self.len_x = len(x)
         self.len_y = len(y)
-        self.meter = meter if meter is not None else Meter()
         coded = _code(x, y)
-        self._x, self._y = coded or (x, y)
+        # tuple.index compares by identity, then ==.
+        self._x, self._y = coded or (tuple(x), tuple(y))
         if coded is None:
-            # tuple.index and list.index compare by identity, then ==.
-            indexable = type(x) in _INDEXABLE and type(y) in _INDEXABLE
-            self._find = _index_find if indexable else _loop_find
-            self._rfind = _loop_rfind
+            self._find = _index_find
             self._planes = None
         elif isinstance(y, str):
-            self._find, self._rfind = str.find, str.rfind
+            self._find = str.find
             self._planes = {} if x.isascii() and y.isascii() else None
         else:
-            self._find, self._rfind = bytes.find, bytes.rfind
+            self._find = bytes.find
             self._planes = {}
+        mirror = self._mirror = object.__new__(MatchView)
+        mirror._x, mirror._y = self._x[::-1], self._y[::-1]
+        mirror._y_in = mirror._y
+        mirror.len_x, mirror.len_y = self.len_x, self.len_y
+        mirror._find = self._find
+        mirror._planes = None if self._planes is None else {}
+        mirror._mirror = self
+        self.meter = meter if meter is not None else Meter()
+
+    @property
+    def meter(self) -> Meter:
+        return self._meter
+
+    @meter.setter
+    def meter(self, meter: Meter) -> None:
+        self._meter = self._mirror._meter = meter
 
     def with_meter(self, meter: Meter) -> "MatchView":
-        """Same inputs, coded pair and planes, separate instrumentation."""
-        view = object.__new__(MatchView)
+        """Same inputs, coded pair, mirror and planes; its own meter."""
+        view, mirror = object.__new__(MatchView), object.__new__(MatchView)
         for name in MatchView.__slots__:
             setattr(view, name, getattr(self, name))
+            setattr(mirror, name, getattr(self._mirror, name))
+        view._mirror, mirror._mirror = mirror, view
         view.meter = meter
         return view
 
@@ -200,7 +202,7 @@ class MatchView:
         """Whether X[i] == Y[j] under the token rule. One metered probe."""
         if not (1 <= i <= self.len_x and 1 <= j <= self.len_y):
             raise IndexError(f"eq({i}, {j}) outside 1..{self.len_x} x 1..{self.len_y}")
-        self.meter.eq_queries += 1
+        self._meter.eq_queries += 1
         a = self._x[i - 1]
         b = self._y[j - 1]
         return a is b or a == b
@@ -230,9 +232,9 @@ class MatchView:
             raise IndexError(f"next_y_match({i}, {j_lo}, {j_hi}) out of range")
         k = self._find(self._y, self._x[i - 1], j_lo - 1, j_hi)
         if k < 0:
-            self.meter.eq_queries += j_hi - j_lo + 1
+            self._meter.eq_queries += j_hi - j_lo + 1
             return None
-        self.meter.eq_queries += k + 2 - j_lo
+        self._meter.eq_queries += k + 2 - j_lo
         return k + 1
 
     def __repr__(self) -> str:

@@ -109,7 +109,7 @@ class LcsEnumerator:
         if self._finished:
             return None
         view = self._view
-        meter = view.meter
+        meter = view._meter
         p = self._p
         k = self._k_star
 

@@ -16,14 +16,18 @@ sequence:
   prefix orientation:  level p -> least j with L(X_half, Y[yr.lo..j]) = p
   suffix orientation:  level q -> greatest j with L(X_half, Y[j..yr.hi]) = q
 
-Both are built one X character at a time by a row fold, in one of two
-forms. Every fold starts in the list form, the Hunt-Szymanski threshold
-update: each match of that character inside the Y range lowers
-(prefix) or raises (suffix) the threshold of the level found by
-bisection. It visits only the matches that can change a level,
-skipping from each one past the old threshold it replaced, and finds
-them with the search the view bound when it was built: str or bytes
-find/rfind on a str or coded bytes pair, an element loop otherwise.
+The suffix one is the prefix one of the view's mirror, the reversed
+pair, over the mirrored ranges (Hirschberg's forward pass on the
+reversed strings): X[i] and Y[j] are its row n + 1 - i and position
+m + 1 - j, and its level q holds m + 1 - j for the threshold j.
+
+So every fold is a prefix fold, one X character at a time, in one of
+two forms. Every fold starts in the list form, the Hunt-Szymanski
+threshold update: each match of that character inside the Y range
+lowers the threshold of the level found by bisection. It visits only
+the matches that can change a level, skipping from each one past the
+old threshold it replaced, and finds them with the forward search the
+view bound when it was built: str or bytes find, or tuple.index.
 
 When the view has bit-planes (the pair is bytes, or two ASCII str), a
 fold over w positions of Y switches to the bit form (Allison-Dix,
@@ -32,17 +36,19 @@ with at least 4 rows left to fold if w < 64 (:func:`_switch_rule`):
 the thresholds become the 0-bits of a w-bit integer V, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
 mask. M is read from the view's bit-plane of the row's token, about
-w/8 bytes of it. The planes hold 2 * len_y bits per token X and Y
-share; they are read-only storage of the input, built once per view,
-and outside the cell count like the coded pair. Beyond them the bit
+w/8 bytes of it. The view and the mirror each hold a plane per shared
+token, 2 * len_y bits per token in all, built once per orientation:
+read-only input storage outside the cell count, like the coded pair and
+the mirror. Beyond them the bit
 form holds V, a few w-bit temporaries and, at the end, a w-character
 readback string: a constant number of machine words per level once
 64 * levels >= w, so the one-cell-per-level charge stays an upper
 bound on its space. Other inputs and folds with few levels or few
-rows left stay in the list form. The suffix rows of the branch search
-(:mod:`lcs_enum.branching`) switch under the same rule and share the
-row step, but keep V between rows and read it without a list; the
-search charges their levels once, when it returns.
+rows left stay in the list form. The branch search's rows
+(:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
+switch under the same rule and share the row step, but keep V between
+rows and read it without a list; the search charges their levels once,
+when it returns.
 
 Either form charges a length-n row exactly n equality probes, what a
 scan of the whole row costs, and a fold one cell per level it holds,
@@ -76,7 +82,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from operator import neg
 
 from .core import IndexRange, MatchView, _bit_planes
 
@@ -102,7 +107,7 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
     caller charges its levels once. Nothing is checked: callers pass
     1 <= i <= len_x and 1 <= j_lo <= j_hi <= len_y.
     """
-    view.meter.eq_queries += j_hi - j_lo + 1
+    view._meter.eq_queries += j_hi - j_lo + 1
     find = view._find
     y = view._y
     c = view._x[i - 1]
@@ -120,33 +125,6 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
         k = find(y, c, old, j_hi)
 
 
-def _fold_suffix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
-                     levels: list[int]) -> None:
-    """Fold X[i] into suffix thresholds for Y[j_lo..j_hi], in place.
-
-    Mirror image of the prefix fold: X grows leftward by one character,
-    matches are found in decreasing j by backward search, the greatest
-    match at each level wins, and the decreasing list is bisected
-    through ``operator.neg`` so it keeps its representation. Charged
-    j_hi - j_lo + 1 probes, no cell and unchecked, like the prefix fold.
-    """
-    view.meter.eq_queries += j_hi - j_lo + 1
-    rfind = view._rfind
-    y = view._y
-    c = view._x[i - 1]
-    top = len(levels)
-    l = 0
-    k = rfind(y, c, j_lo - 1, j_hi)
-    while k >= 0:
-        l = bisect_left(levels, -1 - k, l, key=neg)
-        if l == top:
-            levels.append(k + 1)
-            return
-        old = levels[l]
-        levels[l] = k + 1
-        k = rfind(y, c, j_lo - 1, old - 1)
-
-
 # V and each w-bit temporary take a word per this many positions, so a
 # fold switches no sooner than at a level per this many (_switch_rule).
 _BIT_POSITIONS_PER_LEVEL = 64
@@ -156,32 +134,30 @@ _NARROW_LEVELS = 4
 _NARROW_ROWS = 4
 
 
-def _bit_form(levels: list[int], j_lo: int, j_hi: int, r: int,
-              suffix: bool) -> int:
+def _bit_form(levels: list[int], j_lo: int, j_hi: int, r: int) -> int:
     """V for the thresholds in ``levels``, which it empties.
 
-    Bit r + k of V stands for j_lo + k (prefix) or j_hi - k (suffix);
-    the thresholds are its 0-bits among bits r..r + j_hi - j_lo, and
-    every other bit is 0.
+    Bit r + k of V stands for j_lo + k; the thresholds are its 0-bits
+    among bits r..r + j_hi - j_lo, and every other bit is 0.
     """
     v = ((1 << (j_hi - j_lo + 1)) - 1) << r
     for t in levels:
-        v ^= 1 << (r + (j_hi - t if suffix else t - j_lo))
+        v ^= 1 << (r + t - j_lo)
     levels.clear()
     return v
 
 
 def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
-              b: int, suffix: bool) -> int:
+              b: int) -> int:
     """V after folding the X rows into it, one bit row each.
 
     ``full`` holds the 1-bits of V's w positions, and plane bytes a..b - 1
-    hold them (prefix or ``suffix`` plane). Each row is charged w probes,
-    like the list form; the caller charges the levels' cells. A
-    row's match mask is cut from the plane of its token, built on the
-    view's first bit row; a token absent from Y leaves V as it is.
+    hold them. Each row is charged w probes, like the list form; the
+    caller charges the levels' cells. A row's match mask is cut from the
+    plane of its token, built on the view's first bit row; a token
+    absent from Y leaves V as it is.
     """
-    meter = view.meter
+    meter = view._meter
     planes = view._planes
     if not planes:
         planes.update(_bit_planes(view._x, view._y))
@@ -195,7 +171,7 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
             continue
         # V & M drops the mask bits outside V's positions, so no carry or
         # borrow reaches them.
-        u = v & from_bytes(plane[suffix][a:b], "little")
+        u = v & from_bytes(plane[a:b], "little")
         v = ((v + u) | (v - u)) & full
     return v
 
@@ -228,7 +204,7 @@ def _switch_rule(view: MatchView, w: int) -> tuple[int, int]:
 
 
 def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
-               levels: list[int], suffix: bool) -> None:
+               levels: list[int]) -> None:
     """Fold the X rows into ``levels`` in the bit form, in place.
 
     V is :func:`_bit_form` with r = the bit offset of its first position
@@ -240,47 +216,40 @@ def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
     w = j_hi - j_lo + 1
     # Plane bit b0 + k stands for the position of bit r + k of V; plane
     # bytes a..b - 1 hold bits b0..b0 + w - 1 and up to 7 bits on either side.
-    b0 = view.len_y - j_hi if suffix else j_lo - 1
+    b0 = j_lo - 1
     a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
     full = ((1 << w) - 1) << r
-    v = _bit_rows(view, rows, _bit_form(levels, j_lo, j_hi, r, suffix),
-                  full, a, b, suffix)
+    v = _bit_rows(view, rows, _bit_form(levels, j_lo, j_hi, r), full, a, b)
     zeros = bin(v ^ full)[:1:-1]  # character r + k is bit r + k
     k = zeros.find("1")
     while k >= 0:
-        levels.append(j_hi + r - k if suffix else j_lo - r + k)
+        levels.append(j_lo - r + k)
         k = zeros.find("1", k + 1)
 
 
 def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
-               j_hi: int, suffix: bool) -> list[int]:
-    """Thresholds of X[i_first..i_last] against Y[j_lo..j_hi].
+               j_hi: int) -> list[int]:
+    """Prefix thresholds of X[i_first..i_last] against Y[j_lo..j_hi].
 
-    Folds the rows in increasing i (prefix orientation) or decreasing i
-    (``suffix``), starting in the list form and switching to the bit
-    form before the first row at which the fold holds the levels and has
-    the rows left that :func:`_switch_rule` names for w = j_hi - j_lo + 1.
-    Returns the levels, one cell each, charged once when the fold is
-    done; the caller releases them. An exception in a row propagates
-    before any cell is charged.
+    Folds the rows in increasing i, starting in the list form and
+    switching to the bit form before the first row at which the fold
+    holds the levels and has the rows left that :func:`_switch_rule`
+    names for w = j_hi - j_lo + 1. Returns the levels, one cell each,
+    charged once when the fold is done; the caller releases them. An
+    exception in a row propagates before any cell is charged.
     """
     levels: list[int] = []
     if j_lo > j_hi:
         return levels
-    if suffix:
-        rows = range(i_last, i_first - 1, -1)
-        fold = _fold_suffix_row
-    else:
-        rows = range(i_first, i_last + 1)
-        fold = _fold_prefix_row
+    rows = range(i_first, i_last + 1)
     switch, rows_left = _switch_rule(view, j_hi - j_lo + 1)
     last = len(rows) - rows_left  # the last row that may switch, 0-based
     for n, i in enumerate(rows):
         if n <= last and len(levels) >= switch:
-            _fold_bits(view, rows[n:], j_lo, j_hi, levels, suffix)
+            _fold_bits(view, rows[n:], j_lo, j_hi, levels)
             break
-        fold(view, i, j_lo, j_hi, levels)
-    view.meter.grow(len(levels))
+        _fold_prefix_row(view, i, j_lo, j_hi, levels)
+    view._meter.grow(len(levels))
     return levels
 
 
@@ -289,17 +258,22 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     """(i_mid, j_mid, l_lo, l_hi): the midpoint of X, the least Y split
     whose half-LCS lengths sum to L, and those two lengths.
 
-    Requires i_lo < i_hi. Builds both threshold sequences, with the
-    list-form rows directly when neither half can switch to the bit
-    form, else through :func:`_fold_rows`; either way each fold's levels
-    are charged once, when it is done. Then walks the prefix thresholds,
-    the only places where the level sum can rise, in O(L); strict
-    improvement keeps the least maximizer, and the walk's two level
-    counts there are the halves' lengths. Every cell charged here is
-    released before it returns or raises.
+    Requires i_lo < i_hi. Builds the left half's prefix thresholds and
+    the right half's suffix thresholds, the latter as the prefix ones of
+    the mirror's rows n + 1 - i_hi..n - i_mid over its positions
+    m + 1 - j_hi..m + 1 - j_lo, which hold m + 1 - j for each suffix
+    threshold j. The folds take the list-form rows directly when neither
+    half can switch to the bit form, else :func:`_fold_rows`; either
+    way each fold's levels are charged once, when it is done. Then walks
+    the prefix thresholds, the only places where the level sum can rise,
+    in O(L); strict improvement keeps the least maximizer, and the walk's
+    two level counts there are the halves' lengths. Every cell charged
+    here is released before it returns or raises.
     """
-    meter = view.meter
+    meter = view._meter
     base = meter.live_cells
+    mirror = view._mirror
+    n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
     w = j_hi - j_lo + 1
     try:
@@ -312,19 +286,21 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
             hi_levels: list[int] = []
             for i in range(i_lo, i_mid + 1):
                 _fold_prefix_row(view, i, j_lo, j_hi, lo_levels)
-            for i in range(i_hi, i_mid, -1):
-                _fold_suffix_row(view, i, j_lo, j_hi, hi_levels)
+            for i in range(n1 - i_hi, n1 - i_mid):
+                _fold_prefix_row(mirror, i, m1 - j_hi, m1 - j_lo, hi_levels)
             meter.grow(len(lo_levels) + len(hi_levels))
         else:
-            lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi, False)
-            hi_levels = _fold_rows(view, i_mid + 1, i_hi, j_lo, j_hi, True)
+            lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
+            hi_levels = _fold_rows(mirror, n1 - i_hi, n1 - i_mid - 1,
+                                   m1 - j_hi, m1 - j_lo)
 
-        # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j.
+        # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j,
+        # where the mirror's level h stands for the suffix threshold m1 - h.
         l_hi = best = len(hi_levels)
         j_mid = j_lo - 1
         lo_length = 0
         for l_lo, j in enumerate(lo_levels, 1):
-            while l_hi and hi_levels[l_hi - 1] <= j:
+            while l_hi and hi_levels[l_hi - 1] >= m1 - j:
                 l_hi -= 1
             if l_lo + l_hi > best:
                 j_mid = j
@@ -341,7 +317,8 @@ def _two_rows(view: MatchView, i: int, j_lo: int, j_hi: int,
 
     Solves the range as :func:`_split` and two one-row leaves would, and
     charges what they charge. The split's prefix row holds a, the first
-    match of X[i], and its suffix row b, the last match of X[i + 1]; its
+    match of X[i], and its mirrored row b, the last match of X[i + 1],
+    which is the mirror's first match of it in the mirrored range; its
     walk splits after a when a exists and b is absent or past it, else
     before j_lo. The left leaf's scan then ends at a, and the right leaf
     scans X[i + 1]'s row from the split on. The range costs the two rows'
@@ -355,7 +332,10 @@ def _two_rows(view: MatchView, i: int, j_lo: int, j_hi: int,
     # Searches take and return 0-based indices: the match k is j = k + 1.
     lo = j_lo - 1
     a = find(y, x[i - 1], lo, j_hi)
-    b = view._rfind(y, x[i], lo, j_hi)
+    # The mirror's index k is index m - 1 - k here.
+    m = view.len_y
+    b = find(view._mirror._y, x[i], m - j_hi, m - lo)
+    b = m - 1 - b if b >= 0 else -1
     probes = 2 * (j_hi - lo)
     left = a >= 0 and (b < 0 or b > a)
     if left:
@@ -367,7 +347,7 @@ def _two_rows(view: MatchView, i: int, j_lo: int, j_hi: int,
         probes += k + 1 - lo
     else:
         probes += j_hi - lo
-    meter = view.meter
+    meter = view._meter
     meter.eq_queries += probes
     if left:
         out.append(a + 1)
@@ -441,7 +421,7 @@ def _matched_rows(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
         k = find(y, x[i], k, j_hi) + 1
         g.append(k)
     r = len(g)
-    meter = view.meter
+    meter = view._meter
     meter.eq_queries += _matched_probes(g, 0, r - 1, j_lo, j_hi)
     out += g
     peak = _matched_peak(r)
@@ -465,7 +445,7 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     recursion would enter and leave its calls, so probes and peak cells
     are the recursion's. Frames are released when it returns or raises.
     """
-    meter = view.meter
+    meter = view._meter
     # The root's LCS length is unknown: -1 matches no row count.
     stack = [(i_lo, i_hi, j_lo, j_hi, 1, -1)]
     depth = 0
@@ -521,8 +501,8 @@ def prefix_thresholds(view: MatchView, xr: IndexRange | None = None,
     has one entry per level, as many as the LCS length of the pair.
     """
     xr, yr = _resolve_ranges(view, xr, yr)
-    levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi, False)
-    view.meter.shrink(len(levels))
+    levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi)
+    view._meter.shrink(len(levels))
     return tuple(levels)
 
 
@@ -532,12 +512,16 @@ def suffix_thresholds(view: MatchView, xr: IndexRange | None = None,
 
     Entry q - 1 of the tuple is the threshold of level q: the greatest j
     with L(X[xr], Y[j..yr.hi]) = q. The tuple is strictly decreasing and
-    has one entry per level, as many as the LCS length of the pair.
+    has one entry per level, as many as the LCS length of the pair. They
+    are the mirror's prefix thresholds over the reversed ranges, each
+    level h read as m + 1 - h.
     """
     xr, yr = _resolve_ranges(view, xr, yr)
-    levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi, True)
-    view.meter.shrink(len(levels))
-    return tuple(levels)
+    n1, m1 = view.len_x + 1, view.len_y + 1
+    levels = _fold_rows(view._mirror, n1 - xr.hi, n1 - xr.lo, m1 - yr.hi,
+                        m1 - yr.lo)
+    view._meter.shrink(len(levels))
+    return tuple(m1 - h for h in levels)
 
 
 def split_point(view: MatchView, xr: IndexRange | None = None,
@@ -566,5 +550,5 @@ def first_lcs(view: MatchView, xr: IndexRange | None = None,
     try:
         _first_lcs_into(view, xr.lo, xr.hi, yr.lo, yr.hi, out)
     finally:
-        view.meter.shrink(len(out))
+        view._meter.shrink(len(out))
     return tuple(out)

@@ -3,7 +3,8 @@
 A fold over a bytes pair, or two ASCII str, switches to bit rows once
 it holds a level per 64 positions when it is at least 64 positions
 wide, and once it holds 4 levels with 4 rows left when it is narrower;
-so do the suffix rows of the branch search, which span all of Y.
+so do the rows of the branch search, which span all of Y. Suffix
+thresholds are the mirror's prefix ones, so its folds switch likewise.
 A ``MinimalSeq`` view of the same content is never coded, so it always
 keeps the list form and is the reference: values, probes, peak cells
 and live cells must all match.
@@ -148,9 +149,9 @@ def bit_entries(monkeypatch):
     entries = []
     fold_bits = hirschberg._fold_bits
 
-    def record(view, rows, j_lo, j_hi, levels, suffix):
+    def record(view, rows, j_lo, j_hi, levels):
         entries.append((j_hi - j_lo + 1, len(levels), len(rows)))
-        return fold_bits(view, rows, j_lo, j_hi, levels, suffix)
+        return fold_bits(view, rows, j_lo, j_hi, levels)
 
     monkeypatch.setattr(hirschberg, "_fold_bits", record)
     return entries
@@ -163,13 +164,14 @@ def search_switches(monkeypatch):
     switches = []
     bit_form, bit_rows = branching._bit_form, branching._bit_rows
 
-    def record(levels, j_lo, j_hi, r, suffix):
+    def record(levels, j_lo, j_hi, r):
         switches.append([j_hi - j_lo + 1, len(levels), None])
-        return bit_form(levels, j_lo, j_hi, r, suffix)
+        return bit_form(levels, j_lo, j_hi, r)
 
     def record_rows(view, rows, *args):
+        # The search's rows are the mirror's: its row i' is X[len_x + 1 - i'].
         if switches[-1][2] is None:
-            switches[-1][2] = rows.start
+            switches[-1][2] = view.len_x + 1 - rows.start
         return bit_rows(view, rows, *args)
 
     monkeypatch.setattr(branching, "_bit_form", record)
@@ -177,14 +179,12 @@ def search_switches(monkeypatch):
     return switches
 
 
-def _list_levels(view, rows, j_lo, j_hi, suffix):
+def _list_levels(view, rows, j_lo, j_hi):
     """Levels of the list-form fold of the X rows, on a fresh meter."""
     view = view.with_meter(Meter())
-    fold = (hirschberg._fold_suffix_row if suffix
-            else hirschberg._fold_prefix_row)
     levels = []
     for i in rows:
-        fold(view, i, j_lo, j_hi, levels)
+        hirschberg._fold_prefix_row(view, i, j_lo, j_hi, levels)
     return len(levels)
 
 
@@ -193,6 +193,7 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
     # Each half of a split switches exactly when the list form holds the
     # rule's levels before a row with the rule's rows left, and then at
     # the first such row; the search likewise. Both keep 64 * levels >= w.
+    # The right half is folded as the mirror's rows over mirrored positions.
     split = hirschberg._split
 
     def checked(view, i_lo, i_hi, j_lo, j_hi):
@@ -200,12 +201,15 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
         result = split(view, i_lo, i_hi, j_lo, j_hi)
         levels, left = _rule(j_hi - j_lo + 1)
         i_mid = (i_lo + i_hi) // 2
+        n1, m1 = view.len_x + 1, view.len_y + 1
         want = 0
-        for rows, suffix in ((range(i_lo, i_mid + 1), False),
-                             (range(i_hi, i_mid, -1), True)):
+        for fold_view, rows, lo, hi in (
+                (view, range(i_lo, i_mid + 1), j_lo, j_hi),
+                (view._mirror, range(n1 - i_hi, n1 - i_mid), m1 - j_hi,
+                 m1 - j_lo)):
             last = len(rows) - left  # rows[last] is the last one that may switch
             want += last >= 0 and _list_levels(
-                view, rows[:last], j_lo, j_hi, suffix) >= levels
+                fold_view, rows[:last], lo, hi) >= levels
         assert len(bit_entries) - before == want, (i_lo, i_hi, j_lo, j_hi)
         return result
 
@@ -249,7 +253,7 @@ def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
         view = MatchView(*pair)
         first_lcs(view)
         list(islice(LcsEnumerator(view), 5))
-        assert view._planes is None, pair
+        assert view._planes is view._mirror._planes is None, pair
     assert bit_entries == [] and search_switches == []
 
 
@@ -278,13 +282,22 @@ def test_wide_folds_agree_with_list_rows(bit_entries):
 def test_planes_hold_the_positions_of_shared_tokens():
     y = b"abcab" * 3 + b"zz"
     view = MatchView(b"xba" * 3, y)
-    assert view._planes == {}  # built by the first bit fold, not here
+    mirror = view._mirror
+    # Built by each orientation's first bit fold, not here.
+    assert view._planes == {} and mirror._planes == {}
+    assert view._planes is not mirror._planes
     planes = core._bit_planes(view._x, view._y)
-    assert set(planes) == {ord("a"), ord("b")}
+    mirrored = core._bit_planes(mirror._x, mirror._y)
+    assert set(planes) == set(mirrored) == {ord("a"), ord("b")}
     n = len(y)
-    for t, (forward, reverse) in planes.items():
-        assert len(forward) == len(reverse) == (n + 7) // 8
-        f, r = (int.from_bytes(p, "little") for p in (forward, reverse))
+    for t in planes:
+        # The reverse plane of earlier versions, bit for bit: int(.., 2)
+        # reads Y[1] as the highest bit, n - 1, so bit n - j is Y[j].
+        s = "".join("1" if c == t else "0" for c in y)
+        reverse = int(s, 2).to_bytes((n + 7) // 8, "little")
+        assert len(planes[t]) == len(mirrored[t]) == (n + 7) // 8
+        assert mirrored[t] == reverse
+        f, r = (int.from_bytes(p, "little") for p in (planes[t], mirrored[t]))
         for j in range(1, n + 1):
             assert (f >> (j - 1)) & 1 == (y[j - 1] == t)
             assert (r >> (n - j)) & 1 == (y[j - 1] == t)
@@ -296,7 +309,7 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     bit_planes = hirschberg._bit_planes
 
     def record(x, y):
-        built.append(len(y))
+        built.append(y)
         return bit_planes(x, y)
 
     monkeypatch.setattr(hirschberg, "_bit_planes", record)
@@ -306,8 +319,12 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     enum = LcsEnumerator(view)
     for _ in range(3):
         enum.next_sequence()
-    assert len(bit_entries) > 1 and built == [200]
+    # One build per orientation: the view's and its mirror's.
+    assert len(bit_entries) > 1 and sorted(built) == sorted([y, y[::-1]])
     other = view.with_meter(Meter())
     assert other._planes is view._planes
+    assert other._mirror._planes is view._mirror._planes
+    assert other._mirror._mirror is other and other._mirror is not view._mirror
     first_lcs(other)
-    assert built == [200]
+    find_branch(other, first_lcs(other))
+    assert sorted(built) == sorted([y, y[::-1]])

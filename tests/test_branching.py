@@ -2,7 +2,9 @@
 
 import random
 import sys
+from bisect import bisect_left
 from itertools import islice
+from operator import neg
 
 import pytest
 
@@ -12,7 +14,7 @@ from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
 from lcs_enum import branching, enumerator as enumerator_module
 from lcs_enum.branching import _embed
 from lcs_enum.hirschberg import _FRAME_CELLS, _bit_form, _bit_rows, \
-    _fold_suffix_row, _switch_rule
+    _fold_prefix_row, _switch_rule
 from lcs_enum.oracle import all_lcs_position_sequences
 
 X1 = "acddadacbcb"
@@ -93,34 +95,81 @@ def test_invalid_positions_are_rejected(fn, positions, error):
 
 # --- suffix rows over the whole of Y (the i* frontier of find_branch) ----
 
+def _rfind(seq, item, lo, hi):
+    """Greatest 0-based k in [lo, hi) with seq[k] equal to item, or -1."""
+    for k in range(hi - 1, lo - 1, -1):
+        if seq[k] is item or seq[k] == item:
+            return k
+    return -1
+
+
+def _fold_suffix_row(view, i, j_lo, j_hi, levels):
+    """Fold X[i] into suffix thresholds for Y[j_lo..j_hi], in place.
+
+    The suffix fold of earlier versions, kept as an independent reference
+    for the mirror's prefix rows: X grows leftward by one character,
+    matches are found in decreasing j by backward search, the greatest
+    match at each level wins, and the decreasing list is bisected through
+    ``operator.neg``. Charged j_hi - j_lo + 1 probes and no cell.
+    """
+    view.meter.eq_queries += j_hi - j_lo + 1
+    y = view._y
+    c = view._x[i - 1]
+    top = len(levels)
+    l = 0
+    k = _rfind(y, c, j_lo - 1, j_hi)
+    while k >= 0:
+        l = bisect_left(levels, -1 - k, l, key=neg)
+        if l == top:
+            levels.append(k + 1)
+            return
+        old = levels[l]
+        levels[l] = k + 1
+        k = _rfind(y, c, j_lo - 1, old - 1)
+
+
+def _mirrored_rows(view):
+    """After each of the search's rows X[len_x], .., X[1], folded as the
+    mirror's prefix rows 1, .., len_x, the suffix thresholds they stand
+    for, and the probes charged so far."""
+    m1 = view.len_y + 1
+    t = []
+    for i in range(1, view.len_x + 1):
+        _fold_prefix_row(view._mirror, i, 1, view.len_y, t)
+        yield [m1 - h for h in t], view.meter.eq_queries
+
+
 def test_suffix_row_single_step():
     view = MatchView(X1, Y1)
     j_suffix = []
     _fold_suffix_row(view, 11, 1, len(Y1), j_suffix)
     assert j_suffix == [5]  # greatest j with Y[j] = 'b' = X[11]
+    # The mirror's row 1 is X[11], its position 7 is Y[5].
+    assert next(_mirrored_rows(MatchView(X1, Y1))) == ([5], len(Y1))
 
 
 def test_suffix_rows_down_to_zero():
-    view = MatchView(X1, Y1)
-    j_suffix = []
-    sizes = []
-    for i_star in range(len(X1), 0, -1):
-        _fold_suffix_row(view, i_star, 1, len(Y1), j_suffix)
-        sizes.append(len(j_suffix))
-    assert len(j_suffix) == 5     # L(X, Y)
+    sizes = [len(t) for t, _ in _mirrored_rows(MatchView(X1, Y1))]
+    assert sizes[-1] == 5         # L(X, Y)
     assert sizes == sorted(sizes)  # never shrinks as i_star falls
 
 
 def test_suffix_rows_match_fresh_suffix_thresholds():
+    # The mirror's rows, read back through j -> len_y + 1 - j, equal the
+    # reference suffix fold row by row, charge what it charges, and equal
+    # suffix_thresholds of a fresh view.
     rng = random.Random(202)
     for _ in range(150):
         x, y = rand_pair(rng, 10)
-        view = MatchView(x, y)
+        view, ref = MatchView(x, y), MatchView(x, y)
         j_suffix = []
-        for i_star in range(len(x), 0, -1):
-            _fold_suffix_row(view, i_star, 1, len(y), j_suffix)
-            want = suffix_thresholds(view, IndexRange(i_star, len(x)), None)
-            assert tuple(j_suffix) == want
+        for i_star, (got, probes) in zip(range(len(x), 0, -1),
+                                         _mirrored_rows(view)):
+            _fold_suffix_row(ref, i_star, 1, len(y), j_suffix)
+            assert got == j_suffix and probes == ref.meter.eq_queries
+            want = suffix_thresholds(MatchView(x, y),
+                                     IndexRange(i_star, len(x)), None)
+            assert tuple(got) == want
 
 
 # --- find_branch --------------------------------------------------------
@@ -194,9 +243,12 @@ def test_find_branch_releases_all_cells():
 
 def _eager_search(view, positions, k_kept, i_kept):
     """The branch search that folds each suffix row as soon as i* passes
-    it: the reference the lazy search must charge exactly like."""
+    it: the reference the lazy search must charge exactly like. Its list
+    rows and residual check are the reference suffix fold's; its bit rows
+    are the mirror's, bit len_y - j standing for j."""
     meter = view.meter
     x, y, find, len_y = view._x, view._y, view._find, view.len_y
+    n1, m1 = view.len_x + 1, len_y + 1
     length = len(positions)
     live = meter.live_cells
     meter.grow(_FRAME_CELLS + 1 + length)
@@ -215,8 +267,9 @@ def _eager_search(view, positions, k_kept, i_kept):
                 i -= 1
             if i == stop:
                 return
-            v = _bit_form(j_suffix, 1, len_y, 0, True)
-        v = _bit_rows(view, range(i, stop, -1), v, full, 0, size, True)
+            v = _bit_form([m1 - j for j in j_suffix], 1, len_y, 0)
+        v = _bit_rows(view._mirror, range(n1 - i, n1 - stop), v, full, 0,
+                      size)
 
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),

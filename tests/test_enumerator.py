@@ -179,9 +179,9 @@ def _stream(x, y, limit=None):
 def test_every_input_type_gives_the_same_stream():
     # A str pair is searched with str.find; bytes, bytearray and int
     # tuples or lists of bytes are coded as two bytes and searched with
-    # bytes.find; every other pair, mixed ones included, takes the
-    # element loops and must not use substring search on the other
-    # side's elements. An int above 255 keeps its list uncoded.
+    # bytes.find; every other pair, mixed ones included, is held as two
+    # tuples searched with tuple.index, never with a substring search on
+    # the other side's elements. An int above 255 keeps its list uncoded.
     rng = random.Random(11)
     for _ in range(60):
         x, y = rand_pair(rng, 24, sigmas=(1, 2, 4))
@@ -197,22 +197,27 @@ def test_every_input_type_gives_the_same_stream():
                      (wide_x, wide_y), (tuple(wide_x), wide_y)]:
             assert _stream(*pair) == want
     wide = [ord("a"), 1000]
-    assert MatchView(wide, b"a")._x is wide  # searched as given
+    view = MatchView(wide, b"a")
+    assert (view._x, view._y) == (tuple(wide), (ord("a"),))  # as tuples
 
 
 def test_uncoded_tuples_and_lists_search_with_index():
     # One-letter str tokens are not bytes, so a tuple or list pair of them
-    # stays uncoded and searches forward with index; it must give the str
-    # pair's stream, per-gap probes and peak cells.
+    # stays uncoded: the view and its mirror hold two tuples each and
+    # search forward with index. It must give the str pair's stream,
+    # per-gap probes and peak cells.
     rng = random.Random(12)
     for n in (64, 150):
         x, y = rand_string(rng, n, 4), rand_string(rng, n, 4)
         want = _stream(x, y, 200)
         for pair in [(tuple(x), tuple(y)), (list(x), list(y)),
-                     (tuple(x), list(y))]:
-            assert MatchView(*pair)._find is core._index_find
+                     (tuple(x), list(y)), (MinimalSeq(x), tuple(y))]:
+            view = MatchView(*pair)
+            mirror = view._mirror
+            assert view._find is mirror._find is core._index_find
+            assert (view._x, view._y) == (tuple(x), tuple(y))
+            assert (mirror._x, mirror._y) == (tuple(x[::-1]), tuple(y[::-1]))
             assert _stream(*pair, 200) == want
-    assert MatchView(MinimalSeq("ab"), tuple("ab"))._find is core._loop_find
 
 
 def test_streams_past_the_traceback_equal_the_suffix_table_walk():

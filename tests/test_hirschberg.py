@@ -73,22 +73,63 @@ def test_threshold_monotonicity():
         assert all(a > b for a, b in zip(suf, suf[1:]))
 
 
-def test_threshold_values_against_dp():
-    # prefix: entry p-1 is the least j with L(X[xr], Y[1..j]) = p;
-    # suffix: entry q-1 is the greatest j with L(X[xr], Y[j..n]) = q.
+def _dp_check_thresholds(x, y, xr, yr):
+    """Both threshold tuples of X[xr] against Y[yr] equal their definitions,
+    by the DP oracle; returns the bit folds that suffix_thresholds ran."""
+    xs, ys = x[xr.lo - 1:xr.hi], y[yr.lo - 1:yr.hi]
+    want = lcs_length(MatchView(xs, ys))
+    # prefix: entry p-1 is the least j with L(X[xr], Y[yr.lo..j]) = p;
+    pre = prefix_thresholds(MatchView(x, y), xr, yr)
+    assert len(pre) == want
+    for p, j in enumerate(pre, start=1):
+        assert lcs_length(MatchView(xs, y[yr.lo - 1:j])) == p
+        assert lcs_length(MatchView(xs, y[yr.lo - 1:j - 1])) == p - 1
+    # suffix: entry q-1 is the greatest j with L(X[xr], Y[j..yr.hi]) = q.
+    before = hirschberg._fold_bits.calls
+    suf = suffix_thresholds(MatchView(x, y), xr, yr)
+    assert len(suf) == want
+    for q, j in enumerate(suf, start=1):
+        assert lcs_length(MatchView(xs, y[j - 1:yr.hi])) == q
+        assert lcs_length(MatchView(xs, y[j:yr.hi])) == q - 1
+    return hirschberg._fold_bits.calls - before
+
+
+def _random_range(rng, n, least=0):
+    """A random IndexRange of at least ``least`` of 1..n, maybe empty."""
+    lo = rng.randint(1, n + 1 - least)
+    return IndexRange(lo, rng.randint(lo - 1 + least, n))
+
+
+def test_threshold_values_against_dp(monkeypatch):
+    fold_bits = hirschberg._fold_bits
+
+    def counted(*args):
+        counted.calls += 1
+        return fold_bits(*args)
+
+    counted.calls = 0
+    monkeypatch.setattr(hirschberg, "_fold_bits", counted)
     rng = random.Random(103)
     for _ in range(120):
         x, y = rand_pair(rng, 9, sigmas=(2, 3))
-        view = MatchView(x, y)
-        n = len(y)
-        pre = prefix_thresholds(view)
-        for p, j in enumerate(pre, start=1):
-            assert lcs_length(MatchView(x, y[:j])) == p
-            assert lcs_length(MatchView(x, y[:j - 1])) == p - 1
-        suf = suffix_thresholds(view)
-        for q, j in enumerate(suf, start=1):
-            assert lcs_length(MatchView(x, y[j - 1:])) == q
-            assert lcs_length(MatchView(x, y[j:])) == q - 1
+        _dp_check_thresholds(x, y, IndexRange.full(len(x)),
+                             IndexRange.full(len(y)))
+        _dp_check_thresholds(x, y, _random_range(rng, len(x)),
+                             _random_range(rng, len(y)))
+    # Y of 63-65 and X ranges of 16 rows or more: the suffix folds (the
+    # mirror's prefix folds) take the bit form over whole and cut Y ranges.
+    bit_folds = 0
+    for len_y in (63, 64, 65):
+        for kind in (str, bytes):
+            sigma = rng.choice((2, 4))
+            x = rand_string(rng, rng.randint(16, 28), sigma)
+            y = rand_string(rng, len_y, sigma)
+            if kind is bytes:
+                x, y = x.encode(), y.encode()
+            for yr in (IndexRange.full(len_y), _random_range(rng, len_y, 40)):
+                bit_folds += _dp_check_thresholds(
+                    x, y, _random_range(rng, len(x), 16), yr)
+    assert bit_folds
 
 
 # --- split point --------------------------------------------------------

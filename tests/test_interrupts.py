@@ -2,7 +2,8 @@
 
 ``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
 charge past a chosen total, which lands it at the start of a threshold
-row (in the list or the bit form), in a match search of ``first_lcs``,
+row (in the list or the bit form, of the view or of its mirror, which
+folds the suffix rows), in a match search of ``first_lcs``,
 at the one charge of its two-row kernel or of its kernel for fully
 matched ranges, or inside the branch search, whose rows also take
 either form. After the interrupt the caller simply calls again: the
@@ -13,7 +14,6 @@ returned. Standalone library calls, ``find_branch`` and
 """
 
 import random
-import traceback
 
 import pytest
 
@@ -51,6 +51,19 @@ class InterruptingMeter(Meter):
 LIMIT = 30
 
 
+def _frames(tb, mirror):
+    """The names of the functions on a traceback; a frame whose ``view``
+    is the mirror is named with " (mirror)" added."""
+    names = set()
+    while tb is not None:
+        frame = tb.tb_frame
+        name = frame.f_code.co_name
+        names.add(name + " (mirror)" if frame.f_locals.get("view") is mirror
+                  else name)
+        tb = tb.tb_next
+    return names
+
+
 def _run(enum, limit=LIMIT):
     """Up to ``limit`` outputs, resuming after every interrupt, and for
     each interrupt the names of the functions on its traceback."""
@@ -60,8 +73,7 @@ def _run(enum, limit=LIMIT):
         try:
             p = enum.next_sequence()
         except KeyboardInterrupt as e:
-            where.append({f.name for f in
-                          traceback.extract_tb(e.__traceback__)})
+            where.append(_frames(e.__traceback__, enum.view._mirror))
             continue
         if p is None:
             break
@@ -113,8 +125,8 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         got, where = _run(enum)
         assert where, at  # the interrupt fired
         hit = hit.union(*where)
-        search_bit_rows |= any({"_branch_search", "_bit_rows"} <= names
-                               for names in where)
+        search_bit_rows |= any(
+            {"_branch_search", "_bit_rows (mirror)"} <= names for names in where)
         assert got == want, at
         assert enum.finished == ref.finished, at
         assert enum.view.meter.live_cells == ref.view.meter.live_cells, at
@@ -127,32 +139,37 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     assert ref.finished == (len(want) < LIMIT)
     if ref.finished:
         assert ref.view.meter.live_cells == 0
-    assert {"_fold_prefix_row", "_fold_suffix_row", "_two_rows",
+    # Suffix rows, of a split or of the search, are the mirror's prefix rows.
+    assert {"_fold_prefix_row", "_fold_prefix_row (mirror)", "_two_rows",
             "_matched_rows", "_branch_search"} <= hit
     assert ("_fold_bits" in hit) == bit_rows
     assert search_bit_rows == bit_rows
 
 
 def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
-    # An interrupt in the third suffix row of a split used to leave the
-    # split's prefix thresholds charged for the rest of the enumeration.
+    # An interrupt in the third suffix row of a split, a row the mirror
+    # folds, used to leave the split's prefix thresholds charged for the
+    # rest of the enumeration.
     x, y = "abcab" * 8, "bacba" * 8
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
-    fold = hirschberg._fold_suffix_row
+    enum = LcsEnumerator(MatchView(x, y))
+    fold = hirschberg._fold_prefix_row
     calls = 0
 
-    def interrupt_third(*args):
+    def interrupt_third(view, *args):
         nonlocal calls
-        calls += 1
-        if calls == 3:
-            raise KeyboardInterrupt
-        return fold(*args)
+        if view is enum.view._mirror:
+            calls += 1
+            if calls == 3:
+                raise KeyboardInterrupt
+        return fold(view, *args)
 
-    monkeypatch.setattr(hirschberg, "_fold_suffix_row", interrupt_third)
-    enum = LcsEnumerator(MatchView(x, y))
+    monkeypatch.setattr(hirschberg, "_fold_prefix_row", interrupt_third)
     with pytest.raises(KeyboardInterrupt):
         enum.next_sequence()
+    # The third mirrored row was that of a split: its prefix half is done.
+    assert calls == 3
     got, _ = _run(enum)
     assert got == want
     assert enum.view.meter.live_cells == ref.view.meter.live_cells

@@ -49,3 +49,37 @@ def test_cli_import_leaves_dataclasses_out():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _private_names(stmt: ast.stmt) -> set[str]:
+    """The module-level private names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_helper_is_used_by_the_package():
+    # A private function, class or constant that the package itself never
+    # loads, outside its own definition, is dead code or test-only code.
+    src = Path(lcs_enum.__file__).resolve().parent
+    defined: dict[str, str] = {}
+    loaded: set[str] = set()
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _private_names(stmt)
+            defined.update(dict.fromkeys(own, path.name))
+            loaded |= {node.id for node in ast.walk(stmt)
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Load)
+                       and node.id not in own}
+    assert defined
+    unused = sorted(f"{module}: {name}" for name, module in defined.items()
+                    if name not in loaded)
+    assert not unused, unused
