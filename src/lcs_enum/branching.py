@@ -144,16 +144,16 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     t: list[int] = []
     # Under the rule of the restart's folds, the thresholds become the
     # 0-bits of v, bit j' - 1 = len_y - j standing for j: the rows span
-    # all of Y, so a row's mask is its token's whole mirrored plane.
-    v = None
+    # all of Y, so a row's mask is its token's whole mirrored plane. The
+    # len_y-bit mask ``full`` is built at the switch, when the levels
+    # held cover its words, not before.
+    v = full = None
     switch, rows_left = _switch_rule(view, len_y)
-    full = (1 << len_y) - 1
-    size = (len_y + 7) >> 3
 
     def fold(i: int, stop: int) -> None:
         """Fold X[i], X[i - 1], .., X[stop + 1] into the thresholds: the
         mirror's rows n1 - i, .., n1 - stop - 1."""
-        nonlocal v
+        nonlocal v, full
         if v is None:
             # Rows X[i], .., X[1] are all the search can still fold.
             while i > stop and (len(t) < switch or i < rows_left):
@@ -162,7 +162,9 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
             if i == stop:
                 return
             v = _bit_form(t, 1, len_y, 0)
-        v = _bit_rows(mirror, range(n1 - i, n1 - stop), v, full, 0, size)
+            full = (1 << len_y) - 1
+        v = _bit_rows(mirror, range(n1 - i, n1 - stop), v, full, 0,
+                      (len_y + 7) >> 3)
 
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),

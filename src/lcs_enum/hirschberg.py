@@ -30,21 +30,27 @@ old threshold it replaced, and finds them with the forward search the
 view bound when it was built: str or bytes find, or tuple.index.
 
 When the view has bit-planes (the pair is bytes, or two ASCII str), a
-fold over w positions of Y switches to the bit form (Allison-Dix,
-Hyyro) once it holds at least w/64 levels if w >= 64, or 4 levels
-with at least 4 rows left to fold if w < 64 (:func:`_switch_rule`):
-the thresholds become the 0-bits of a w-bit integer V, and one row is
-``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
-mask. M is read from the view's bit-plane of the row's token, about
-w/8 bytes of it. The view and the mirror each hold a plane per shared
-token, 2 * len_y bits per token in all, built once per orientation:
-read-only input storage outside the cell count, like the coded pair and
-the mirror. Beyond them the bit
-form holds V, a few w-bit temporaries and, at the end, a w-character
-readback string: a constant number of machine words per level once
-64 * levels >= w, so the one-cell-per-level charge stays an upper
-bound on its space. Other inputs and folds with few levels or few
-rows left stay in the list form. The branch search's rows
+fold may take the bit form (Allison-Dix, Hyyro): the thresholds become
+the 0-bits of a w-bit integer V over the fold's w positions of Y, and
+one row is ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the
+row's match mask. M is read from the view's bit-plane of the row's
+token, about w/8 bytes of it. The view and the mirror each hold a plane
+per shared token, 2 * len_y bits per token in all, built once per
+orientation: read-only input storage outside the cell count, like the
+coded pair and the mirror.
+
+A split under 64 positions folds both halves in the bit form from the
+first row, one word of at most 70 bits each, and reads the split off
+the two words without a list (:func:`_narrow_split`): V and its
+temporaries are a few words, which the range's charged frame covers.
+Any other fold over w positions starts in the list form and switches
+once it holds at least w/64 levels if w >= 64, or 4 levels with at
+least 4 rows left to fold if w < 64 (:func:`_switch_rule`). Beyond the
+planes that bit form holds V, a few w-bit temporaries and, at the end,
+a w-character readback string: a constant number of machine words per
+level once 64 * levels >= w, so the one-cell-per-level charge stays an
+upper bound on its space. Other inputs and folds with few levels or
+few rows left stay in the list form. The branch search's rows
 (:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
 switch under the same rule and share the row step, but keep V between
 rows and read it without a list; the search charges their levels once,
@@ -180,7 +186,10 @@ def _switch_rule(view: MatchView, w: int) -> tuple[int, int]:
     """(levels, rows): a fold over w positions of Y takes the bit form
     before a row once it holds that many levels and that many rows, the
     row included, are left to fold. (w + 1, 1) if the view has no
-    bit-planes: more levels than w positions hold.
+    bit-planes: more levels than w positions hold. It rules the folds of
+    :func:`_fold_rows` and the branch search's rows; a split under 64
+    positions of a view with planes folds bit rows from the first row
+    instead (:func:`_narrow_split`).
 
     Space: V and each temporary take ceil(w/64) words, so the bit form
     keeps the one-cell-per-level charge an upper bound from
@@ -253,6 +262,57 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
     return levels
 
 
+def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
+                  j_hi: int) -> tuple[int, int, int, int]:
+    """:func:`_split` over w = j_hi - j_lo + 1 < 64 positions of a view
+    with bit-planes, from two bit folds of one word each.
+
+    Each half is folded in the bit form from its first row, V starting at
+    ``full``, no levels: the prefix half on the view over j_lo..j_hi, the
+    right half on the mirror over m + 1 - j_hi..m + 1 - j_lo, each V at
+    the bit offset of its first position within a plane byte
+    (:func:`_fold_bits`), so a word of at most 70 bits. Shifted down, bit
+    k of ``lo`` marks the prefix threshold j_lo + k and bit k of ``hi``
+    the suffix threshold j_hi - k, so a split after j_lo + k keeps the
+    suffix levels below bit w - 1 - k. The 1-bits of ``lo`` are walked in
+    increasing k; strict improvement keeps the least maximizer. The folds
+    charge their rows' probes; the two halves' levels are charged once,
+    after both, and released before the walk, which holds no list.
+    """
+    i_mid = (i_lo + i_hi) // 2
+    w = j_hi - j_lo + 1
+    ones = (1 << w) - 1
+    b0 = j_lo - 1
+    r = b0 & 7
+    full = ones << r
+    lo = (_bit_rows(view, range(i_lo, i_mid + 1), full, full, b0 >> 3,
+                    (b0 + w + 7) >> 3) ^ full) >> r
+    n1 = view.len_x + 1
+    b0 = view.len_y - j_hi
+    r = b0 & 7
+    full = ones << r
+    hi = (_bit_rows(view._mirror, range(n1 - i_hi, n1 - i_mid), full, full,
+                    b0 >> 3, (b0 + w + 7) >> 3) ^ full) >> r
+    best = hi.bit_count()
+    cells = lo.bit_count() + best
+    meter = view._meter
+    meter.grow(cells)
+    meter.shrink(cells)
+    j_mid = j_lo - 1
+    lo_length = level = 0
+    while lo:
+        bit = lo & -lo
+        lo ^= bit
+        k = bit.bit_length() - 1
+        level += 1
+        total = level + (hi & ((1 << (w - 1 - k)) - 1)).bit_count()
+        if total > best:
+            j_mid = j_lo + k
+            lo_length = level
+            best = total
+    return i_mid, j_mid, lo_length, best - lo_length
+
+
 def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
            ) -> tuple[int, int, int, int]:
     """(i_mid, j_mid, l_lo, l_hi): the midpoint of X, the least Y split
@@ -262,20 +322,25 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     the right half's suffix thresholds, the latter as the prefix ones of
     the mirror's rows n + 1 - i_hi..n - i_mid over its positions
     m + 1 - j_hi..m + 1 - j_lo, which hold m + 1 - j for each suffix
-    threshold j. The folds take the list-form rows directly when neither
-    half can switch to the bit form, else :func:`_fold_rows`; either
-    way each fold's levels are charged once, when it is done. Then walks
-    the prefix thresholds, the only places where the level sum can rise,
-    in O(L); strict improvement keeps the least maximizer, and the walk's
-    two level counts there are the halves' lengths. Every cell charged
-    here is released before it returns or raises.
+    threshold j. A split under 64 positions of a view with bit-planes
+    folds both halves in the bit form from the first row and reads the
+    split off the two words (:func:`_narrow_split`). Otherwise the folds
+    take the list-form rows directly when neither half can switch to the
+    bit form, else :func:`_fold_rows`; either way each fold's levels are
+    charged once, when it is done. Then walks the prefix thresholds, the
+    only places where the level sum can rise, in O(L); strict
+    improvement keeps the least maximizer, and the walk's two level
+    counts there are the halves' lengths. Every cell charged here is
+    released before it returns or raises.
     """
+    w = j_hi - j_lo + 1
+    if view._planes is not None and w < _BIT_POSITIONS_PER_LEVEL:
+        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi)
     meter = view._meter
     base = meter.live_cells
     mirror = view._mirror
     n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
-    w = j_hi - j_lo + 1
     try:
         switch, rows_left = _switch_rule(view, w)
         # Levels never outnumber the rows folded, so folds that can never

@@ -5,9 +5,11 @@ it holds a level per 64 positions when it is at least 64 positions
 wide, and once it holds 4 levels with 4 rows left when it is narrower;
 so do the rows of the branch search, which span all of Y. Suffix
 thresholds are the mirror's prefix ones, so its folds switch likewise.
-A ``MinimalSeq`` view of the same content is never coded, so it always
-keeps the list form and is the reference: values, probes, peak cells
-and live cells must all match.
+A split under 64 positions folds both halves in the bit form from the
+first row and reads the split off the two words. A ``MinimalSeq`` view
+of the same content is never coded, so it always keeps the list form
+and is the reference: values, probes, peak cells and live cells must
+all match.
 """
 
 import random
@@ -158,6 +160,20 @@ def bit_entries(monkeypatch):
 
 
 @pytest.fixture
+def narrow_splits(monkeypatch):
+    """(view, w) at every split that two one-word bit folds solve."""
+    splits = []
+    narrow_split = hirschberg._narrow_split
+
+    def record(view, i_lo, i_hi, j_lo, j_hi):
+        splits.append((view, j_hi - j_lo + 1))
+        return narrow_split(view, i_lo, i_hi, j_lo, j_hi)
+
+    monkeypatch.setattr(hirschberg, "_narrow_split", record)
+    return splits
+
+
+@pytest.fixture
 def search_switches(monkeypatch):
     """(len_y, levels, rows left) at every switch of a branch search to
     the bit form; the rows left are X[i], .., X[1] for the first bit row i."""
@@ -189,17 +205,29 @@ def _list_levels(view, rows, j_lo, j_hi):
 
 
 def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
-                                                search_switches):
-    # Each half of a split switches exactly when the list form holds the
+                                                narrow_splits, search_switches):
+    # A split under 64 positions of a view with bit-planes is solved by
+    # two one-word bit folds, and no half of it enters _fold_bits. Each
+    # half of a wider split switches exactly when the list form holds the
     # rule's levels before a row with the rule's rows left, and then at
-    # the first such row; the search likewise. Both keep 64 * levels >= w.
-    # The right half is folded as the mirror's rows over mirrored positions.
+    # the first such row; the search likewise, at any width. All keep
+    # 64 * levels >= w. The right half is folded as the mirror's rows over
+    # mirrored positions. A view without planes never takes the bit form.
     split = hirschberg._split
 
     def checked(view, i_lo, i_hi, j_lo, j_hi):
-        before = len(bit_entries)
+        before, narrow = len(bit_entries), len(narrow_splits)
         result = split(view, i_lo, i_hi, j_lo, j_hi)
-        levels, left = _rule(j_hi - j_lo + 1)
+        w = j_hi - j_lo + 1
+        if view._planes is not None and w < 64:
+            assert narrow_splits[narrow:] == [(view, w)]
+            assert len(bit_entries) == before
+            return result
+        assert len(narrow_splits) == narrow
+        if view._planes is None:
+            assert len(bit_entries) == before
+            return result
+        levels, left = _rule(w)
         i_mid = (i_lo + i_hi) // 2
         n1, m1 = view.len_x + 1, view.len_y + 1
         want = 0
@@ -215,14 +243,21 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
 
     monkeypatch.setattr(hirschberg, "_split", checked)
     rng = random.Random(3)
+    narrow_seen = planed_seen = 0
     for sigma in (1, 2, 4, 26):
         for n in (17, 40, 63, 64, 65, 200):
             x, y = rand_string(rng, n, sigma), rand_string(rng, n, sigma)
-            for view in (MatchView(x, y), MatchView(x.encode(), y.encode())):
+            for view in (MatchView(x, y), MatchView(x.encode(), y.encode()),
+                         MatchView(tuple(x), tuple(y))):
                 first_lcs(view)
                 list(islice(LcsEnumerator(view), 5))
+                planed_seen += view._planes is not None
+            narrow_seen += len(narrow_splits)
+            narrow_splits.clear()
+    assert narrow_seen and planed_seen
+    assert bit_entries and all(w >= 64 for w, _, _ in bit_entries)
+    assert {w < 64 for w, _, _ in search_switches} == {True, False}
     for entries in (bit_entries, search_switches):
-        assert {w < 64 for w, _, _ in entries} == {True, False}
         for w, levels, rows_left in entries:
             want_levels, want_left = _rule(w)
             assert levels == want_levels and rows_left >= want_left
@@ -258,12 +293,32 @@ def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
 
 
 @pytest.mark.parametrize("n", [17, 63, 65, 256, 2048])
-def test_space_family_never_switches(bit_entries, search_switches, n):
+def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
+                                     search_switches, n):
     # Criterion 7's family has L = 1: one level pays for at most 64 bits,
-    # and a narrower fold needs 4.
+    # and a narrower fold needs 4, so nothing wide enters the bit form.
+    # Its splits under 64 positions fold two words, each under 64
+    # positions past a bit offset below 8, one word of 64 bits at most
+    # once shifted down.
+    words = []
+    bit_rows = hirschberg._bit_rows
+
+    def record(view, rows, v, full, a, b):
+        v = bit_rows(view, rows, v, full, a, b)
+        words.append((full.bit_count(), full.bit_length(), v.bit_length()))
+        return v
+
+    monkeypatch.setattr(hirschberg, "_bit_rows", record)
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
     assert list(LcsEnumerator(view)) == [(1,)]
     assert bit_entries == [] and search_switches == []
+    assert len(words) == 2 * len(narrow_splits)
+    assert all(w < 64 for _, w in narrow_splits)
+    for w, length, v_length in words:
+        assert w < 64 and v_length <= length <= w + 7
+    if n < 64:
+        assert narrow_splits  # every split is narrow, the top one too
+        assert max(w for _, w in narrow_splits) == n
 
 
 def test_wide_folds_agree_with_list_rows(bit_entries):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 from itertools import islice
 from operator import neg
@@ -10,8 +11,8 @@ import pytest
 
 from conftest import MinimalSeq, rand_pair, rand_string
 from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
-    BranchPoint, LcsEnumerator, suffix_thresholds
-from lcs_enum import branching, enumerator as enumerator_module
+    BranchPoint, LcsEnumerator, Meter, first_lcs, suffix_thresholds
+from lcs_enum import branching, core, enumerator as enumerator_module
 from lcs_enum.branching import _embed
 from lcs_enum.hirschberg import _FRAME_CELLS, _bit_form, _bit_rows, \
     _fold_prefix_row, _switch_rule
@@ -237,6 +238,39 @@ def test_find_branch_releases_all_cells():
         view = MatchView(x, y)
         find_branch(view, all_lcs_position_sequences(view)[0])
         assert view.meter.live_cells == 0
+
+
+# Bytes a search may allocate beyond its charged cells, whatever |Y|: its
+# frame, lists and ints of L = 24 levels take about 1 KB on CPython 3.11.
+SEARCH_PEAK_MARGIN = 512
+
+
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_find_branch_memory_does_not_grow_with_y(kind):
+    # |X| = 24 holds fewer than |Y| / 64 levels, so the rows keep the list
+    # form and no |Y|-bit integer may exist: the traced peak of one search
+    # stays flat while |Y| grows x16, as the charged peak cells do. The
+    # planes of both orientations are input storage, built before tracing.
+    peaks, cells = [], set()
+    for m in (4096, 16384, 65536):
+        rng = random.Random(9)
+        x, y = rand_string(rng, 24, 4), rand_string(rng, m, 4)
+        view = MatchView(*((x.encode(), y.encode()) if kind is bytes
+                           else (x, y)))
+        for v in (view, view._mirror):
+            v._planes.update(core._bit_planes(v._x, v._y))
+        p = first_lcs(view)
+        view.meter = Meter()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            find_branch(view, p)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        cells.add(view.meter.peak_cells)
+    assert len(cells) == 1
+    assert max(peaks) - min(peaks) <= SEARCH_PEAK_MARGIN, peaks
 
 
 # --- the search folds its pending rows in one run per residual check ----

@@ -114,8 +114,9 @@ def test_next_y_match_finds_least():
 
 
 def test_prev_y_match_finds_greatest():
-    # The backward search is reached through a one-row suffix fold: its
-    # single level is the greatest match of X[i] in the Y range.
+    # The greatest match is reached through a one-row suffix fold, a
+    # forward search of the mirror, the reversed pair: its single level
+    # is the greatest match of X[i] in the Y range.
     view = MatchView(X1, Y1)
     assert suffix_thresholds(view, IndexRange(1, 1)) == (10,)   # last 'a'
     assert suffix_thresholds(view, IndexRange(9, 9)) == (5,)    # only 'b'
@@ -162,9 +163,9 @@ def test_scan_walk_telescopes_to_row_length():
 
 
 def test_fast_and_generic_paths_agree():
-    # str inputs take str.find/rfind, int tuples are coded as bytes and
-    # take bytes.find/rfind, and tuples of str tokens take the element
-    # loops. Results and probe counts must be identical.
+    # str inputs take str.find, int tuples are coded as bytes and take
+    # bytes.find, and tuples of str tokens take tuple.index, each for the
+    # view and its mirror. Results and probe counts must be identical.
     sview = MatchView(X1, Y1)
     ranges = [IndexRange(lo, hi) for lo in range(1, 12)
               for hi in range(lo - 1, 12)]
@@ -177,7 +178,7 @@ def test_fast_and_generic_paths_agree():
                 b = tview.next_y_match(i, r.lo, r.hi)
                 assert a == b
         assert sview.meter.eq_queries == tview.meter.eq_queries
-        # The backward search runs inside the suffix folds.
+        # Suffix folds search the mirror forward.
         for xr in ranges:
             for yr in ranges:
                 a = suffix_thresholds(sview, xr, yr)

@@ -3,7 +3,8 @@
 ``InterruptingMeter`` raises ``KeyboardInterrupt`` from the first probe
 charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form, of the view or of its mirror, which
-folds the suffix rows), in a match search of ``first_lcs``,
+folds the suffix rows, among them the two one-word folds of a narrow
+split), in a match search of ``first_lcs``,
 at the one charge of its two-row kernel or of its kernel for fully
 matched ranges, or inside the branch search, whose rows also take
 either form. After the interrupt the caller simply calls again: the
@@ -85,27 +86,28 @@ def _cases():
     rng = random.Random(1)
     x = rand_string(rng, 130, 4)
     y = rand_string(rng, 20, 4) + x[10:120] + rand_string(rng, 20, 4)
-    # (x, y, whether some folds and some search rows take the bit form)
-    return [("abcab" * 8, "bacba" * 8, True),  # many outputs: the first 30
-            (x, y, True),  # 15 outputs
-            (x.encode(), y.encode(), True),
-            (tuple(x), tuple(y), False)]
+    # (x, y, whether some folds and some search rows take the bit form,
+    # whether some split is 64 or more positions wide)
+    return [("abcab" * 8, "bacba" * 8, True, False),  # the first 30 outputs
+            (x, y, True, True),  # 15 outputs
+            (x.encode(), y.encode(), True, True),
+            (tuple(x), tuple(y), False, True)]
 
 
-@pytest.mark.parametrize("x, y, bit_rows", _cases(),
+@pytest.mark.parametrize("x, y, bit_rows, wide", _cases(),
                          ids=["periodic", "str", "bytes", "tuple"])
 def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
-                                                            bit_rows):
-    # Each kernel holds a few percent of the probes, in one charge per
-    # call: the sweep also interrupts five of each kernel's charges.
-    kernel_at = {"_two_rows": [], "_matched_rows": []}
+                                                            bit_rows, wide):
+    # Each kernel holds a few percent of the probes, in one or two charges
+    # per call: the sweep also interrupts five of each kernel's first ones.
+    kernel_at = {"_two_rows": [], "_matched_rows": [], "_narrow_split": []}
 
     def recorder(name):
         kernel = getattr(hirschberg, name)
 
         def record(view, *args):
             kernel_at[name].append(view.meter.eq_queries)
-            kernel(view, *args)
+            return kernel(view, *args)
         return record
 
     for name in kernel_at:
@@ -140,17 +142,21 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     if ref.finished:
         assert ref.view.meter.live_cells == 0
     # Suffix rows, of a split or of the search, are the mirror's prefix rows.
-    assert {"_fold_prefix_row", "_fold_prefix_row (mirror)", "_two_rows",
-            "_matched_rows", "_branch_search"} <= hit
-    assert ("_fold_bits" in hit) == bit_rows
+    assert {"_fold_prefix_row (mirror)", "_two_rows", "_matched_rows",
+            "_branch_search"} <= hit
+    assert ("_narrow_split" in hit) == bit_rows
+    assert ("_fold_bits" in hit) == (bit_rows and wide)
+    # With bit-planes, a split's list rows are those of a wide fold.
+    assert ("_fold_prefix_row" in hit) == (wide or not bit_rows)
     assert search_bit_rows == bit_rows
 
 
 def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
     # An interrupt in the third suffix row of a split, a row the mirror
     # folds, used to leave the split's prefix thresholds charged for the
-    # rest of the enumeration.
-    x, y = "abcab" * 8, "bacba" * 8
+    # rest of the enumeration. Tuples keep the list rows; the str pair's
+    # narrow splits fold bit rows (the next test).
+    x, y = tuple("abcab" * 8), tuple("bacba" * 8)
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
     enum = LcsEnumerator(MatchView(x, y))
@@ -171,6 +177,38 @@ def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
     # The third mirrored row was that of a split: its prefix half is done.
     assert calls == 3
     got, _ = _run(enum)
+    assert got == want
+    assert enum.view.meter.live_cells == ref.view.meter.live_cells
+    assert enum.counters.outputs_emitted == len(want)
+
+
+def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
+    # The same pair as str: its first split, 40 positions wide, folds two
+    # words. An interrupt in the second mirrored row, after the prefix
+    # half is done, must leave nothing charged and the stream as it was.
+    x, y = "abcab" * 8, "bacba" * 8
+    ref = LcsEnumerator(MatchView(x, y))
+    want, _ = _run(ref)
+    entries = []
+    bit_rows = hirschberg._bit_rows
+
+    def record(view, rows, v, full, a, b):
+        entries.append((view, view.meter.eq_queries, full.bit_count()))
+        return bit_rows(view, rows, v, full, a, b)
+
+    monkeypatch.setattr(hirschberg, "_bit_rows", record)
+    probe = LcsEnumerator(MatchView(x, y))
+    probe.next_sequence()
+    monkeypatch.undo()
+    # The first split's folds: the view's rows, then the mirror's.
+    (first, _, _), (second, at, w) = entries[:2]
+    assert first is probe.view and second is probe.view._mirror
+    monkeypatch.setattr(enumerator_module, "Meter",
+                        lambda: InterruptingMeter(at + w))
+    enum = LcsEnumerator(MatchView(x, y))
+    got, where = _run(enum)
+    assert len(where) == 1
+    assert {"_narrow_split", "_bit_rows (mirror)"} <= where[0]
     assert got == want
     assert enum.view.meter.live_cells == ref.view.meter.live_cells
     assert enum.counters.outputs_emitted == len(want)
