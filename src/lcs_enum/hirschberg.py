@@ -39,8 +39,8 @@ per shared token, 2 * len_y bits per token in all, built once per
 orientation: read-only input storage outside the cell count, like the
 coded pair and the mirror.
 
-A split under 64 positions folds both halves in the bit form from the
-first row, one word of at most 70 bits each, and reads the split off
+On such a view, a split under 64 positions folds both halves in the
+bit form from the first row, one word of at most 70 bits each, and reads the split off
 the two words without a list (:func:`_narrow_split`): V and its
 temporaries are a few words, which the range's charged frame covers.
 Any other fold over w positions starts in the list form and switches

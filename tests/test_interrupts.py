@@ -98,8 +98,8 @@ def _cases():
                          ids=["periodic", "str", "bytes", "tuple"])
 def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
                                                             bit_rows, wide):
-    # Each kernel holds a few percent of the probes, in one or two charges
-    # per call: the sweep also interrupts five of each kernel's first ones.
+    # Each kernel holds a few percent of the probes: the sweep also
+    # interrupts five of each kernel's calls at their first charge.
     kernel_at = {"_two_rows": [], "_matched_rows": [], "_narrow_split": []}
 
     def recorder(name):
