@@ -22,13 +22,12 @@ i* never moves right, so a whole call folds at most |X| rows and
 charges O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 The rows start in the list form of :mod:`lcs_enum.hirschberg` and
-switch to its bit form under the rule of the restart's folds over w =
-|Y| positions, where the rows left are X[i*], .., X[1]: with bit-planes,
-at a level per 64 positions of Y if |Y| >= 64, else at 4 levels with
-at least 4 rows left. From then on the thresholds are the 0-bits of one
-|Y|-bit integer, bit |Y| - j standing for j, each row's mask is its
-token's whole plane in the mirror, and the second question is one
-``bit_count`` of the bits above j*.
+switch to its bit form where its one fold switches, over w = |Y|
+positions: with bit-planes, at a level per 64 positions of Y if
+|Y| >= 64, else before the first row. From then on the thresholds are
+the 0-bits of one |Y|-bit integer, bit |Y| - j standing for j, each
+row's mask is its token's whole plane in the mirror, and the second
+question is one ``bit_count`` of the bits above j*.
 
 X is searched with the view's bound search, charged what a scan with
 early exit would cost. The greedy embedding is one loop charged once:
@@ -51,8 +50,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
-from .hirschberg import (_FRAME_CELLS, _bit_form, _bit_rows, _fold_prefix_row,
-                         _switch_rule)
+from .hirschberg import _FRAME_CELLS, _fold
 
 
 class BranchPoint(NamedTuple):
@@ -142,30 +140,9 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     meter.grow(_FRAME_CELLS + 1 + length)
     q = [0, i_kept] if k_kept else [0]
     t: list[int] = []
-    # Under the rule of the restart's folds, the thresholds become the
-    # 0-bits of v, bit j' - 1 = len_y - j standing for j: the rows span
-    # all of Y, so a row's mask is its token's whole mirrored plane. The
-    # len_y-bit mask ``full`` is built at the switch, when the levels
-    # held cover its words, not before.
-    v = full = None
-    switch, rows_left = _switch_rule(view, len_y)
-
-    def fold(i: int, stop: int) -> None:
-        """Fold X[i], X[i - 1], .., X[stop + 1] into the thresholds: the
-        mirror's rows n1 - i, .., n1 - stop - 1."""
-        nonlocal v, full
-        if v is None:
-            # Rows X[i], .., X[1] are all the search can still fold.
-            while i > stop and (len(t) < switch or i < rows_left):
-                _fold_prefix_row(mirror, n1 - i, 1, len_y, t)
-                i -= 1
-            if i == stop:
-                return
-            v = _bit_form(t, 1, len_y, 0)
-            full = (1 << len_y) - 1
-        v = _bit_rows(mirror, range(n1 - i, n1 - stop), v, full, 0,
-                      (len_y + 7) >> 3)
-
+    # Once _fold switches, the thresholds are the 0-bits of v, bit
+    # j' - 1 = len_y - j standing for j: the rows span all of Y.
+    v = None
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),
                                    i_kept, q)
@@ -191,7 +168,8 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                     continue
                 meter.eq_queries += hit + 1 - base
                 i_star = hit + 1  # X[hit + 2..folded] wait too, if any
-                fold(folded, i_star)
+                v = _fold(mirror, range(n1 - folded, n1 - i_star), 1, len_y,
+                          t, v)
                 folded = i_star
                 # Residual check: the inputs after (i_star, j_star) must reach
                 # level need; more would contradict L being the LCS length.
@@ -209,7 +187,7 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                 # Larger i*, j* pairs cannot help once this one failed;
                 # X[i_star] waits for the next run with the others.
                 i_star -= 1
-        fold(folded, i_star)
+        v = _fold(mirror, range(n1 - folded, n1 - i_star), 1, len_y, t, v)
         return None
     finally:
         # Nothing the search charges is released before it ends, so its

@@ -22,12 +22,12 @@ reversed strings): X[i] and Y[j] are its row n + 1 - i and position
 m + 1 - j, and its level q holds m + 1 - j for the threshold j.
 
 So every fold is a prefix fold, one X character at a time, in one of
-two forms. Every fold starts in the list form, the Hunt-Szymanski
-threshold update: each match of that character inside the Y range
-lowers the threshold of the level found by bisection. It visits only
-the matches that can change a level, skipping from each one past the
-old threshold it replaced, and finds them with the forward search the
-view bound when it was built: str or bytes find, or tuple.index.
+two forms. The list form is the Hunt-Szymanski threshold update: each
+match of that character inside the Y range lowers the threshold of the
+level found by bisection. It visits only the matches that can change a
+level, skipping from each one past the old threshold it replaced, and
+finds them with the forward search the view bound when it was built:
+str or bytes find, or tuple.index.
 
 When the view has bit-planes (the pair is bytes, or two ASCII str), a
 fold may take the bit form (Allison-Dix, Hyyro): the thresholds become
@@ -39,22 +39,19 @@ per shared token, 2 * len_y bits per token in all, built once per
 orientation: read-only input storage outside the cell count, like the
 coded pair and the mirror.
 
-On such a view, a split under 64 positions folds both halves in the
-bit form from the first row, one word of at most 70 bits each, and reads the split off
-the two words without a list (:func:`_narrow_split`): V and its
-temporaries are a few words, which the range's charged frame covers.
-Any other fold over w positions starts in the list form and switches
-once it holds at least w/64 levels if w >= 64, or 4 levels with at
-least 4 rows left to fold if w < 64 (:func:`_switch_rule`). Beyond the
-planes that bit form holds V, a few w-bit temporaries and, at the end,
-a w-character readback string: a constant number of machine words per
-level once 64 * levels >= w, so the one-cell-per-level charge stays an
-upper bound on its space. Other inputs and folds with few levels or
-few rows left stay in the list form. The branch search's rows
+One function, :func:`_fold`, switches a fold from the list form to
+the bit form, and only :func:`_bit_rows` cuts masks from the planes.
+A fold over w < 64 positions takes bit rows from its first row, with V
+one word; a wider one switches once it holds ceil(w/64) levels, where V
+and its few w-bit temporaries take a constant number of machine words
+per level, so the one-cell-per-level charge stays an upper bound on
+its space. Folds of other views keep the list form. A split under 64
+positions reads its least maximizer off its halves' two words, with no
+list (:func:`_narrow_split`); other folds read V back into one through
+a w-character string. The branch search's rows
 (:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
-switch under the same rule and share the row step, but keep V between
-rows and read it without a list; the search charges their levels once,
-when it returns.
+take the same :func:`_fold` but keep V between runs and read it without
+a list; the search charges their levels once, when it returns.
 
 Either form charges a length-n row exactly n equality probes, what a
 scan of the whole row costs, and a fold one cell per level it holds,
@@ -132,42 +129,34 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
 
 
 # V and each w-bit temporary take a word per this many positions, so a
-# fold switches no sooner than at a level per this many (_switch_rule).
+# fold at least this wide switches no sooner than at a level per this
+# many (_fold).
 _BIT_POSITIONS_PER_LEVEL = 64
-# A fold narrower than that switches once it holds this many levels and
-# has this many rows left: where the bit rows pay back the switch.
-_NARROW_LEVELS = 4
-_NARROW_ROWS = 4
 
 
-def _bit_form(levels: list[int], j_lo: int, j_hi: int, r: int) -> int:
-    """V for the thresholds in ``levels``, which it empties.
-
-    Bit r + k of V stands for j_lo + k; the thresholds are its 0-bits
-    among bits r..r + j_hi - j_lo, and every other bit is 0.
-    """
-    v = ((1 << (j_hi - j_lo + 1)) - 1) << r
-    for t in levels:
-        v ^= 1 << (r + t - j_lo)
-    levels.clear()
-    return v
-
-
-def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
-              b: int) -> int:
+def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
+              v: int | None = None) -> int:
     """V after folding the X rows into it, one bit row each.
 
-    ``full`` holds the 1-bits of V's w positions, and plane bytes a..b - 1
-    hold them. Each row is charged w probes, like the list form; the
-    caller charges the levels' cells. A row's match mask is cut from the
-    plane of its token, built on the view's first bit row; a token
-    absent from Y leaves V as it is.
+    Bit k of V stands for j_lo + k: the thresholds in Y[j_lo..j_hi] are
+    its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0; None
+    is V with no levels yet. Each row is charged w = j_hi - j_lo + 1
+    probes, like the list form; the caller charges the levels' cells. A
+    row's match mask is cut from the plane of its token, built on the
+    view's first bit row; a token absent from Y leaves V as it is.
     """
     meter = view._meter
     planes = view._planes
     if not planes:
         planes.update(_bit_planes(view._x, view._y))
-    w = full.bit_count()
+    w = j_hi - j_lo + 1
+    # Plane bit b0 + k stands for j_lo + k; plane bytes a..b - 1 hold bits
+    # b0..b0 + w - 1 and up to 7 bits on either side. While the rows run,
+    # V sits r bits up, so a row's mask needs no shift.
+    b0 = j_lo - 1
+    a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
+    full = ((1 << w) - 1) << r
+    v = full if v is None else v << r
     x = view._x
     from_bytes = int.from_bytes
     for i in rows:
@@ -179,85 +168,66 @@ def _bit_rows(view: MatchView, rows: range, v: int, full: int, a: int,
         # borrow reaches them.
         u = v & from_bytes(plane[a:b], "little")
         v = ((v + u) | (v - u)) & full
+    return v >> r
+
+
+def _fold(view: MatchView, rows: range, j_lo: int, j_hi: int,
+          levels: list[int], v: int | None = None) -> int | None:
+    """Fold the X rows into the prefix thresholds over Y[j_lo..j_hi]: V
+    (:func:`_bit_rows`) if the fold ends in the bit form, else None with
+    the thresholds in ``levels``. The only place a fold switches form.
+
+    Given V, every row is a bit row. Otherwise the rows take the list
+    form until, before a row, the fold holds ceil(w/64) levels for
+    w = j_hi - j_lo + 1 >= 64; under 64 positions they take the bit form
+    from the first row; a view without bit-planes never switches. V and
+    each temporary take ceil(w/64) words: from 64 * levels >= w on, the
+    one-cell-per-level charge covers them, and under 64 positions they
+    are single words, cheaper to update than a list row, which visits up
+    to levels + 1 matches, a search and a bisection each. The list is
+    emptied once the bit rows are done, so a caller that charges it when
+    a row raises charges the levels held at the switch. Charges the
+    rows' probes, not the cells.
+    """
+    if v is None:
+        w = j_hi - j_lo + 1
+        switch = (w + 1 if view._planes is None
+                  else 0 if w < _BIT_POSITIONS_PER_LEVEL
+                  else -(-w // _BIT_POSITIONS_PER_LEVEL))
+        for n, i in enumerate(rows):
+            if len(levels) >= switch:
+                break
+            _fold_prefix_row(view, i, j_lo, j_hi, levels)
+        else:
+            return None
+        rows = rows[n:]
+        v = (1 << w) - 1
+        for t in levels:
+            v ^= 1 << (t - j_lo)
+    v = _bit_rows(view, rows, j_lo, j_hi, v)
+    levels.clear()
     return v
-
-
-def _switch_rule(view: MatchView, w: int) -> tuple[int, int]:
-    """(levels, rows): a fold over w positions of Y takes the bit form
-    before a row once it holds that many levels and that many rows, the
-    row included, are left to fold. (w + 1, 1) if the view has no
-    bit-planes: more levels than w positions hold. It rules the folds of
-    :func:`_fold_rows` and the branch search's rows; a split under 64
-    positions of a view with planes folds bit rows from the first row
-    instead (:func:`_narrow_split`).
-
-    Space: V and each temporary take ceil(w/64) words, so the bit form
-    keeps the one-cell-per-level charge an upper bound from
-    64 * levels >= w on. At w >= 64 the fold switches right there.
-
-    Time, below 64 positions, where one level already covers the space:
-    a list row visits up to levels + 1 matches, a search and a bisection
-    each, while a bit row is a fixed handful of one-word operations, and
-    entering the bit form and reading V back costs a few list rows more.
-    At 4 levels a list row over 16-63 positions takes about 3 us and a
-    bit row about 1.3 us, and the switch about 4 us (CPython 3.11 on a
-    shared 2-core x86-64 VM), so a fold switches once it holds 4 levels
-    and has at least 4 rows left. A fold narrower than 4 positions never
-    holds 4 levels, and one of fewer than 8 rows never switches.
-    """
-    if view._planes is None:
-        return w + 1, 1
-    if w >= _BIT_POSITIONS_PER_LEVEL:
-        return -(-w // _BIT_POSITIONS_PER_LEVEL), 1
-    return _NARROW_LEVELS, _NARROW_ROWS
-
-
-def _fold_bits(view: MatchView, rows: range, j_lo: int, j_hi: int,
-               levels: list[int]) -> None:
-    """Fold the X rows into ``levels`` in the bit form, in place.
-
-    V is :func:`_bit_form` with r = the bit offset of its first position
-    within a byte of the view's bit-planes, r < 8, so a row's mask needs
-    no shift. The list is emptied while the rows run and refilled with
-    the same values the list form would give; probes are charged as in
-    the list form, and cells by the caller.
-    """
-    w = j_hi - j_lo + 1
-    # Plane bit b0 + k stands for the position of bit r + k of V; plane
-    # bytes a..b - 1 hold bits b0..b0 + w - 1 and up to 7 bits on either side.
-    b0 = j_lo - 1
-    a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
-    full = ((1 << w) - 1) << r
-    v = _bit_rows(view, rows, _bit_form(levels, j_lo, j_hi, r), full, a, b)
-    zeros = bin(v ^ full)[:1:-1]  # character r + k is bit r + k
-    k = zeros.find("1")
-    while k >= 0:
-        levels.append(j_lo - r + k)
-        k = zeros.find("1", k + 1)
 
 
 def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
                j_hi: int) -> list[int]:
     """Prefix thresholds of X[i_first..i_last] against Y[j_lo..j_hi].
 
-    Folds the rows in increasing i, starting in the list form and
-    switching to the bit form before the first row at which the fold
-    holds the levels and has the rows left that :func:`_switch_rule`
-    names for w = j_hi - j_lo + 1. Returns the levels, one cell each,
-    charged once when the fold is done; the caller releases them. An
-    exception in a row propagates before any cell is charged.
+    :func:`_fold`, then V read back into the list if the fold switched.
+    Returns the levels, one cell each, charged once when the fold is
+    done; the caller releases them. An exception in a row propagates
+    before any cell is charged.
     """
     levels: list[int] = []
     if j_lo > j_hi:
         return levels
-    rows = range(i_first, i_last + 1)
-    switch, rows_left = _switch_rule(view, j_hi - j_lo + 1)
-    last = len(rows) - rows_left  # the last row that may switch, 0-based
-    for n, i in enumerate(rows):
-        if n <= last and len(levels) >= switch:
-            _fold_bits(view, rows[n:], j_lo, j_hi, levels)
-            break
-        _fold_prefix_row(view, i, j_lo, j_hi, levels)
+    v = _fold(view, range(i_first, i_last + 1), j_lo, j_hi, levels)
+    if v is not None:
+        bits = bin(v | 1 << (j_hi - j_lo + 1))[:2:-1]  # character k is bit k
+        k = bits.find("0")
+        while k >= 0:
+            levels.append(j_lo + k)
+            k = bits.find("0", k + 1)
     view._meter.grow(len(levels))
     return levels
 
@@ -267,32 +237,23 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     """:func:`_split` over w = j_hi - j_lo + 1 < 64 positions of a view
     with bit-planes, from two bit folds of one word each.
 
-    Each half is folded in the bit form from its first row, V starting at
-    ``full``, no levels: the prefix half on the view over j_lo..j_hi, the
-    right half on the mirror over m + 1 - j_hi..m + 1 - j_lo, each V at
-    the bit offset of its first position within a plane byte
-    (:func:`_fold_bits`), so a word of at most 70 bits. Shifted down, bit
-    k of ``lo`` marks the prefix threshold j_lo + k and bit k of ``hi``
-    the suffix threshold j_hi - k, so a split after j_lo + k keeps the
-    suffix levels below bit w - 1 - k. The 1-bits of ``lo`` are walked in
-    increasing k; strict improvement keeps the least maximizer. The folds
-    charge their rows' probes; the two halves' levels are charged once,
-    after both, and released before the walk, which holds no list.
+    Each half is folded in the bit form from its first row, with no
+    levels: the prefix half on the view over j_lo..j_hi, the right half
+    on the mirror over m + 1 - j_hi..m + 1 - j_lo. Bit k of ``lo`` marks
+    the prefix threshold j_lo + k and bit k of ``hi`` the suffix
+    threshold j_hi - k, so a split after j_lo + k keeps the suffix levels
+    below bit w - 1 - k. The 1-bits of ``lo`` are walked in increasing k;
+    strict improvement keeps the least maximizer. The folds charge their
+    rows' probes; the two halves' levels are charged once, after both,
+    and released before the walk, which holds no list.
     """
     i_mid = (i_lo + i_hi) // 2
     w = j_hi - j_lo + 1
     ones = (1 << w) - 1
-    b0 = j_lo - 1
-    r = b0 & 7
-    full = ones << r
-    lo = (_bit_rows(view, range(i_lo, i_mid + 1), full, full, b0 >> 3,
-                    (b0 + w + 7) >> 3) ^ full) >> r
-    n1 = view.len_x + 1
-    b0 = view.len_y - j_hi
-    r = b0 & 7
-    full = ones << r
-    hi = (_bit_rows(view._mirror, range(n1 - i_hi, n1 - i_mid), full, full,
-                    b0 >> 3, (b0 + w + 7) >> 3) ^ full) >> r
+    n1, m1 = view.len_x + 1, view.len_y + 1
+    lo = _bit_rows(view, range(i_lo, i_mid + 1), j_lo, j_hi) ^ ones
+    hi = _bit_rows(view._mirror, range(n1 - i_hi, n1 - i_mid), m1 - j_hi,
+                   m1 - j_lo) ^ ones
     best = hi.bit_count()
     cells = lo.bit_count() + best
     meter = view._meter
@@ -318,46 +279,29 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     """(i_mid, j_mid, l_lo, l_hi): the midpoint of X, the least Y split
     whose half-LCS lengths sum to L, and those two lengths.
 
-    Requires i_lo < i_hi. Builds the left half's prefix thresholds and
-    the right half's suffix thresholds, the latter as the prefix ones of
-    the mirror's rows n + 1 - i_hi..n - i_mid over its positions
-    m + 1 - j_hi..m + 1 - j_lo, which hold m + 1 - j for each suffix
-    threshold j. A split under 64 positions of a view with bit-planes
-    folds both halves in the bit form from the first row and reads the
-    split off the two words (:func:`_narrow_split`). Otherwise the folds
-    take the list-form rows directly when neither half can switch to the
-    bit form, else :func:`_fold_rows`; either way each fold's levels are
-    charged once, when it is done. Then walks the prefix thresholds, the
-    only places where the level sum can rise, in O(L); strict
-    improvement keeps the least maximizer, and the walk's two level
-    counts there are the halves' lengths. Every cell charged here is
-    released before it returns or raises.
+    Requires i_lo < i_hi. A split under 64 positions of a view with
+    bit-planes folds both halves in the bit form and reads the split off
+    the two words (:func:`_narrow_split`). Any other builds the left
+    half's prefix thresholds and the right half's suffix thresholds with
+    :func:`_fold_rows`, the latter as the prefix ones of the mirror's
+    rows n + 1 - i_hi..n - i_mid over its positions m + 1 - j_hi..m + 1 -
+    j_lo, which hold m + 1 - j for each suffix threshold j. Then walks
+    the prefix thresholds, the only places where the level sum can rise,
+    in O(L); strict improvement keeps the least maximizer, and the walk's
+    two level counts there are the halves' lengths. Every cell charged
+    here is released before it returns or raises.
     """
     w = j_hi - j_lo + 1
     if view._planes is not None and w < _BIT_POSITIONS_PER_LEVEL:
         return _narrow_split(view, i_lo, i_hi, j_lo, j_hi)
     meter = view._meter
     base = meter.live_cells
-    mirror = view._mirror
     n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
     try:
-        switch, rows_left = _switch_rule(view, w)
-        # Levels never outnumber the rows folded, so folds that can never
-        # switch take the list-form rows directly: most are a row or two,
-        # where _fold_rows' set-up weighs. The prefix half is the larger.
-        if switch > w or switch + rows_left > i_mid - i_lo + 1:
-            lo_levels: list[int] = []
-            hi_levels: list[int] = []
-            for i in range(i_lo, i_mid + 1):
-                _fold_prefix_row(view, i, j_lo, j_hi, lo_levels)
-            for i in range(n1 - i_hi, n1 - i_mid):
-                _fold_prefix_row(mirror, i, m1 - j_hi, m1 - j_lo, hi_levels)
-            meter.grow(len(lo_levels) + len(hi_levels))
-        else:
-            lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
-            hi_levels = _fold_rows(mirror, n1 - i_hi, n1 - i_mid - 1,
-                                   m1 - j_hi, m1 - j_lo)
+        lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
+        hi_levels = _fold_rows(view._mirror, n1 - i_hi, n1 - i_mid - 1,
+                               m1 - j_hi, m1 - j_lo)
 
         # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j,
         # where the mirror's level h stands for the suffix threshold m1 - h.

@@ -2,17 +2,19 @@
 
 A fold over a bytes pair, or two ASCII str, switches to bit rows once
 it holds a level per 64 positions when it is at least 64 positions
-wide, and once it holds 4 levels with 4 rows left when it is narrower;
-so do the rows of the branch search, which span all of Y. Suffix
-thresholds are the mirror's prefix ones, so its folds switch likewise.
-A split under 64 positions folds both halves in the bit form from the
-first row and reads the split off the two words. A ``MinimalSeq`` view
+wide, and before its first row when it is narrower; so do the rows of
+the branch search, which span all of Y. One function, ``_fold``, makes
+that switch for every fold. Suffix thresholds are the mirror's prefix
+ones, so its folds switch likewise. A split under 64 positions folds
+both halves in the bit form and reads the split off the two words. A
+``MinimalSeq`` view
 of the same content is never coded, so it always keeps the list form
 and is the reference: values, probes, peak cells and live cells must
 all match.
 """
 
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -28,13 +30,13 @@ FUNCTIONS = (prefix_thresholds, suffix_thresholds, first_lcs, split_point)
 # Widths on both sides of 16 and 64 positions and of two words.
 EDGE_WIDTHS = (1, 2, 8, 15, 16, 17, 62, 63, 64, 65, 66, 127, 128, 129)
 # Lengths of Y about as wide.
-SEARCH_WIDTHS = (15, 16, 17, 62, 63, 64, 65, 127, 128, 129)
+SEARCH_WIDTHS = (1, 2, 8, 15, 16, 17, 62, 63, 64, 65, 127, 128, 129)
 
 
 def _rule(w):
-    """(levels, rows left, that row included) from which a fold over w
-    positions of a view with bit-planes takes the bit form."""
-    return (-(-w // 64), 1) if w >= 64 else (4, 4)
+    """The levels at which a fold over w positions of a view with
+    bit-planes takes the bit form, before its next row."""
+    return 0 if w < 64 else -(-w // 64)
 
 
 @st.composite
@@ -49,9 +51,9 @@ def instances(draw):
                                    [0xE9, 0x3B1] if kind == "str" else [0x9C]]))
     y_extra = [0x80, 0xFF] if kind == "bytes" and draw(st.booleans()) else []
     w = draw(st.sampled_from(EDGE_WIDTHS) | st.integers(1, 160))
-    # X row counts near the fewest that can switch (levels + rows left)
-    # as well as anywhere.
-    least = sum(_rule(w))
+    # X row counts near the fewest that can switch (the rule's levels,
+    # then the row that switches) as well as anywhere.
+    least = _rule(w) + 1
     rows = draw(st.integers(max(1, least - 3), least + 3)
                 | st.integers(1, 160))
     y_pad = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -145,18 +147,37 @@ def test_wide_searches_agree_with_list_rows(search_switches):
     assert {w for w, *_ in search_switches} == {512}
 
 
+def _switch_recorder(monkeypatch, module):
+    """(w, levels, bits) at every switch of a fold to the bit form that
+    ``module._fold`` runs: the positions, the levels the list held there,
+    and the bit length of V after the fold's bit rows."""
+    switches = []
+    fold, bit_rows = module._fold, hirschberg._bit_rows
+    switching = []  # per _fold call in progress: whether it may switch
+
+    def record_fold(view, rows, j_lo, j_hi, levels, v=None):
+        switching.append(v is None)
+        try:
+            return fold(view, rows, j_lo, j_hi, levels, v)
+        finally:
+            switching.pop()
+
+    def record_rows(view, rows, j_lo, j_hi, v=None):
+        result = bit_rows(view, rows, j_lo, j_hi, v)
+        if switching and switching[-1]:
+            w = j_hi - j_lo + 1
+            switches.append((w, w - v.bit_count(), result.bit_length()))
+        return result
+
+    monkeypatch.setattr(module, "_fold", record_fold)
+    monkeypatch.setattr(hirschberg, "_bit_rows", record_rows)
+    return switches
+
+
 @pytest.fixture
 def bit_entries(monkeypatch):
-    """(w, levels, rows left) at every switch of a fold to the bit form."""
-    entries = []
-    fold_bits = hirschberg._fold_bits
-
-    def record(view, rows, j_lo, j_hi, levels):
-        entries.append((j_hi - j_lo + 1, len(levels), len(rows)))
-        return fold_bits(view, rows, j_lo, j_hi, levels)
-
-    monkeypatch.setattr(hirschberg, "_fold_bits", record)
-    return entries
+    """(w, levels, bits) at every switch of a restart or threshold fold."""
+    return _switch_recorder(monkeypatch, hirschberg)
 
 
 @pytest.fixture
@@ -175,24 +196,16 @@ def narrow_splits(monkeypatch):
 
 @pytest.fixture
 def search_switches(monkeypatch):
-    """(len_y, levels, rows left) at every switch of a branch search to
-    the bit form; the rows left are X[i], .., X[1] for the first bit row i."""
-    switches = []
-    bit_form, bit_rows = branching._bit_form, branching._bit_rows
+    """(len_y, levels, bits) at every switch of a branch search."""
+    return _switch_recorder(monkeypatch, branching)
 
-    def record(levels, j_lo, j_hi, r):
-        switches.append([j_hi - j_lo + 1, len(levels), None])
-        return bit_form(levels, j_lo, j_hi, r)
 
-    def record_rows(view, rows, *args):
-        # The search's rows are the mirror's: its row i' is X[len_x + 1 - i'].
-        if switches[-1][2] is None:
-            switches[-1][2] = view.len_x + 1 - rows.start
-        return bit_rows(view, rows, *args)
-
-    monkeypatch.setattr(branching, "_bit_form", record)
-    monkeypatch.setattr(branching, "_bit_rows", record_rows)
-    return switches
+def _check_switches(entries):
+    """Every switch holds the rule's levels, and those levels cover V's
+    words or V is one word under 64 bits."""
+    for w, levels, bits in entries:
+        assert levels == _rule(w), (w, levels)
+        assert 64 * levels >= w or bits <= w < 64, (w, levels, bits)
 
 
 def _list_levels(view, rows, j_lo, j_hi):
@@ -207,11 +220,11 @@ def _list_levels(view, rows, j_lo, j_hi):
 def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
                                                 narrow_splits, search_switches):
     # A split under 64 positions of a view with bit-planes is solved by
-    # two one-word bit folds, and no half of it enters _fold_bits. Each
-    # half of a wider split switches exactly when the list form holds the
-    # rule's levels before a row with the rule's rows left, and then at
-    # the first such row; the search likewise, at any width. All keep
-    # 64 * levels >= w. The right half is folded as the mirror's rows over
+    # two one-word bit folds, and no half of it enters _fold. Each half
+    # of a wider split switches exactly when the list form holds the
+    # rule's levels before one of its rows, and then at the first such
+    # row; the search likewise, at any width, from its first row under
+    # 64 positions. The right half is folded as the mirror's rows over
     # mirrored positions. A view without planes never takes the bit form.
     split = hirschberg._split
 
@@ -227,7 +240,7 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
         if view._planes is None:
             assert len(bit_entries) == before
             return result
-        levels, left = _rule(w)
+        levels = _rule(w)
         i_mid = (i_lo + i_hi) // 2
         n1, m1 = view.len_x + 1, view.len_y + 1
         want = 0
@@ -235,7 +248,7 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
                 (view, range(i_lo, i_mid + 1), j_lo, j_hi),
                 (view._mirror, range(n1 - i_hi, n1 - i_mid), m1 - j_hi,
                  m1 - j_lo)):
-            last = len(rows) - left  # rows[last] is the last one that may switch
+            last = len(rows) - 1  # rows[last] is the last one that may switch
             want += last >= 0 and _list_levels(
                 fold_view, rows[:last], lo, hi) >= levels
         assert len(bit_entries) - before == want, (i_lo, i_hi, j_lo, j_hi)
@@ -257,11 +270,8 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
     assert narrow_seen and planed_seen
     assert bit_entries and all(w >= 64 for w, _, _ in bit_entries)
     assert {w < 64 for w, _, _ in search_switches} == {True, False}
-    for entries in (bit_entries, search_switches):
-        for w, levels, rows_left in entries:
-            want_levels, want_left = _rule(w)
-            assert levels == want_levels and rows_left >= want_left
-            assert 64 * levels >= w
+    _check_switches(bit_entries)
+    _check_switches(search_switches)
 
 
 def test_byte_valued_sequences_switch(bit_entries):
@@ -296,26 +306,28 @@ def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
 def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
                                      search_switches, n):
     # Criterion 7's family has L = 1: one level pays for at most 64 bits,
-    # and a narrower fold needs 4, so nothing wide enters the bit form.
-    # Its splits under 64 positions fold two words, each under 64
-    # positions past a bit offset below 8, one word of 64 bits at most
-    # once shifted down.
+    # so nothing 65 or more positions wide enters the bit form. Its splits
+    # under 64 positions fold two words, and a search over fewer than 64
+    # positions folds one from its first row, each V under 64 bits.
     words = []
     bit_rows = hirschberg._bit_rows
 
-    def record(view, rows, v, full, a, b):
-        v = bit_rows(view, rows, v, full, a, b)
-        words.append((full.bit_count(), full.bit_length(), v.bit_length()))
-        return v
+    def record(view, rows, j_lo, j_hi, v=None):
+        result = bit_rows(view, rows, j_lo, j_hi, v)
+        narrow = sys._getframe(1).f_code.co_name == "_narrow_split"
+        words.append((narrow, j_hi - j_lo + 1, result.bit_length()))
+        return result
 
     monkeypatch.setattr(hirschberg, "_bit_rows", record)
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
     assert list(LcsEnumerator(view)) == [(1,)]
-    assert bit_entries == [] and search_switches == []
-    assert len(words) == 2 * len(narrow_splits)
+    assert bit_entries == []
+    assert sum(narrow for narrow, _, _ in words) == 2 * len(narrow_splits)
     assert all(w < 64 for _, w in narrow_splits)
-    for w, length, v_length in words:
-        assert w < 64 and v_length <= length <= w + 7
+    for _, w, v_length in words:
+        assert w < 64 and v_length <= w
+    _check_switches(search_switches)
+    assert bool(search_switches) == (n < 64)
     if n < 64:
         assert narrow_splits  # every split is narrow, the top one too
         assert max(w for _, w in narrow_splits) == n

@@ -14,8 +14,7 @@ from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
     BranchPoint, LcsEnumerator, Meter, first_lcs, suffix_thresholds
 from lcs_enum import branching, core, enumerator as enumerator_module
 from lcs_enum.branching import _embed
-from lcs_enum.hirschberg import _FRAME_CELLS, _bit_form, _bit_rows, \
-    _fold_prefix_row, _switch_rule
+from lcs_enum.hirschberg import _FRAME_CELLS, _bit_rows, _fold_prefix_row
 from lcs_enum.oracle import all_lcs_position_sequences
 
 X1 = "acddadacbcb"
@@ -282,28 +281,30 @@ def _eager_search(view, positions, k_kept, i_kept):
     are the mirror's, bit len_y - j standing for j."""
     meter = view.meter
     x, y, find, len_y = view._x, view._y, view._find, view.len_y
-    n1, m1 = view.len_x + 1, len_y + 1
+    n1 = view.len_x + 1
     length = len(positions)
     live = meter.live_cells
     meter.grow(_FRAME_CELLS + 1 + length)
     q = [0, i_kept] if k_kept else [0]
     j_suffix = []
     v = None
-    switch, rows_left = _switch_rule(view, len_y)
-    full = (1 << len_y) - 1
-    size = (len_y + 7) >> 3
+    # The restart folds' rule over len_y positions: with bit-planes, a
+    # level per 64 positions, or none under 64.
+    switch = (len_y + 1 if view._planes is None
+              else 0 if len_y < 64 else -(-len_y // 64))
 
     def fold(i, stop):
         nonlocal v
         if v is None:
-            while i > stop and (len(j_suffix) < switch or i < rows_left):
+            while i > stop and len(j_suffix) < switch:
                 _fold_suffix_row(view, i, 1, len_y, j_suffix)
                 i -= 1
             if i == stop:
                 return
-            v = _bit_form([m1 - j for j in j_suffix], 1, len_y, 0)
-        v = _bit_rows(view._mirror, range(n1 - i, n1 - stop), v, full, 0,
-                      size)
+            v = (1 << len_y) - 1
+            for j in j_suffix:
+                v ^= 1 << (len_y - j)
+        v = _bit_rows(view._mirror, range(n1 - i, n1 - stop), 1, len_y, v)
 
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),
@@ -346,15 +347,14 @@ def _eager_search(view, positions, k_kept, i_kept):
         meter.shrink(meter.live_cells - live)
 
 
-_FOLD_CODE = next(c for c in branching._branch_search.__code__.co_consts
-                  if getattr(c, "co_name", None) == "fold")
+_FOLD_CODE = branching._fold.__code__
 
 
 def _lazy_search(view, positions, k_kept, i_kept):
     """``_branch_search`` with its fold runs and residual checks counted.
 
     Every hit of a candidate search, which scans X below len_x, is
-    followed by one residual check; ``fold`` calls are counted from the
+    followed by one residual check; ``_fold`` calls are counted from the
     profile hook, the candidate hits through a wrapped search.
     """
     counts = {"folds": 0, "checks": 0}

@@ -75,7 +75,7 @@ def test_threshold_monotonicity():
 
 def _dp_check_thresholds(x, y, xr, yr):
     """Both threshold tuples of X[xr] against Y[yr] equal their definitions,
-    by the DP oracle; returns the bit folds that suffix_thresholds ran."""
+    by the DP oracle; returns the bit-row runs that suffix_thresholds ran."""
     xs, ys = x[xr.lo - 1:xr.hi], y[yr.lo - 1:yr.hi]
     want = lcs_length(MatchView(xs, ys))
     # prefix: entry p-1 is the least j with L(X[xr], Y[yr.lo..j]) = p;
@@ -85,13 +85,13 @@ def _dp_check_thresholds(x, y, xr, yr):
         assert lcs_length(MatchView(xs, y[yr.lo - 1:j])) == p
         assert lcs_length(MatchView(xs, y[yr.lo - 1:j - 1])) == p - 1
     # suffix: entry q-1 is the greatest j with L(X[xr], Y[j..yr.hi]) = q.
-    before = hirschberg._fold_bits.calls
+    before = hirschberg._bit_rows.calls
     suf = suffix_thresholds(MatchView(x, y), xr, yr)
     assert len(suf) == want
     for q, j in enumerate(suf, start=1):
         assert lcs_length(MatchView(xs, y[j - 1:yr.hi])) == q
         assert lcs_length(MatchView(xs, y[j:yr.hi])) == q - 1
-    return hirschberg._fold_bits.calls - before
+    return hirschberg._bit_rows.calls - before
 
 
 def _random_range(rng, n, least=0):
@@ -101,14 +101,14 @@ def _random_range(rng, n, least=0):
 
 
 def test_threshold_values_against_dp(monkeypatch):
-    fold_bits = hirschberg._fold_bits
+    bit_rows = hirschberg._bit_rows
 
     def counted(*args):
         counted.calls += 1
-        return fold_bits(*args)
+        return bit_rows(*args)
 
     counted.calls = 0
-    monkeypatch.setattr(hirschberg, "_fold_bits", counted)
+    monkeypatch.setattr(hirschberg, "_bit_rows", counted)
     rng = random.Random(103)
     for _ in range(120):
         x, y = rand_pair(rng, 9, sigmas=(2, 3))
@@ -241,11 +241,13 @@ def test_first_lcs_is_the_leftmost_past_the_traceback(monkeypatch):
         fn = getattr(hirschberg, name)
 
         def wrapped(*args):
-            ran[name] += 1
-            return fn(*args)
+            result = fn(*args)
+            # _fold returns V, not None, when its rows took the bit form.
+            ran[name] += name == "_matched_rows" or result is not None
+            return result
         return wrapped
 
-    for name in ("_fold_bits", "_matched_rows"):
+    for name in ("_fold", "_matched_rows"):
         monkeypatch.setattr(hirschberg, name, counted(name))
     rng = random.Random(110)
     for k in range(200):
@@ -267,7 +269,7 @@ def test_first_lcs_is_the_leftmost_past_the_traceback(monkeypatch):
                         IndexRange(j_lo, j_hi))
         sub = _kind_view(kind, x[i_lo - 1:i_hi], y[j_lo - 1:j_hi])
         assert got == tuple(j + j_lo - 1 for j in leftmost_lcs_positions(sub))
-    assert ran["_fold_bits"] and ran["_matched_rows"]
+    assert ran["_fold"] and ran["_matched_rows"]
 
 
 def test_first_lcs_query_bound():

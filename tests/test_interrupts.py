@@ -116,7 +116,7 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     want, _ = _run(ref)
     monkeypatch.undo()
     hit = set()
-    search_bit_rows = False
+    search_bit_rows = split_bit_rows = False
     total = ref.counters.eq_queries_total
     kernel_sweep = [at for ats in kernel_at.values()
                     for at in ats[::max(1, len(ats) // 5)]]
@@ -129,6 +129,11 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         hit = hit.union(*where)
         search_bit_rows |= any(
             {"_branch_search", "_bit_rows (mirror)"} <= names for names in where)
+        # _fold_rows folds the halves of splits 64 or more positions wide.
+        split_bit_rows |= any(
+            {"_fold_rows", "_bit_rows"} <= names
+            or {"_fold_rows (mirror)", "_bit_rows (mirror)"} <= names
+            for names in where)
         assert got == want, at
         assert enum.finished == ref.finished, at
         assert enum.view.meter.live_cells == ref.view.meter.live_cells, at
@@ -142,12 +147,14 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     if ref.finished:
         assert ref.view.meter.live_cells == 0
     # Suffix rows, of a split or of the search, are the mirror's prefix rows.
-    assert {"_fold_prefix_row (mirror)", "_two_rows", "_matched_rows",
+    assert {"_fold (mirror)", "_two_rows", "_matched_rows",
             "_branch_search"} <= hit
     assert ("_narrow_split" in hit) == bit_rows
-    assert ("_fold_bits" in hit) == (bit_rows and wide)
-    # With bit-planes, a split's list rows are those of a wide fold.
-    assert ("_fold_prefix_row" in hit) == (wide or not bit_rows)
+    assert split_bit_rows == (bit_rows and wide)
+    # With bit-planes, list rows are those of a fold 64 or more positions
+    # wide: the search's too, which spans Y.
+    assert (("_fold_prefix_row" in hit) == ("_fold_prefix_row (mirror)" in hit)
+            == (wide or not bit_rows))
     assert search_bit_rows == bit_rows
 
 
@@ -192,9 +199,9 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     entries = []
     bit_rows = hirschberg._bit_rows
 
-    def record(view, rows, v, full, a, b):
-        entries.append((view, view.meter.eq_queries, full.bit_count()))
-        return bit_rows(view, rows, v, full, a, b)
+    def record(view, rows, j_lo, j_hi, v=None):
+        entries.append((view, view.meter.eq_queries, j_hi - j_lo + 1))
+        return bit_rows(view, rows, j_lo, j_hi, v)
 
     monkeypatch.setattr(hirschberg, "_bit_rows", record)
     probe = LcsEnumerator(MatchView(x, y))

@@ -83,3 +83,21 @@ def test_every_private_helper_is_used_by_the_package():
     unused = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in loaded)
     assert not unused, unused
+
+
+def test_branching_takes_only_the_fold_from_hirschberg():
+    # The bit form stays behind hirschberg._fold: the branch search folds
+    # its rows through it and builds no V or plane window of its own.
+    tree = ast.parse((Path(lcs_enum.__file__).resolve().parent
+                      / "branching.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        # A whole-module import shows up as the module's name.
+        if isinstance(node, ast.ImportFrom):
+            from_hirschberg = (node.module or "").endswith("hirschberg")
+            taken |= {alias.name for alias in node.names
+                      if from_hirschberg or alias.name == "hirschberg"}
+        elif isinstance(node, ast.Import):
+            taken |= {alias.name for alias in node.names
+                      if alias.name.endswith("hirschberg")}
+    assert taken == {"_FRAME_CELLS", "_fold"}
