@@ -7,10 +7,9 @@ the branch search, which span all of Y. One function, ``_fold``, makes
 that switch for every fold. Suffix thresholds are the mirror's prefix
 ones, so its folds switch likewise. A split under 64 positions folds
 both halves in the bit form and reads the split off the two words. A
-``MinimalSeq`` view
-of the same content is never coded, so it always keeps the list form
-and is the reference: values, probes, peak cells and live cells must
-all match.
+``MinimalSeq`` view of the same content is never coded, so it always
+keeps the list form and is the reference: values, probes, peak cells
+and live cells must all match.
 """
 
 import random
