@@ -38,10 +38,14 @@ The hit that finds j* also ends the greedy embedding of the successor's
 prefix P[1..k*-1], j*. The search returns that X frontier with (k*, j*),
 and the enumerator carries it to its next call. There the restart
 starts past it, and the next search walks only the new tail P[k*+1..];
-it walks the kept prefix again only if it descends to k <= k*. Each
-call is still charged the paper's full embedding of P, the telescoped
-end of the whole walk: charged, not performed, as the threshold folds
-charge whole rows.
+it walks the kept prefix again only if it descends to k <= k*. It also
+returns a mark: the embedding end of some P[1..k_mark] with k_mark < k*,
+kept from the call before while it stays below k*, else the base of
+level k*. Given the mark, a descent walks the kept prefix from there
+and walks P[1..k_mark - 1] from X[1] only if it descends to k_mark.
+Each call is still charged the paper's full embedding of P, the
+telescoped end of the whole walk: charged, not performed, as the
+threshold folds charge whole rows.
 """
 
 from __future__ import annotations
@@ -118,13 +122,18 @@ def find_branch(view: MatchView, positions: Sequence[int]) -> BranchPoint | None
 
 
 def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
-                   i_kept: int) -> tuple[int, int, int] | None:
-    """(k*, j*, end of the greedy embedding of the successor's P[1..k*]),
-    or None if ``positions`` is the last output.
+                   i_kept: int, k_mark: int = 0, i_mark: int = 0
+                   ) -> tuple[int, int, int, int, int] | None:
+    """(k*, j*, end of the greedy embedding of the successor's P[1..k*],
+    k_mark', i_mark'), or None if ``positions`` is the last output.
 
     ``i_kept`` is the end of the greedy embedding of P[1..k_kept] (0 when
-    k_kept is 0); the positions are valid. Probes and cells are those of
-    a search that embeds all of P from X[1].
+    k_kept is 0), and ``i_mark`` that of P[1..k_mark] for some
+    0 < k_mark < k_kept, or (0, 0) for no mark; the positions are valid.
+    The returned mark is the given one if 0 < k_mark < k*, else
+    (k* - 1, end of P[1..k* - 1]): the lowest that stays valid for the
+    successor. Probes and cells are those of a search that embeds all of
+    P from X[1].
     """
     meter = view._meter
     mirror = view._mirror
@@ -135,7 +144,9 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     # walk's probes; t[l-1]: least j' with L(X[i*+1..], Y[m1-j'..]) = l, the
     # mirror's prefix threshold for the greatest such start m1 - j'.
     # q is a stack read from the top; it holds q[0] and q[k_kept..] until
-    # the search reaches k_kept, which walks the kept prefix to fill it.
+    # the search reaches k_walk = k_kept, which walks the kept prefix to
+    # fill it: from the mark, pushing q[k_mark] and making k_mark the next
+    # k_walk, if one lies below; else from X[1].
     live = meter.live_cells
     meter.grow(_FRAME_CELLS + 1 + length)
     q = [0, i_kept] if k_kept else [0]
@@ -150,12 +161,18 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
         # X[i_star + 1] that i* has passed since are folded in one run
         # before the next residual check, or before the search returns.
         folded = i_star = view.len_x
+        k_walk = k_kept
         for k in range(length, 0, -1):
             end = q.pop()
             if i_star >= end:
                 i_star = end - 1  # X[end..folded] wait for the next run
-            if k == k_kept:
-                _embed(view, islice(positions, k - 1), 0, q)
+            if k == k_walk:
+                if 0 < k_mark < k:
+                    q.append(i_mark)
+                    _embed(view, islice(positions, k_mark, k - 1), i_mark, q)
+                    k_walk = k_mark
+                else:
+                    _embed(view, islice(positions, k - 1), 0, q)
             base = q[-1]
             need = length - k
             for j_star in range(positions[k - 1] + 1, len_y + 1):
@@ -176,14 +193,17 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                 # In the bit form, the levels above j_star are the 0-bits
                 # below bit b = len_y - j_star.
                 if need == 0:
-                    return k, j_star, i_star
-                if v is None:
-                    if len(t) >= need and t[need - 1] < m1 - j_star:
-                        return k, j_star, i_star
+                    found = True
+                elif v is None:
+                    found = len(t) >= need and t[need - 1] < m1 - j_star
                 else:
                     b = len_y - j_star
-                    if b - (v & ((1 << b) - 1)).bit_count() >= need:
-                        return k, j_star, i_star
+                    found = b - (v & ((1 << b) - 1)).bit_count() >= need
+                if found:
+                    # base ends P[1..k - 1], which the successor keeps.
+                    return ((k, j_star, i_star, k_mark, i_mark)
+                            if 0 < k_mark < k
+                            else (k, j_star, i_star, k - 1, base))
                 # Larger i*, j* pairs cannot help once this one failed;
                 # X[i_star] waits for the next run with the others.
                 i_star -= 1

@@ -13,7 +13,10 @@ remains of both inputs past that prefix, emit, then search for the next
 branch point. The remainder of X starts after the greedy embedding of
 the kept prefix. The branch search found that embedding's end with the
 branch point, so it is carried over, not walked again; the next search
-starts from it and walks only the new tail. The probes still count the
+starts from it and walks only the new tail. The search also returns a
+mark, the embedding end of a shorter prefix, which the enumerator
+carries as two ints: a later search that descends into the kept prefix
+walks it from the mark, not from X[1]. The probes still count the
 paper's full re-embedding of the prefix and of the whole output: they
 are charged, not performed, as the threshold folds already charge whole
 rows. The instrumentation counters close one "delay" per emitted output
@@ -88,6 +91,9 @@ class LcsEnumerator:
         self._p: list[int] = []
         self._k_star = 0
         self._frontier = 0  # end of the greedy embedding of p[:k_star] in X
+        # A checkpoint for the next search: _i_mark ends the greedy
+        # embedding of p[:_k_mark], 0 < _k_mark < _k_star, or (0, 0).
+        self._k_mark = self._i_mark = 0
         self._finished = False
 
     @property
@@ -127,10 +133,10 @@ class LcsEnumerator:
         out = tuple(p)
         emitted_at = meter.eq_queries
 
-        # Until the search returns, the kept prefix, k* and the frontier
-        # are as they were, so a call that raises recomputes this output
-        # next time.
-        branch = _branch_search(view, p, k, i)
+        # Until the search returns, the kept prefix, k*, the frontier and
+        # the mark are as they were, so a call that raises recomputes this
+        # output next time.
+        branch = _branch_search(view, p, k, i, self._k_mark, self._i_mark)
         counters = self.counters
         counters.outputs_emitted += 1
         counters._close_gap(emitted_at)
@@ -140,7 +146,7 @@ class LcsEnumerator:
             p.clear()
             counters._close_gap(meter.eq_queries)  # the final search
         else:
-            k, j, self._frontier = branch
+            k, j, self._frontier, self._k_mark, self._i_mark = branch
             p[k - 1] = j
             self._k_star = k
         return out

@@ -148,7 +148,8 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     meter = view._meter
     planes = view._planes
     if not planes:
-        planes.update(_bit_planes(view._x, view._y))
+        # None, never a token, marks a pair that shares none as built.
+        planes.update(_bit_planes(view._x, view._y) or {None: b""})
     w = j_hi - j_lo + 1
     # Plane bit b0 + k stands for j_lo + k; plane bytes a..b - 1 hold bits
     # b0..b0 + w - 1 and up to 7 bits on either side. While the rows run,

@@ -394,3 +394,21 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     first_lcs(other)
     find_branch(other, first_lcs(other))
     assert sorted(built) == sorted([y, y[::-1]])
+
+
+def test_planes_of_a_pair_that_shares_no_token_are_built_once(monkeypatch):
+    # An empty plane dict used to read as "not built yet", so every bit
+    # fold of such a pair rebuilt it: 22 builds for this first_lcs.
+    built = []
+    bit_planes = hirschberg._bit_planes
+
+    def record(x, y):
+        built.append(y)
+        return bit_planes(x, y)
+
+    monkeypatch.setattr(hirschberg, "_bit_planes", record)
+    view = MatchView("a" * 4000, "b" * 60)
+    assert first_lcs(view) == ()
+    assert 1 <= len(built) <= 2  # at most one per orientation
+    assert find_branch(view, ()) is None
+    assert len(built) <= 2

@@ -350,7 +350,7 @@ def _eager_search(view, positions, k_kept, i_kept):
 _FOLD_CODE = branching._fold.__code__
 
 
-def _lazy_search(view, positions, k_kept, i_kept):
+def _lazy_search(view, positions, k_kept, i_kept, k_mark, i_mark):
     """``_branch_search`` with its fold runs and residual checks counted.
 
     Every hit of a candidate search, which scans X below len_x, is
@@ -373,8 +373,8 @@ def _lazy_search(view, positions, k_kept, i_kept):
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
-        return branching._branch_search(view, positions, k_kept, i_kept), \
-            counts
+        return branching._branch_search(view, positions, k_kept, i_kept,
+                                        k_mark, i_mark), counts
     finally:
         sys.setprofile(old)
         view._find = find
@@ -401,31 +401,40 @@ VIEW_KINDS = {"str": lambda s: s, "bytes": str.encode, "tuple": tuple,
 
 
 def test_lazy_search_charges_what_the_eager_search_charges(monkeypatch):
-    # The searches of an enumeration, from its carried (k_kept, i_kept).
+    # The searches of an enumeration, from its carried (k_kept, i_kept) and
+    # mark; the eager reference takes no mark and walks from X[1].
     calls = []
     search = branching._branch_search
 
-    def record(view, p, k, i):
-        calls.append((tuple(p), k, i))
-        return search(view, p, k, i)
+    def record(view, p, *carried):
+        calls.append((tuple(p), *carried))
+        return search(view, p, *carried)
 
     monkeypatch.setattr(enumerator_module, "_branch_search", record)
-    ends = lasts = runs = 0
+    ends = lasts = runs = from_mark = 0
     for x, y in _lazy_pairs():
         for name, kind in VIEW_KINDS.items():
             calls.clear()
             list(islice(LcsEnumerator(MatchView(kind(x), kind(y))), 12))
-            for positions, k_kept, i_kept in calls:
+            for positions, k_kept, i_kept, k_mark, i_mark in calls:
                 got_view = MatchView(kind(x), kind(y))
                 want_view = MatchView(kind(x), kind(y))
                 # A live cell on entry shows that nothing below it is released.
                 got_view.meter.grow(1)
                 want_view.meter.grow(1)
                 got, counts = _lazy_search(got_view, positions, k_kept,
-                                           i_kept)
+                                           i_kept, k_mark, i_mark)
                 want = _eager_search(want_view, positions, k_kept, i_kept)
-                case = (name, x, y, positions, k_kept, i_kept)
-                assert got == want, case
+                case = (name, x, y, positions, k_kept, i_kept, k_mark, i_mark)
+                assert (got and got[:3]) == want, case
+                if got is not None:
+                    k, j, _, k_next, i_next = got
+                    successor = positions[:k - 1] + (j,)
+                    assert 0 <= k_next < k, case
+                    assert i_next == (greedy_embedding(
+                        MatchView(kind(x), kind(y)),
+                        successor[:k_next])[-1] if k_next else 0), case
+                from_mark += k_mark > 0 and (got is None or got[0] <= k_kept)
                 g, w = got_view.meter, want_view.meter
                 assert (g.eq_queries, g.peak_cells, g.live_cells) == \
                     (w.eq_queries, w.peak_cells, w.live_cells), case
@@ -435,5 +444,7 @@ def test_lazy_search_charges_what_the_eager_search_charges(monkeypatch):
                 ends += got is None
                 lasts += got is not None and got[0] == len(positions)
                 runs += 1
-    # Searches that return None, and at need == 0, are both exercised.
-    assert ends >= 24 and lasts >= 16 and runs >= 360
+    # Searches that return None, and at need == 0, are both exercised, and
+    # so are walks from a mark.
+    assert ends >= 24 and lasts >= 16 and runs >= 360 and from_mark >= 64, \
+        (ends, lasts, runs, from_mark)

@@ -16,6 +16,7 @@ import pytest
 from conftest import MinimalSeq, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, find_branch,
                       first_lcs, greedy_embedding)
+from lcs_enum import branching, enumerator as enumerator_module
 from lcs_enum.branching import _branch_search
 
 
@@ -37,18 +38,20 @@ KINDS = {"str": lambda s: s, "bytes": str.encode, "tuple": tuple,
 
 
 def test_search_from_the_carried_frontier_equals_find_branch():
-    tail_only = descended = 0
+    tail_only = descended = from_mark = 0
     for kind, wrap in KINDS.items():
         for x, y in _pairs():
             x, y = wrap(x), wrap(y)
             enum = LcsEnumerator(MatchView(x, y))
             for _ in range(60):
                 k_kept, i_kept = enum._k_star, enum._frontier
+                k_mark, i_mark = enum._k_mark, enum._i_mark
                 p = enum.next_sequence()
                 if p is None:
                     break
                 carried, fresh = MatchView(x, y), MatchView(x, y)
-                got = _branch_search(carried, p, k_kept, i_kept)
+                got = _branch_search(carried, p, k_kept, i_kept, k_mark,
+                                     i_mark)
                 want = find_branch(fresh, p)
                 assert (got and got[:2]) == (want and tuple(want)), (kind, p)
                 for view in (carried, fresh):
@@ -56,16 +59,20 @@ def test_search_from_the_carried_frontier_equals_find_branch():
                 assert carried.meter.eq_queries == fresh.meter.eq_queries
                 assert carried.meter.peak_cells == fresh.meter.peak_cells
                 if got is not None:
-                    # The third value is the frontier the next call keeps.
-                    k, j, i = got
+                    # The frontier and the mark that the next call keeps.
+                    k, j, i, k_next, i_next = got
                     successor = list(p[:k - 1]) + [j]
-                    assert i == greedy_embedding(MatchView(x, y),
-                                                 successor)[-1]
+                    q = greedy_embedding(MatchView(x, y), successor)
+                    assert i == q[-1]
+                    assert 0 <= k_next < k
+                    assert i_next == (q[k_next - 1] if k_next else 0)
                 if got is not None and got[0] > k_kept:
                     tail_only += 1
                 elif k_kept >= 2:
                     descended += 1  # the kept prefix was walked again
-    assert tail_only and descended, (tail_only, descended)
+                    from_mark += k_mark > 0  # from the mark, not from X[1]
+    assert tail_only and descended and from_mark, \
+        (tail_only, descended, from_mark)
 
 
 def _composed(view, limit=60):
@@ -130,3 +137,40 @@ def test_a_deep_copy_taken_mid_stream_continues_the_stream(kind):
                 (b.eq_queries_total, b.max_delay, b.gaps_closed,
                  b.outputs_emitted, b.peak_aux_cells)
             assert twin.view.meter.live_cells == enum.view.meter.live_cells
+
+
+def test_the_mark_halves_the_walks_and_changes_no_count(monkeypatch):
+    # The same 40 later gaps of a σ=4 pair of 400 characters, with the
+    # carried mark and with none: the positions _embed walks, uncharged
+    # past the tail, at least halve; outputs, probes and cells do not move.
+    rng = random.Random(18)
+    x, y = rand_string(rng, 400, 4), rand_string(rng, 400, 4)
+    embed, search = branching._embed, enumerator_module._branch_search
+    walked = 0
+
+    def counted(view, positions, i, q):
+        nonlocal walked
+        n = len(q)
+        try:
+            return embed(view, positions, i, q)
+        finally:
+            walked += len(q) - n
+
+    monkeypatch.setattr(branching, "_embed", counted)
+    runs = []
+    for unmarked in (False, True):
+        if unmarked:
+            monkeypatch.setattr(
+                enumerator_module, "_branch_search",
+                lambda view, p, k, i, *mark: search(view, p, k, i))
+        enum = LcsEnumerator(MatchView(x, y))
+        enum.next_sequence()
+        walked = 0
+        outputs = list(islice(enum, 40))
+        c = enum.counters
+        runs.append((walked, outputs, c.eq_queries_total, c.max_delay,
+                     c.peak_aux_cells, enum.view.meter.live_cells))
+    (marked, *counts), (unmarked, *want) = runs
+    assert len(counts[0]) == 40
+    assert counts == want
+    assert 2 * marked <= unmarked, (marked, unmarked)  # 2,320 and 5,655

@@ -7,14 +7,16 @@ folds the suffix rows, among them the two one-word folds of a narrow
 split), in a match search of ``first_lcs``,
 at the one charge of its two-row kernel or of its kernel for fully
 matched ranges, or inside the branch search, whose rows also take
-either form. After the interrupt the caller simply calls again: the
-stream must equal the uninterrupted one, every cell must be released
-at exhaustion, and ``outputs_emitted`` must count exactly the outputs
-returned. Standalone library calls, ``find_branch`` and
+either form; the search's uncharged walk of the kept prefix from the
+carried mark is interrupted directly. After the interrupt the caller
+simply calls again: the stream must equal the uninterrupted one, every
+cell must be released at exhaustion, and ``outputs_emitted`` must count
+exactly the outputs returned. Standalone library calls, ``find_branch`` and
 ``greedy_embedding`` among them, must release every cell they charged.
 """
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -22,8 +24,8 @@ from conftest import rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
                       first_lcs, greedy_embedding, prefix_thresholds,
                       split_point, suffix_thresholds)
+from lcs_enum import branching, hirschberg
 from lcs_enum import enumerator as enumerator_module
-from lcs_enum import hirschberg
 
 
 class InterruptingMeter(Meter):
@@ -280,3 +282,52 @@ def test_interrupted_search_bit_rows_release_every_cell(kind):
                 find_branch(view, p)
             assert meter.live_cells == 0, (p, at)
             assert find_branch(view, p) == want, (p, at)
+
+
+def test_interrupt_in_a_walk_from_the_mark_keeps_the_mark(monkeypatch):
+    # The walks of the kept prefix charge no probe, so the sweep above
+    # cannot land in one. Here the n-th walk from the carried mark is
+    # stopped after its first position, for every n in turn: the mark must
+    # be as it was before the call, and the stream must go on as it was.
+    x, y = _cases()[1][:2]
+    ref = LcsEnumerator(MatchView(x, y))
+    want, _ = _run(ref)
+    embed = branching._embed
+    enum = stop_at = None
+    walks = 0
+
+    def interrupting(view, positions, i, q):
+        nonlocal walks
+        # The tail starts at the frontier, past the mark; other walks at 0.
+        if enum._k_mark and i == enum._i_mark:
+            walks += 1
+            if walks == stop_at:
+                n = len(q)
+                embed(view, islice(positions, 1), i, q)
+                assert len(q) == n + 1  # inside the walk, not before it
+                raise KeyboardInterrupt
+        return embed(view, positions, i, q)
+
+    monkeypatch.setattr(branching, "_embed", interrupting)
+    enum = LcsEnumerator(MatchView(x, y))
+    assert _run(enum) == (want, [])
+    total = walks
+    assert total >= 5, total
+    for stop_at in range(1, total + 1):
+        enum, walks = LcsEnumerator(MatchView(x, y)), 0
+        got = []
+        while len(got) < LIMIT:
+            mark = enum._k_mark, enum._i_mark
+            try:
+                p = enum.next_sequence()
+            except KeyboardInterrupt:
+                assert (enum._k_mark, enum._i_mark) == mark, stop_at
+                assert enum.view.meter.live_cells == len(enum._p), stop_at
+                continue
+            if p is None:
+                break
+            got.append(p)
+        assert walks > stop_at, stop_at  # the interrupt fired and resumed
+        assert got == want, stop_at
+        assert enum.counters.outputs_emitted == len(got), stop_at
+        assert enum.view.meter.live_cells == ref.view.meter.live_cells

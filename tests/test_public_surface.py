@@ -101,3 +101,17 @@ def test_branching_takes_only_the_fold_from_hirschberg():
             taken |= {alias.name for alias in node.names
                       if alias.name.endswith("hirschberg")}
     assert taken == {"_FRAME_CELLS", "_fold"}
+
+
+def test_the_enumerator_carries_only_scalars_between_outputs():
+    # Besides the output buffer, the view and the counters, what an
+    # enumeration keeps between outputs is O(1): ints and bools.
+    enum = lcs_enum.LcsEnumerator(lcs_enum.MatchView("abcd" * 12,
+                                                     "dcba" * 12))
+    for _ in range(50):
+        assert enum.next_sequence() is not None
+    carried = {name: value for name, value in vars(enum).items()
+               if name not in ("_p", "_view", "counters")}
+    assert {"_k_star", "_frontier", "_k_mark", "_i_mark"} <= set(carried)
+    assert all(type(value) in (int, bool) for value in carried.values()), \
+        carried
