@@ -21,13 +21,11 @@ decreasing i, just before each check (and before the search returns).
 i* never moves right, so a whole call folds at most |X| rows and
 charges O(|X| * |Y|) probes overall while keeping O(L) integers.
 
-The rows start in the list form of :mod:`lcs_enum.hirschberg` and
-switch to its bit form where its one fold switches, over w = |Y|
-positions: with bit-planes, at a level per 64 positions of Y if
-|Y| >= 64, else before the first row. From then on the thresholds are
-the 0-bits of one |Y|-bit integer, bit |Y| - j standing for j, each
-row's mask is its token's whole plane in the mirror, and the second
-question is one ``bit_count`` of the bits above j*.
+The rows go through the one fold of :mod:`lcs_enum.hirschberg`, which
+keeps the thresholds as a list or, once it switches, as one |Y|-bit
+integer. The second question, how many levels lie above j*, is asked
+of either form through its ``_levels_below``: how the bits stand for
+positions, and when the fold switches, stay in that module.
 
 X is searched with the view's bound search, charged what a scan with
 early exit would cost. The greedy embedding is one loop charged once:
@@ -54,7 +52,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MatchView
-from .hirschberg import _FRAME_CELLS, _fold
+from .hirschberg import _FRAME_CELLS, _fold, _levels_below
 
 
 class BranchPoint(NamedTuple):
@@ -140,19 +138,16 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
     x, y, find, len_y = view._x, view._y, view._find, view.len_y
     n1, m1 = view.len_x + 1, len_y + 1
     length = len(positions)
-    # q[k]: least X end embedding Y[P[1..k]] (q[0] = 0), charged before the
-    # walk's probes; t[l-1]: least j' with L(X[i*+1..], Y[m1-j'..]) = l, the
-    # mirror's prefix threshold for the greatest such start m1 - j'.
+    # q[k]: least X end embedding Y[P[1..k]] (q[0] = 0), charged as its
+    # 1 + length cells; t[l-1]: least j' with L(X[i*+1..], Y[m1-j'..]) = l,
+    # the mirror's prefix threshold for the greatest such start m1 - j'.
     # q is a stack read from the top; it holds q[0] and q[k_kept..] until
     # the search reaches k_walk = k_kept, which walks the kept prefix to
     # fill it: from the mark, pushing q[k_mark] and making k_mark the next
-    # k_walk, if one lies below; else from X[1].
-    live = meter.live_cells
-    meter.grow(_FRAME_CELLS + 1 + length)
+    # k_walk, if one lies below; else from X[1]. The rows span all of Y,
+    # so _levels_below reads t, or v once _fold switches.
     q = [0, i_kept] if k_kept else [0]
     t: list[int] = []
-    # Once _fold switches, the thresholds are the 0-bits of v, bit
-    # j' - 1 = len_y - j standing for j: the rows span all of Y.
     v = None
     try:
         meter.eq_queries += _embed(view, islice(positions, k_kept, None),
@@ -190,16 +185,8 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                 folded = i_star
                 # Residual check: the inputs after (i_star, j_star) must reach
                 # level need; more would contradict L being the LCS length.
-                # In the bit form, the levels above j_star are the 0-bits
-                # below bit b = len_y - j_star.
-                if need == 0:
-                    found = True
-                elif v is None:
-                    found = len(t) >= need and t[need - 1] < m1 - j_star
-                else:
-                    b = len_y - j_star
-                    found = b - (v & ((1 << b) - 1)).bit_count() >= need
-                if found:
+                # The levels above j_star are the mirror's below m1 - j_star.
+                if need == 0 or _levels_below(t, v, m1 - j_star) >= need:
                     # base ends P[1..k - 1], which the successor keeps.
                     return ((k, j_star, i_star, k_mark, i_mark)
                             if 0 < k_mark < k
@@ -210,8 +197,9 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
         v = _fold(mirror, range(n1 - folded, n1 - i_star), 1, len_y, t, v)
         return None
     finally:
-        # Nothing the search charges is released before it ends, so its
-        # levels are charged once, here, and the peak is the one a charge
-        # per new level would set. In the bit form they are v's 0-bits.
-        meter.grow(len(t) if v is None else len_y - v.bit_count())
-        meter.shrink(meter.live_cells - live)
+        # Nothing the search holds is released before it ends, so its
+        # frame, q and levels are charged once, here, also on a raise: the
+        # peak is the one a charge per new level would set.
+        cells = _FRAME_CELLS + 1 + length + _levels_below(t, v, m1)
+        meter.grow(cells)
+        meter.shrink(cells)

@@ -84,18 +84,16 @@ def _line(fmt: str, ordinal: int, positions: tuple[int, ...],
 
 
 def _run_pair(args: argparse.Namespace, x: str, y: str) -> int:
-    if not x or not y:
-        print("lcs-enum: error: inputs must be non-empty", file=sys.stderr)
-        return 1
     view = MatchView(x, y)
+    enum = LcsEnumerator(view)  # rejects an empty input: ValueError
     want = None
     if args.check:
         # Imported only here, which keeps it out of every other run's
         # start-up. It runs first so that an input too large for it fails
-        # before anything is printed.
+        # before anything is printed. The enumerator counts on a meter of
+        # its own, so the oracle's probes stay out of its counters.
         from . import oracle
         want = oracle.all_lcs_position_sequences(view)
-    enum = LcsEnumerator(view)
     write = sys.stdout.write
     emitted: list[tuple[int, ...]] = []
     ordinal = 0

@@ -151,7 +151,7 @@ class MatchView:
     __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "_meter",
                  "_find", "_planes", "_mirror")
 
-    def __init__(self, x: Sequence, y: Sequence, meter: Meter | None = None):
+    def __init__(self, x: Sequence, y: Sequence):
         if (isinstance(x, str) and isinstance(y, (bytes, bytearray))) or (
                 isinstance(x, (bytes, bytearray)) and isinstance(y, str)):
             raise TypeError("cannot pair str with bytes input: decode the "
@@ -178,7 +178,7 @@ class MatchView:
         mirror._find = self._find
         mirror._planes = None if self._planes is None else {}
         mirror._mirror = self
-        self.meter = meter if meter is not None else Meter()
+        self.meter = Meter()
 
     @property
     def meter(self) -> Meter:

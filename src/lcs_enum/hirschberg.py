@@ -50,21 +50,24 @@ positions reads its least maximizer off its halves' two words, with no
 list (:func:`_narrow_split`); other folds read V back into one through
 a w-character string. The branch search's rows
 (:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
-take the same :func:`_fold` but keep V between runs and read it without
-a list; the search charges their levels once, when it returns.
+take the same :func:`_fold` but keep V between runs, and count their
+levels in either form with :func:`_levels_below`.
 
 Either form charges a length-n row exactly n equality probes, what a
-scan of the whole row costs, and a fold one cell per level it holds,
-so probe and cell counts measure the algorithm and not the form. The
-cells are charged once per fold, when it returns: within a fold the
-level count only rises, so the peak is the one a charge per new level
-would set, and a fold cut short by an exception has charged nothing.
-A walk over both sequences, O(L) and free of probes, then yields the Y
-split and both halves' LCS lengths. Unlike the classic linear-space
-LCS construction, which may pick any maximizing split, the walk keeps
-the least maximizer; this is what makes the leftmost occurrence of the
-whole problem equal the concatenation of the leftmost occurrences of
-the two halves, so solving the halves left to right emits it.
+scan of the whole row costs, and one cell per level, so probe and cell
+counts measure the algorithm and not the form. The folds charge only
+probes; whoever holds the levels charges them once, after its folds: a
+split both halves, the threshold functions the tuple they return (the
+caller's, outside the count), the branch search all its rows when it
+ends. Within a fold the level count only rises, so the peak is the one
+a charge per new level would set, and a split cut short by an
+exception has charged nothing. A walk over both sequences, O(L) and
+free of probes, then yields the Y split and both halves' LCS lengths.
+Unlike the classic linear-space LCS construction, which may pick any
+maximizing split, the walk keeps the least maximizer; this is what
+makes the leftmost occurrence of the whole problem equal the
+concatenation of the leftmost occurrences of the two halves, so
+solving the halves left to right emits it.
 
 One loop does so over an explicit stack of pending ranges, each with
 its LCS length once a split has found it. It solves two kinds of range
@@ -186,9 +189,9 @@ def _fold(view: MatchView, rows: range, j_lo: int, j_hi: int,
     one-cell-per-level charge covers them, and under 64 positions they
     are single words, cheaper to update than a list row, which visits up
     to levels + 1 matches, a search and a bisection each. The list is
-    emptied once the bit rows are done, so a caller that charges it when
-    a row raises charges the levels held at the switch. Charges the
-    rows' probes, not the cells.
+    emptied only once the bit rows are done, so a row that raises leaves
+    the caller the levels held at the switch, with V as it was given.
+    Charges the rows' probes, not the cells.
     """
     if v is None:
         w = j_hi - j_lo + 1
@@ -210,14 +213,23 @@ def _fold(view: MatchView, rows: range, j_lo: int, j_hi: int,
     return v
 
 
+def _levels_below(levels: list[int], v: int | None, h: int) -> int:
+    """How many levels of a fold over Y[1..] hold a threshold below h,
+    read from what :func:`_fold` left: the list if V is None, else the
+    0-bits of V among bits 0..h - 2, bit k standing for k + 1."""
+    if v is None:
+        return bisect_left(levels, h)
+    b = h - 1
+    return b - (v & ((1 << b) - 1)).bit_count()
+
+
 def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
                j_hi: int) -> list[int]:
     """Prefix thresholds of X[i_first..i_last] against Y[j_lo..j_hi].
 
     :func:`_fold`, then V read back into the list if the fold switched.
-    Returns the levels, one cell each, charged once when the fold is
-    done; the caller releases them. An exception in a row propagates
-    before any cell is charged.
+    Charges the rows' probes, not the cells: the caller charges the
+    levels it holds, once.
     """
     levels: list[int] = []
     if j_lo > j_hi:
@@ -229,7 +241,6 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
         while k >= 0:
             levels.append(j_lo + k)
             k = bits.find("0", k + 1)
-    view._meter.grow(len(levels))
     return levels
 
 
@@ -289,35 +300,34 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     j_lo, which hold m + 1 - j for each suffix threshold j. Then walks
     the prefix thresholds, the only places where the level sum can rise,
     in O(L); strict improvement keeps the least maximizer, and the walk's
-    two level counts there are the halves' lengths. Every cell charged
-    here is released before it returns or raises.
+    two level counts there are the halves' lengths. Both halves' levels
+    are charged once, after both folds, and released before the walk.
     """
     w = j_hi - j_lo + 1
     if view._planes is not None and w < _BIT_POSITIONS_PER_LEVEL:
         return _narrow_split(view, i_lo, i_hi, j_lo, j_hi)
-    meter = view._meter
-    base = meter.live_cells
     n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
-    try:
-        lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
-        hi_levels = _fold_rows(view._mirror, n1 - i_hi, n1 - i_mid - 1,
-                               m1 - j_hi, m1 - j_lo)
+    lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
+    hi_levels = _fold_rows(view._mirror, n1 - i_hi, n1 - i_mid - 1,
+                           m1 - j_hi, m1 - j_lo)
+    cells = len(lo_levels) + len(hi_levels)
+    meter = view._meter
+    meter.grow(cells)
+    meter.shrink(cells)
 
-        # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j,
-        # where the mirror's level h stands for the suffix threshold m1 - h.
-        l_hi = best = len(hi_levels)
-        j_mid = j_lo - 1
-        lo_length = 0
-        for l_lo, j in enumerate(lo_levels, 1):
-            while l_hi and hi_levels[l_hi - 1] >= m1 - j:
-                l_hi -= 1
-            if l_lo + l_hi > best:
-                j_mid = j
-                lo_length = l_lo
-                best = l_lo + l_hi
-    finally:
-        meter.shrink(meter.live_cells - base)
+    # A split after j sums l_lo prefix levels <= j, l_hi suffix ones > j,
+    # where the mirror's level h stands for the suffix threshold m1 - h.
+    l_hi = best = len(hi_levels)
+    j_mid = j_lo - 1
+    lo_length = 0
+    for l_lo, j in enumerate(lo_levels, 1):
+        while l_hi and hi_levels[l_hi - 1] >= m1 - j:
+            l_hi -= 1
+        if l_lo + l_hi > best:
+            j_mid = j
+            lo_length = l_lo
+            best = l_lo + l_hi
     return i_mid, j_mid, lo_length, best - lo_length
 
 
@@ -512,6 +522,7 @@ def prefix_thresholds(view: MatchView, xr: IndexRange | None = None,
     """
     xr, yr = _resolve_ranges(view, xr, yr)
     levels = _fold_rows(view, xr.lo, xr.hi, yr.lo, yr.hi)
+    view._meter.grow(len(levels))
     view._meter.shrink(len(levels))
     return tuple(levels)
 
@@ -530,6 +541,7 @@ def suffix_thresholds(view: MatchView, xr: IndexRange | None = None,
     n1, m1 = view.len_x + 1, view.len_y + 1
     levels = _fold_rows(view._mirror, n1 - xr.hi, n1 - xr.lo, m1 - yr.hi,
                         m1 - yr.lo)
+    view._meter.grow(len(levels))
     view._meter.shrink(len(levels))
     return tuple(m1 - h for h in levels)
 

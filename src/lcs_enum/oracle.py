@@ -140,16 +140,6 @@ def lcs_position_stream(view: MatchView):
             stack.append([a + 1, b + 1, b + 1])
 
 
-def leftmost_lcs_positions(view: MatchView) -> tuple[int, ...]:
-    """The lexicographically least LCS position sequence, any input size.
-
-    Equals ``all_lcs_position_sequences(view)[0]`` without collecting the
-    set, so it checks ``first_lcs`` past the traceback's size guard: the
-    first output of :func:`lcs_position_stream`.
-    """
-    return next(lcs_position_stream(view))
-
-
 def exhaustive_lcs_position_sequences(view: MatchView) -> list[tuple[int, ...]]:
     """Same answer as :func:`all_lcs_position_sequences`, even more naively.
 

@@ -1,6 +1,9 @@
-"""Shared test helpers: seeded random inputs and acceptance reporting."""
+"""Shared test helpers: seeded random inputs, views of each input kind,
+the successor's branch point by definition, and acceptance reporting."""
 
 import random
+
+from lcs_enum import BranchPoint, MatchView
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -27,6 +30,27 @@ class MinimalSeq:
 
     def __getitem__(self, k):
         return self._items[k]
+
+
+# A str pair as each kind of input the view searches its own way: str
+# with str.find, bytes with bytes.find and bit-planes, tuple with
+# tuple.index, and a bare sequence, which the view copies into tuples.
+VIEW_KINDS = {"str": str, "bytes": str.encode, "tuple": tuple,
+              "minimal": MinimalSeq}
+
+
+def kind_view(kind: str, x: str, y: str) -> MatchView:
+    """A view of the str pair as the input kind ``VIEW_KINDS[kind]``."""
+    wrap = VIEW_KINDS[kind]
+    return MatchView(wrap(x), wrap(y))
+
+
+def branch_by_definition(p, successor):
+    """Least k with p[k] < successor[k], and the successor's index there."""
+    for k, (a, b) in enumerate(zip(p, successor), start=1):
+        if a < b:
+            return BranchPoint(k, b)
+    raise AssertionError("successor does not depart from p")
 
 
 def pytest_terminal_summary(terminalreporter):

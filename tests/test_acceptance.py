@@ -12,9 +12,8 @@ import time
 from functools import lru_cache
 from typing import NamedTuple
 
-from conftest import ACCEPTANCE_LINES, rand_string
-from lcs_enum import MatchView, LcsEnumerator, first_lcs, find_branch, \
-    BranchPoint
+from conftest import ACCEPTANCE_LINES, branch_by_definition, rand_string
+from lcs_enum import MatchView, LcsEnumerator, first_lcs, find_branch
 from lcs_enum.oracle import lcs_length, all_lcs_position_sequences, \
     exhaustive_lcs_position_sequences
 
@@ -155,13 +154,6 @@ def test_criterion_4_first_lcs():
                None, body)
 
 
-def _branch_by_definition(p, successor):
-    for k, (a, b) in enumerate(zip(p, successor), start=1):
-        if a < b:
-            return BranchPoint(k, b)
-    raise AssertionError("successor does not depart from p")
-
-
 def test_criterion_5_find_branch():
     def body():
         for row in corpus():
@@ -170,7 +162,7 @@ def test_criterion_5_find_branch():
                 if idx + 1 == len(row.seqs):
                     assert got is None, (row.x, row.y, p)
                 else:
-                    want = _branch_by_definition(p, row.seqs[idx + 1])
+                    want = branch_by_definition(p, row.seqs[idx + 1])
                     assert got == want, (row.x, row.y, p)
     _criterion(5, "find_branch matches the successor definition", None, body)
 

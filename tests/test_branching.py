@@ -9,7 +9,7 @@ from operator import neg
 
 import pytest
 
-from conftest import MinimalSeq, rand_pair, rand_string
+from conftest import VIEW_KINDS, branch_by_definition, rand_pair, rand_string
 from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
     BranchPoint, LcsEnumerator, Meter, first_lcs, suffix_thresholds
 from lcs_enum import branching, core, enumerator as enumerator_module
@@ -192,14 +192,6 @@ def test_find_branch_example_last():
 def test_find_branch_empty_sequence():
     # L = 0: the empty sequence is the only element, hence the last.
     assert find_branch(MatchView("ab", "cd"), ()) is None
-
-
-def branch_by_definition(p, successor):
-    # Least k with p[k] < successor[k]; the new index is successor[k].
-    for k, (a, b) in enumerate(zip(p, successor), start=1):
-        if a < b:
-            return BranchPoint(k, b)
-    raise AssertionError("successor does not depart from p")
 
 
 def test_find_branch_matches_definition_on_random_instances():
@@ -394,10 +386,6 @@ def _lazy_pairs():
             x.insert(rng.randrange(len(x) + 1), rand_string(rng, 1, sigma))
         yield "".join(x), y
         yield ("abcd" * 40)[:rng.randint(40, 160)], ("dcba" * 33)[:w]
-
-
-VIEW_KINDS = {"str": lambda s: s, "bytes": str.encode, "tuple": tuple,
-              "minimal": MinimalSeq}
 
 
 def test_lazy_search_charges_what_the_eager_search_charges(monkeypatch):

@@ -13,7 +13,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import MinimalSeq, rand_string
+from conftest import VIEW_KINDS, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, find_branch,
                       first_lcs, greedy_embedding)
 from lcs_enum import branching, enumerator as enumerator_module
@@ -33,13 +33,9 @@ def _pairs():
     return pairs
 
 
-KINDS = {"str": lambda s: s, "bytes": str.encode, "tuple": tuple,
-         "minimal": MinimalSeq}
-
-
 def test_search_from_the_carried_frontier_equals_find_branch():
     tail_only = descended = from_mark = 0
-    for kind, wrap in KINDS.items():
+    for kind, wrap in VIEW_KINDS.items():
         for x, y in _pairs():
             x, y = wrap(x), wrap(y)
             enum = LcsEnumerator(MatchView(x, y))
@@ -114,7 +110,7 @@ def _enumerated(view, limit=60):
 
 @pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
 def test_composed_public_functions_equal_the_enumerator(kind):
-    wrap = KINDS[kind]
+    wrap = VIEW_KINDS[kind]
     for x, y in _pairs():
         x, y = wrap(x), wrap(y)
         assert _composed(MatchView(x, y)) == _enumerated(MatchView(x, y))
@@ -122,7 +118,7 @@ def test_composed_public_functions_equal_the_enumerator(kind):
 
 @pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
 def test_a_deep_copy_taken_mid_stream_continues_the_stream(kind):
-    wrap = KINDS[kind]
+    wrap = VIEW_KINDS[kind]
     for x, y in _pairs()[:6]:
         x, y = wrap(x), wrap(y)
         for taken_after in (1, 5):

@@ -10,12 +10,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import rand_pair, rand_string
+from conftest import kind_view, rand_pair, rand_string
 from lcs_enum import hirschberg
 from lcs_enum import MatchView, IndexRange, first_lcs, prefix_thresholds, \
     suffix_thresholds, split_point
 from lcs_enum.oracle import all_lcs_position_sequences, lcs_length, \
-    leftmost_lcs_positions
+    lcs_position_stream
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -225,12 +225,6 @@ def test_first_lcs_on_subranges():
         assert got == tuple(j + j_lo - 1 for j in want)
 
 
-def _kind_view(kind, x, y):
-    if kind is bytes:
-        return MatchView(x.encode(), y.encode())
-    return MatchView(kind(x), kind(y))
-
-
 def test_first_lcs_is_the_leftmost_past_the_traceback(monkeypatch):
     # The suffix-table oracle has no size guard, so it checks pairs where
     # the restart's folds take the bit form and its fully matched ranges
@@ -251,7 +245,7 @@ def test_first_lcs_is_the_leftmost_past_the_traceback(monkeypatch):
         monkeypatch.setattr(hirschberg, name, counted(name))
     rng = random.Random(110)
     for k in range(200):
-        kind = (str, bytes, tuple)[k % 3]
+        kind = ("str", "bytes", "tuple")[k % 3]
         sigma = rng.choice([2, 3, 4, 8])
         x = rand_string(rng, rng.randint(16, 200), sigma)
         if k % 2:  # a long LCS: Y is X with some characters dropped or changed
@@ -259,16 +253,17 @@ def test_first_lcs_is_the_leftmost_past_the_traceback(monkeypatch):
                         for c in x if rng.random() < 0.9) or x
         else:
             y = rand_string(rng, rng.randint(16, 200), sigma)
-        assert first_lcs(_kind_view(kind, x, y)) == \
-            leftmost_lcs_positions(_kind_view(kind, x, y)), (kind, x, y)
+        assert first_lcs(kind_view(kind, x, y)) == \
+            next(lcs_position_stream(kind_view(kind, x, y))), (kind, x, y)
         i_lo = rng.randint(1, len(x))
         i_hi = rng.randint(i_lo - 1, len(x))
         j_lo = rng.randint(1, len(y))
         j_hi = rng.randint(j_lo - 1, len(y))
-        got = first_lcs(_kind_view(kind, x, y), IndexRange(i_lo, i_hi),
+        got = first_lcs(kind_view(kind, x, y), IndexRange(i_lo, i_hi),
                         IndexRange(j_lo, j_hi))
-        sub = _kind_view(kind, x[i_lo - 1:i_hi], y[j_lo - 1:j_hi])
-        assert got == tuple(j + j_lo - 1 for j in leftmost_lcs_positions(sub))
+        sub = kind_view(kind, x[i_lo - 1:i_hi], y[j_lo - 1:j_hi])
+        want = next(lcs_position_stream(sub))
+        assert got == tuple(j + j_lo - 1 for j in want)
     assert ran["_fold"] and ran["_matched_rows"]
 
 

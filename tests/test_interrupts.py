@@ -20,7 +20,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import rand_string
+from conftest import kind_view, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
                       first_lcs, greedy_embedding, prefix_thresholds,
                       split_point, suffix_thresholds)
@@ -237,25 +237,42 @@ def test_interrupted_library_calls_release_every_cell(fn, kind):
         fn(probe, xr, yr)
         total = probe.meter.eq_queries
         for at in range(0, total, max(1, total // 25)):
-            meter = InterruptingMeter(at)
+            view = MatchView(x, y)
+            view.meter = meter = InterruptingMeter(at)
             with pytest.raises(KeyboardInterrupt):
-                fn(MatchView(x, y, meter), xr, yr)
+                fn(view, xr, yr)
             assert meter.live_cells == 0, (xr, at)
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+def test_an_interrupted_wide_split_charges_nothing(kind):
+    # A split over 64 or more positions charges both halves' levels once,
+    # after both folds: an interrupt in the mirror's half, when the left
+    # half's levels exist, leaves the live and peak cells as they were.
+    rng = random.Random(12)
+    view = kind_view(kind, rand_string(rng, 40, 2), rand_string(rng, 96, 2))
+    # The left half, X[1..20], is folded in 20 rows of 96 probes.
+    view.meter = meter = InterruptingMeter(20 * 96)
+    meter.grow(3)
+    with pytest.raises(KeyboardInterrupt) as info:
+        split_point(view)
+    assert "_fold_rows (mirror)" in _frames(info.tb, view._mirror)
+    assert (meter.live_cells, meter.peak_cells) == (3, 3)
 
 
 @pytest.mark.parametrize("fn", [find_branch, greedy_embedding])
 @pytest.mark.parametrize("x, y", [case[:2] for case in _cases()],
                          ids=["periodic", "str", "bytes", "tuple"])
 def test_interrupted_branch_search_releases_every_cell(fn, x, y):
-    # q's cells are charged before the embedding's single probe charge, so
-    # an interrupt there releases exactly what was charged.
+    # The search charges its cells once, when it ends or raises, so an
+    # interrupt anywhere releases exactly what was charged.
     outputs, _ = _run(LcsEnumerator(MatchView(x, y)), 6)
     for p in (outputs[0], outputs[-1]):
         probe = MatchView(x, y)
         want = fn(probe, p)
         for at in range(probe.meter.eq_queries):
-            meter = InterruptingMeter(at)
-            view = MatchView(x, y, meter)
+            view = MatchView(x, y)
+            view.meter = meter = InterruptingMeter(at)
             with pytest.raises(KeyboardInterrupt):
                 fn(view, p)
             assert meter.live_cells == 0, at
@@ -276,8 +293,8 @@ def test_interrupted_search_bit_rows_release_every_cell(kind):
         probe = MatchView(x, y)
         want = find_branch(probe, p)
         for at in range(probe.meter.eq_queries):
-            meter = InterruptingMeter(at)
-            view = MatchView(x, y, meter)
+            view = MatchView(x, y)
+            view.meter = meter = InterruptingMeter(at)
             with pytest.raises(KeyboardInterrupt):
                 find_branch(view, p)
             assert meter.live_cells == 0, (p, at)

@@ -10,7 +10,8 @@ positions match.
 
 from hypothesis import given, settings, strategies as st
 
-from lcs_enum import BranchPoint, LcsEnumerator, MatchView, find_branch
+from conftest import branch_by_definition, kind_view
+from lcs_enum import LcsEnumerator, MatchView, find_branch
 from lcs_enum.oracle import all_lcs_position_sequences
 
 DELAY_CONSTANT = 4
@@ -26,16 +27,7 @@ def pairs(draw):
 
 def views(x, y):
     """str, bytes and tuple views of the same content."""
-    return [MatchView(x, y), MatchView(x.encode(), y.encode()),
-            MatchView(tuple(x), tuple(y))]
-
-
-def successor_branch(p, successor):
-    """Least k with p[k] < successor[k], and the successor's index there."""
-    for k, (a, b) in enumerate(zip(p, successor), start=1):
-        if a < b:
-            return BranchPoint(k, b)
-    raise AssertionError("successor does not depart from p")
+    return [kind_view(kind, x, y) for kind in ("str", "bytes", "tuple")]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -43,7 +35,7 @@ def successor_branch(p, successor):
 def test_find_branch_is_the_successor_on_every_view(pair):
     x, y = pair
     seqs = all_lcs_position_sequences(MatchView(x, y))
-    want = [successor_branch(p, s) for p, s in zip(seqs, seqs[1:])] + [None]
+    want = [branch_by_definition(p, s) for p, s in zip(seqs, seqs[1:])] + [None]
     for view in views(x, y):
         assert [find_branch(view, p) for p in seqs] == want, view
         assert view.meter.live_cells == 0

@@ -86,8 +86,9 @@ def test_every_private_helper_is_used_by_the_package():
 
 
 def test_branching_takes_only_the_fold_from_hirschberg():
-    # The bit form stays behind hirschberg._fold: the branch search folds
-    # its rows through it and builds no V or plane window of its own.
+    # The bit form stays behind hirschberg: the branch search folds its
+    # rows through _fold, counts their levels through _levels_below, and
+    # builds, shifts or counts no V or plane window of its own.
     tree = ast.parse((Path(lcs_enum.__file__).resolve().parent
                       / "branching.py").read_text())
     taken = set()
@@ -100,7 +101,12 @@ def test_branching_takes_only_the_fold_from_hirschberg():
         elif isinstance(node, ast.Import):
             taken |= {alias.name for alias in node.names
                       if alias.name.endswith("hirschberg")}
-    assert taken == {"_FRAME_CELLS", "_fold"}
+    assert taken == {"_FRAME_CELLS", "_fold", "_levels_below"}
+    bit_ops = [ast.dump(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.BinOp, ast.AugAssign))
+               and isinstance(node.op, (ast.LShift, ast.RShift))
+               or isinstance(node, ast.Attribute) and node.attr == "bit_count"]
+    assert not bit_ops, bit_ops
 
 
 def test_the_enumerator_carries_only_scalars_between_outputs():

@@ -13,13 +13,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rand_string
-from lcs_enum import IndexRange, LcsEnumerator, MatchView, first_lcs
+from conftest import kind_view, rand_string
+from lcs_enum import IndexRange, LcsEnumerator, first_lcs
 from lcs_enum import enumerator as enumerator_module
 from lcs_enum import hirschberg
 from lcs_enum.hirschberg import _FRAME_CELLS, _matched_rows, _split
 
-KINDS = (str, bytes, tuple)
+KINDS = ("str", "bytes", "tuple")
 # Y widths: empty, short, and on both sides of one and two bit words.
 WIDTHS = tuple(range(10)) + (63, 64, 65, 127, 128, 129)
 
@@ -52,14 +52,8 @@ def _reference(view, xr, yr):
     return tuple(out)
 
 
-def _view(kind, x, y):
-    if kind is bytes:
-        return MatchView(x.encode(), y.encode())
-    return MatchView(kind(x), kind(y))
-
-
 def _assert_same_charge(kind, x, y, xr, yr):
-    got_view, want_view = _view(kind, x, y), _view(kind, x, y)
+    got_view, want_view = kind_view(kind, x, y), kind_view(kind, x, y)
     # A live cell on entry shows that nothing below it is released.
     got_view.meter.grow(1)
     want_view.meter.grow(1)
@@ -154,7 +148,7 @@ def test_fully_matched_ranges_charge_what_the_recursion_charges(
     for rows in range(2, 41):
         x, y, xr, yr = _matched_pair(rng, rows, w, rng.choice([1, 2, 4]))
         # The kernel alone, under the frame the loop grows for its range.
-        got_view, want_view = _view(kind, x, y), _view(kind, x, y)
+        got_view, want_view = kind_view(kind, x, y), kind_view(kind, x, y)
         got, want = got_view.meter, want_view.meter
         got.grow(1)
         want.grow(1)
@@ -186,10 +180,10 @@ def _stream(enum, limit):
 @pytest.mark.parametrize("kind", KINDS)
 def test_enumeration_gaps_are_the_recursions(monkeypatch, kind):
     x, y = "abcd" * 6, "dcba" * 6
-    got = LcsEnumerator(_view(kind, x, y))
+    got = LcsEnumerator(kind_view(kind, x, y))
     got_stream = _stream(got, 300)
     monkeypatch.setattr(enumerator_module, "_first_lcs_into", _recursive_into)
-    want = LcsEnumerator(_view(kind, x, y))
+    want = LcsEnumerator(kind_view(kind, x, y))
     assert got_stream == _stream(want, 300)
     assert got.counters.peak_aux_cells == want.counters.peak_aux_cells
     assert got.view.meter.live_cells == want.view.meter.live_cells
