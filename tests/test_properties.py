@@ -35,7 +35,8 @@ def views(x, y):
 def test_find_branch_is_the_successor_on_every_view(pair):
     x, y = pair
     seqs = all_lcs_position_sequences(MatchView(x, y))
-    want = [branch_by_definition(p, s) for p, s in zip(seqs, seqs[1:])] + [None]
+    want = [branch_by_definition(p, s)
+            for p, s in zip(seqs, seqs[1:])] + [None]
     for view in views(x, y):
         assert [find_branch(view, p) for p in seqs] == want, view
         assert view.meter.live_cells == 0
