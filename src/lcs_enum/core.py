@@ -93,22 +93,33 @@ def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
     return None
 
 
-def _bit_planes(x, y) -> dict:
-    """Per-token bit-planes of Y for the tokens that X and Y share.
+def _bit_planes(x, y) -> tuple[dict, dict]:
+    """Per-token bit-planes of Y for the tokens that X and Y share, and
+    window tables of them for every token of X.
 
-    Maps each shared token, as ``x`` holds it, to a little-endian bitset
-    of ``(len(y) + 7) // 8`` bytes whose bit j - 1 is set when Y[j] is
-    the token. The pair must be bytes or two ASCII str.
+    The planes map each shared token, as ``x`` holds it, to a
+    little-endian bitset of ``(len(y) + 7) // 8`` bytes whose bit j - 1
+    is set when Y[j] is the token. The tables map each token of X to a
+    list whose entry k holds bits 64k..64k + 127 of its plane as an int,
+    all of them 0 for a token absent from Y (one list shared by all
+    such), so a window under 64 positions is one list index and a shift.
+    The pair must be bytes or two ASCII str.
     """
     yb = y.encode() if isinstance(y, str) else y
     size = (len(yb) + 7) // 8
     planes = {}
-    for t in set(x) & set(y):
+    tokens = set(x)
+    zeros = [0] * ((size + 7) // 8)
+    tables = dict.fromkeys(tokens, zeros)
+    from_bytes = int.from_bytes
+    for t in tokens & set(y):
         c = ord(t) if isinstance(t, str) else t
         s = yb.translate(_ONE_HOT[255 - c:511 - c])  # character k is Y[k + 1]
         # int(.., 2) reads its first character as the highest bit.
-        planes[t] = int(s[::-1], 2).to_bytes(size, "little")
-    return planes
+        plane = planes[t] = int(s[::-1], 2).to_bytes(size, "little")
+        tables[t] = [from_bytes(plane[a:a + 16], "little")
+                     for a in range(0, size, 8)]
+    return planes, tables
 
 
 def _index_find(seq, item, lo: int, hi: int) -> int:
@@ -132,15 +143,17 @@ class MatchView:
     the least 0-based k in [lo, hi) with seq[k] equal to ``item``, or
     -1. ``_mirror`` is the view of the reversed searched pair, whose
     own mirror is this view; the two share one meter, and assigning
-    ``meter`` sets both. ``_planes`` is None unless the folds may take
-    the bit form (the pair is bytes, or two ASCII str); then it is a
-    dict that the view's first bit fold fills with :func:`_bit_planes`,
-    and the mirror has its own. Every view :meth:`with_meter` makes
-    shares both dicts. The searched pair, its mirror (n + m characters
-    or bytes, or two tuples of references) and the planes, len_y bits
-    per token X and Y share in each orientation, are read-only input
-    storage, outside the cell count. ``y_slice`` renders the original Y
-    (the mirror's renders its searched Y).
+    ``meter`` sets both. ``_planes`` and ``_tables`` are None unless the
+    folds may take the bit form (the pair is bytes, or two ASCII str);
+    then they are dicts that the view's first bit fold fills with
+    :func:`_bit_planes`, and the mirror has its own. Every view
+    :meth:`with_meter` makes shares all four dicts. The searched pair,
+    its mirror (n + m characters or bytes, or two tuples of references),
+    the planes, len_y bits per token X and Y share in each orientation,
+    and the tables, about len_y / 64 ints of up to 128 bits per such
+    token and orientation, are read-only input storage, outside the cell
+    count. ``y_slice`` renders the original Y (the mirror's renders its
+    searched Y).
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -149,7 +162,7 @@ class MatchView:
     """
 
     __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "_meter",
-                 "_find", "_planes", "_mirror")
+                 "_find", "_planes", "_tables", "_mirror")
 
     def __init__(self, x: Sequence, y: Sequence):
         if (isinstance(x, str) and isinstance(y, (bytes, bytearray))) or (
@@ -164,19 +177,20 @@ class MatchView:
         self._x, self._y = coded or (tuple(x), tuple(y))
         if coded is None:
             self._find = _index_find
-            self._planes = None
+            planed = False
         elif isinstance(y, str):
             self._find = str.find
-            self._planes = {} if x.isascii() and y.isascii() else None
+            planed = x.isascii() and y.isascii()
         else:
             self._find = bytes.find
-            self._planes = {}
+            planed = True
         mirror = self._mirror = object.__new__(MatchView)
         mirror._x, mirror._y = self._x[::-1], self._y[::-1]
         mirror._y_in = mirror._y
         mirror.len_x, mirror.len_y = self.len_x, self.len_y
         mirror._find = self._find
-        mirror._planes = None if self._planes is None else {}
+        for v in (self, mirror):
+            v._planes, v._tables = ({}, {}) if planed else (None, None)
         mirror._mirror = self
         self.meter = Meter()
 
@@ -189,7 +203,7 @@ class MatchView:
         self._meter = self._mirror._meter = meter
 
     def with_meter(self, meter: Meter) -> "MatchView":
-        """Same inputs, coded pair, mirror and planes; its own meter."""
+        """Same inputs, coded pair, mirror, planes and tables; its own meter."""
         view, mirror = object.__new__(MatchView), object.__new__(MatchView)
         for name in MatchView.__slots__:
             setattr(view, name, getattr(self, name))

@@ -33,22 +33,28 @@ When the view has bit-planes (the pair is bytes, or two ASCII str), a
 fold may take the bit form (Allison-Dix, Hyyro): the thresholds become
 the 0-bits of a w-bit integer V over the fold's w positions of Y, and
 one row is ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the
-row's match mask. M is read from the view's bit-plane of the row's
-token, about w/8 bytes of it. The view and the mirror each hold a plane
-per shared token, 2 * len_y bits per token in all, built once per
-orientation: read-only input storage outside the cell count, like the
-coded pair and the mirror.
+row's match mask. Over w >= 64 positions M is cut from the view's
+bit-plane of the row's token, about w/8 bytes of it; under 64 it is one
+list index into the token's window table, whose entry k holds plane
+bits 64k..64k + 127, so no read makes a temporary wider than 128 bits.
+The view and the mirror each hold a plane per shared token, 2 * len_y
+bits per token in all, and a table per token of X, about len_y / 64
+ints of up to 128 bits each per orientation, all built at once, once
+per orientation: read-only input storage outside the cell count, like
+the coded pair and the mirror.
 
 One function, :func:`_fold`, switches a fold from the list form to
-the bit form, and only :func:`_bit_rows` cuts masks from the planes.
-A fold over w < 64 positions takes bit rows from its first row, with V
-one word; a wider one switches once it holds ceil(w/64) levels, where V
-and its few w-bit temporaries take a constant number of machine words
-per level, so the one-cell-per-level charge stays an upper bound on
-its space. Folds of other views keep the list form. A split under 64
-positions reads its least maximizer off its halves' two words, with no
-list (:func:`_narrow_split`); other folds read V back into one through
-a w-character string. The branch search's rows
+the bit form. A fold over w < 64 positions takes bit rows from its
+first row, with V one word; a wider one switches once it holds
+ceil(w/64) levels, where V and its few w-bit temporaries take a
+constant number of machine words per level, so the one-cell-per-level
+charge stays an upper bound on its space. Folds of other views keep the
+list form. A split under 64 positions folds both halves in one kernel,
+one word each, and reads its least maximizer off the two words, with no
+list (:func:`_narrow_split`); when the range's LCS length is its width,
+every position is matched and the split is read off the suffix word in
+O(1). Other folds run :func:`_bit_rows` and read V back into a list
+through a w-character string. The branch search's rows
 (:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
 take the same :func:`_fold` but keep V between runs, and count their
 levels in either form with :func:`_levels_below`.
@@ -70,11 +76,13 @@ concatenation of the leftmost occurrences of the two halves, so
 solving the halves left to right emits it.
 
 One loop does so over an explicit stack of pending ranges, each with
-its LCS length once a split has found it. It solves two kinds of range
-without folding: one of two X characters, with the one or two searches
-its split and leaves need (:func:`_two_rows`), and one whose LCS
-length equals its number of X characters, with one forward search per
-character (:func:`_matched_rows`). Every character of such a range is
+its LCS length once a split has found it; it hands a range under 64
+positions of a view with bit-planes, and its length, to the narrow
+kernel itself. It solves two kinds of range without folding: one of
+two X characters, with the one or two searches its split and leaves
+need (:func:`_two_rows`), and one whose LCS length equals its number
+of X characters, with one forward search per character
+(:func:`_matched_rows`). Every character of such a range is
 matched, so its leftmost LCS is the greedy embedding, and each split a
 recursion would make falls at a greedy end; its probes and peak cells
 follow in closed form. The loop charges every probe and cell that a
@@ -137,6 +145,15 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
 _BIT_POSITIONS_PER_LEVEL = 64
 
 
+def _build_planes(view: MatchView) -> None:
+    """Fill the view's planes and tables (:func:`_bit_planes`), once per
+    orientation, on its first bit fold."""
+    planes, tables = _bit_planes(view._x, view._y)
+    # None, never a token, marks a pair that shares none as built.
+    view._planes.update(planes or {None: b""})
+    view._tables.update(tables)
+
+
 def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
               v: int | None = None) -> int:
     """V after folding the X rows into it, one bit row each.
@@ -145,23 +162,34 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0; None
     is V with no levels yet. Each row is charged w = j_hi - j_lo + 1
     probes, like the list form; the caller charges the levels' cells. A
-    row's match mask is cut from the plane of its token, built on the
-    view's first bit row; a token absent from Y leaves V as it is.
+    row's match mask is read from the tables of its token if w < 64,
+    else cut from its plane; a token absent from Y leaves V as it is.
     """
+    if not view._planes:
+        _build_planes(view)
     meter = view._meter
-    planes = view._planes
-    if not planes:
-        # None, never a token, marks a pair that shares none as built.
-        planes.update(_bit_planes(view._x, view._y) or {None: b""})
+    x = view._x
     w = j_hi - j_lo + 1
+    b0 = j_lo - 1
+    if w < _BIT_POSITIONS_PER_LEVEL:
+        # Table entry k holds plane bits 64k..64k + 127: with V r < 64
+        # bits up, its w < 64 positions line up with them.
+        tables = view._tables
+        k, r = b0 >> 6, b0 & 63
+        full = ((1 << w) - 1) << r
+        v = full if v is None else v << r
+        for i in rows:
+            meter.eq_queries += w
+            u = v & tables[x[i - 1]][k]
+            v = ((v + u) | (v - u)) & full
+        return v >> r
     # Plane bit b0 + k stands for j_lo + k; plane bytes a..b - 1 hold bits
     # b0..b0 + w - 1 and up to 7 bits on either side. While the rows run,
     # V sits r bits up, so a row's mask needs no shift.
-    b0 = j_lo - 1
+    planes = view._planes
     a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
     full = ((1 << w) - 1) << r
     v = full if v is None else v << r
-    x = view._x
     from_bytes = int.from_bytes
     for i in rows:
         meter.eq_queries += w
@@ -245,32 +273,56 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
 
 
 def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
-                  j_hi: int) -> tuple[int, int, int, int]:
+                  j_hi: int, length: int) -> tuple[int, int, int, int]:
     """:func:`_split` over w = j_hi - j_lo + 1 < 64 positions of a view
-    with bit-planes, from two bit folds of one word each.
+    with bit-planes, whose LCS length is ``length``, or -1 if unknown.
 
-    Each half is folded in the bit form from its first row, with no
-    levels: the prefix half on the view over j_lo..j_hi, the right half
+    Both halves are folded in the bit form from their first row, one
+    word each, by one loop that reads each row's mask from its token's
+    table: the prefix half on the view over j_lo..j_hi, the right half
     on the mirror over m + 1 - j_hi..m + 1 - j_lo. Bit k of ``lo`` marks
     the prefix threshold j_lo + k and bit k of ``hi`` the suffix
-    threshold j_hi - k, so a split after j_lo + k keeps the suffix levels
-    below bit w - 1 - k. The 1-bits of ``lo`` are walked in increasing k;
-    strict improvement keeps the least maximizer. The folds charge their
-    rows' probes; the two halves' levels are charged once, after both,
-    and released before the walk, which holds no list.
+    threshold j_hi - k. The rows' probes are charged as they run; the two
+    halves' levels are charged once, after both folds.
+
+    If ``length`` is w, every position is matched, so each half matches
+    its whole Y part. The least split leaves the right half the longest
+    suffix it matches whole: the h trailing 1-bits of ``hi`` mark the
+    suffix thresholds j_hi, j_hi - 1, ..., so it splits after j_hi - h
+    with lengths w - h and h. Otherwise a split after j_lo + k keeps the
+    suffix levels below bit w - 1 - k; the 1-bits of ``lo`` are walked
+    in increasing k, and strict improvement keeps the least maximizer.
     """
     i_mid = (i_lo + i_hi) // 2
     w = j_hi - j_lo + 1
+    n, m = view.len_x, view.len_y
+    meter = view._meter
     ones = (1 << w) - 1
-    n1, m1 = view.len_x + 1, view.len_y + 1
-    lo = _bit_rows(view, range(i_lo, i_mid + 1), j_lo, j_hi) ^ ones
-    hi = _bit_rows(view._mirror, range(n1 - i_hi, n1 - i_mid), m1 - j_hi,
-                   m1 - j_lo) ^ ones
+    words = []
+    # Rows are 0-based here; V sits r bits up, as in _bit_rows.
+    for half, rows, b0 in ((view, range(i_lo - 1, i_mid), j_lo - 1),
+                           (view._mirror, range(n - i_hi, n - i_mid),
+                            m - j_hi)):
+        if not half._planes:
+            _build_planes(half)
+        tables = half._tables
+        x = half._x
+        k, r = b0 >> 6, b0 & 63
+        full = ones << r
+        v = full
+        for i in rows:
+            meter.eq_queries += w
+            u = v & tables[x[i]][k]
+            v = ((v + u) | (v - u)) & full
+        words.append((v ^ full) >> r)
+    lo, hi = words
     best = hi.bit_count()
     cells = lo.bit_count() + best
-    meter = view._meter
     meter.grow(cells)
     meter.shrink(cells)
+    if length == w:
+        h = (hi ^ (hi + 1)).bit_length() - 1
+        return i_mid, j_hi - h, w - h, h
     j_mid = j_lo - 1
     lo_length = level = 0
     while lo:
@@ -292,8 +344,8 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     whose half-LCS lengths sum to L, and those two lengths.
 
     Requires i_lo < i_hi. A split under 64 positions of a view with
-    bit-planes folds both halves in the bit form and reads the split off
-    the two words (:func:`_narrow_split`). Any other builds the left
+    bit-planes is :func:`_narrow_split`'s, with the length unknown; the
+    restart loop calls that kernel itself. Any other builds the left
     half's prefix thresholds and the right half's suffix thresholds with
     :func:`_fold_rows`, the latter as the prefix ones of the mirror's
     rows n + 1 - i_hi..n - i_mid over its positions m + 1 - j_hi..m + 1 -
@@ -305,7 +357,7 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     """
     w = j_hi - j_lo + 1
     if view._planes is not None and w < _BIT_POSITIONS_PER_LEVEL:
-        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi)
+        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi, -1)
     n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
     lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
@@ -460,13 +512,16 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     character is a scan for its least match, a longer one whose length
     is its row count is :func:`_matched_rows`, one of two is
     :func:`_two_rows`, and any other is split, pushing the right part
-    under the left with the lengths the split found. The meter holds one
+    under the left with the lengths the split found; a split under 64
+    positions of a view with bit-planes is :func:`_narrow_split`'s, given
+    the range's length. The meter holds one
     frame per level of the range being solved, grown and shrunk where a
     recursion would enter and leave its calls, so probes and peak cells
     are the recursion's. Frames are released when it returns or raises.
     """
     meter = view._meter
-    # The root's LCS length is unknown: -1 matches no row count.
+    planed = view._planes is not None
+    # The root's LCS length is unknown: -1 matches no row count or width.
     stack = [(i_lo, i_hi, j_lo, j_hi, 1, -1)]
     depth = 0
     try:
@@ -491,8 +546,12 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
             elif i_lo + 1 == i_hi:
                 _two_rows(view, i_lo, j_lo, j_hi, out)
             else:
-                i_mid, j_mid, lo_length, hi_length = _split(
-                    view, i_lo, i_hi, j_lo, j_hi)
+                if planed and j_hi - j_lo + 1 < _BIT_POSITIONS_PER_LEVEL:
+                    split = _narrow_split(view, i_lo, i_hi, j_lo, j_hi,
+                                          length)
+                else:
+                    split = _split(view, i_lo, i_hi, j_lo, j_hi)
+                i_mid, j_mid, lo_length, hi_length = split
                 stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1,
                               hi_length))
                 stack.append((i_lo, i_mid, j_lo, j_mid, d + 1, lo_length))

@@ -14,12 +14,13 @@ and live cells must all match.
 
 import random
 import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MinimalSeq, rand_string
+from conftest import MinimalSeq, kind_view, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
                       first_lcs, prefix_thresholds, split_point,
                       suffix_thresholds)
@@ -185,9 +186,9 @@ def narrow_splits(monkeypatch):
     splits = []
     narrow_split = hirschberg._narrow_split
 
-    def record(view, i_lo, i_hi, j_lo, j_hi):
+    def record(view, i_lo, i_hi, j_lo, j_hi, length):
         splits.append((view, j_hi - j_lo + 1))
-        return narrow_split(view, i_lo, i_hi, j_lo, j_hi)
+        return narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
 
     monkeypatch.setattr(hirschberg, "_narrow_split", record)
     return splits
@@ -218,23 +219,28 @@ def _list_levels(view, rows, j_lo, j_hi):
 
 def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
                                                 narrow_splits, search_switches):
-    # A split under 64 positions of a view with bit-planes is solved by
-    # two one-word bit folds, and no half of it enters _fold. Each half
-    # of a wider split switches exactly when the list form holds the
-    # rule's levels before one of its rows, and then at the first such
-    # row; the search likewise, at any width, from its first row under
-    # 64 positions. The right half is folded as the mirror's rows over
-    # mirrored positions. A view without planes never takes the bit form.
-    split = hirschberg._split
+    # The restart solves every split under 64 positions of a view with
+    # bit-planes with the narrow kernel, two one-word bit folds, and no
+    # half of it enters _fold. Each half of a wider split switches
+    # exactly when the list form holds the rule's levels before one of
+    # its rows, and then at the first such row; the search likewise, at
+    # any width, from its first row under 64 positions. The right half
+    # is folded as the mirror's rows over mirrored positions. A view
+    # without planes never takes the bit form.
+    split, narrow_split = hirschberg._split, hirschberg._narrow_split
+
+    def checked_narrow(view, i_lo, i_hi, j_lo, j_hi, length):
+        before = len(bit_entries)
+        result = narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
+        assert view._planes is not None and j_hi - j_lo + 1 < 64
+        assert len(bit_entries) == before
+        return result
 
     def checked(view, i_lo, i_hi, j_lo, j_hi):
         before, narrow = len(bit_entries), len(narrow_splits)
         result = split(view, i_lo, i_hi, j_lo, j_hi)
         w = j_hi - j_lo + 1
-        if view._planes is not None and w < 64:
-            assert narrow_splits[narrow:] == [(view, w)]
-            assert len(bit_entries) == before
-            return result
+        assert view._planes is None or w >= 64, (i_lo, i_hi, j_lo, j_hi)
         assert len(narrow_splits) == narrow
         if view._planes is None:
             assert len(bit_entries) == before
@@ -254,6 +260,7 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
         return result
 
     monkeypatch.setattr(hirschberg, "_split", checked)
+    monkeypatch.setattr(hirschberg, "_narrow_split", checked_narrow)
     rng = random.Random(3)
     narrow_seen = planed_seen = 0
     for sigma in (1, 2, 4, 26):
@@ -301,35 +308,130 @@ def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
     assert bit_entries == [] and search_switches == []
 
 
+# The narrow kernel's code object: the fixtures replace the module's name.
+_NARROW_KERNEL = hirschberg._narrow_split.__code__
+
+
 @pytest.mark.parametrize("n", [17, 63, 65, 256, 2048])
 def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
                                      search_switches, n):
     # Criterion 7's family has L = 1: one level pays for at most 64 bits,
     # so nothing 65 or more positions wide enters the bit form. Its splits
     # under 64 positions fold two words, and a search over fewer than 64
-    # positions folds one from its first row, each V under 64 bits.
-    words = []
+    # positions folds one from its first row, each V under 64 bits. The
+    # kernel's two words are read off its frame as it returns.
+    words, kernel_words = [], []
     bit_rows = hirschberg._bit_rows
 
     def record(view, rows, j_lo, j_hi, v=None):
         result = bit_rows(view, rows, j_lo, j_hi, v)
-        narrow = sys._getframe(1).f_code.co_name == "_narrow_split"
-        words.append((narrow, j_hi - j_lo + 1, result.bit_length()))
+        words.append((j_hi - j_lo + 1, result.bit_length()))
         return result
+
+    def on_return(frame, event, arg):
+        if event == "return" and frame.f_code is _NARROW_KERNEL:
+            kernel_words.append((frame.f_locals["w"],
+                                 list(frame.f_locals["words"])))
 
     monkeypatch.setattr(hirschberg, "_bit_rows", record)
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
-    assert list(LcsEnumerator(view)) == [(1,)]
+    sys.setprofile(on_return)
+    try:
+        stream = list(LcsEnumerator(view))
+    finally:
+        sys.setprofile(None)
+    assert stream == [(1,)]
     assert bit_entries == []
-    assert sum(narrow for narrow, _, _ in words) == 2 * len(narrow_splits)
+    assert len(kernel_words) == len(narrow_splits)
     assert all(w < 64 for _, w in narrow_splits)
-    for _, w, v_length in words:
+    for w, folded in kernel_words:
+        assert len(folded) == 2 and w < 64
+        assert all(word.bit_length() <= w for word in folded)
+    for w, v_length in words:
         assert w < 64 and v_length <= w
     _check_switches(search_switches)
     assert bool(search_switches) == (n < 64)
     if n < 64:
         assert narrow_splits  # every split is narrow, the top one too
         assert max(w for _, w in narrow_splits) == n
+
+
+def _supersequence(rng, y, extra, sigma):
+    """y with ``extra`` random letters inserted: every letter of y matched."""
+    out = list(y)
+    for _ in range(extra):
+        out.insert(rng.randint(0, len(out)), rand_string(rng, 1, sigma))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes"])
+def test_narrow_split_equals_the_list_split(kind):
+    # The kernel against _split on the pair as tuples, which folds lists:
+    # split, both lengths, probes and peak cells. It runs with the length
+    # unknown, and with the range's true length; a third of the ranges
+    # match every Y position, where the split is read off ``hi`` alone.
+    rng = random.Random(12)
+    whole = 0
+    for t in range(300):
+        sigma = rng.randint(2, 4)
+        w, rows = rng.randint(1, 63), rng.randint(3, 80)
+        y = rand_string(rng, w, sigma)
+        x = (_supersequence(rng, y, rows - w, sigma) if t % 3 == 0 and rows >= w
+             else rand_string(rng, rows, sigma))
+        # Pads move the window across table entries.
+        y_pad, x_pad = rng.randint(0, 150), rng.randint(0, 5)
+        y = rand_string(rng, y_pad, sigma) + y + rand_string(rng, 3, sigma)
+        x = rand_string(rng, x_pad, sigma) + x + rand_string(rng, 2, sigma)
+        args = (x_pad + 1, x_pad + rows, y_pad + 1, y_pad + w)
+        lists = kind_view("tuple", x, y)
+        want = hirschberg._split(lists, *args)
+        want = (want, lists.meter.eq_queries, lists.meter.peak_cells)
+        length = want[0][2] + want[0][3]
+        whole += length == w
+        view = kind_view(kind, x, y)
+        for known in (-1, length):
+            meter = Meter()
+            got = hirschberg._narrow_split(view.with_meter(meter), *args, known)
+            assert (got, meter.eq_queries, meter.peak_cells) == want, (
+                x, y, args, known)
+            assert meter.live_cells == 0
+    assert whole >= 100
+
+
+# Bytes a first_lcs over a narrow Y window may allocate beyond its
+# charged cells, whatever |Y|.
+NARROW_PEAK_MARGIN = 512
+
+
+@pytest.mark.parametrize("kind", [str, bytes])
+def test_narrow_restart_memory_does_not_grow_with_y(kind):
+    # A Y window of 50 positions: every split is the narrow kernel's, and
+    # its reads take one table entry each, never a |Y|-bit integer. So
+    # the traced peak of one first_lcs stays flat while |Y| grows x16, as
+    # the charged peak cells do. The planes and tables of both
+    # orientations are input storage, built before tracing.
+    peaks, cells = [], set()
+    for m in (4096, 16384, 65536):
+        rng = random.Random(10)
+        x, window = rand_string(rng, 200, 4), rand_string(rng, 50, 4)
+        lo = m // 2
+        y = (rand_string(rng, lo - 1, 4) + window
+             + rand_string(rng, m - lo - 49, 4))
+        view = MatchView(*((x.encode(), y.encode()) if kind is bytes
+                           else (x, y)))
+        for v in (view, view._mirror):
+            hirschberg._build_planes(v)
+        yr = IndexRange(lo, lo + 49)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            first_lcs(view, None, yr)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        cells.add(view.meter.peak_cells)
+    assert len(cells) == 1
+    assert max(peaks) - min(peaks) <= NARROW_PEAK_MARGIN, peaks
 
 
 def test_wide_folds_agree_with_list_rows(bit_entries):
@@ -346,14 +448,16 @@ def test_wide_folds_agree_with_list_rows(bit_entries):
 
 
 def test_planes_hold_the_positions_of_shared_tokens():
-    y = b"abcab" * 3 + b"zz"
+    y = b"abcab" * 30 + b"zz"
     view = MatchView(b"xba" * 3, y)
     mirror = view._mirror
     # Built by each orientation's first bit fold, not here.
     assert view._planes == {} and mirror._planes == {}
+    assert view._tables == {} and mirror._tables == {}
     assert view._planes is not mirror._planes
-    planes = core._bit_planes(view._x, view._y)
-    mirrored = core._bit_planes(mirror._x, mirror._y)
+    assert view._tables is not mirror._tables
+    planes, tables = core._bit_planes(view._x, view._y)
+    mirrored, mirrored_tables = core._bit_planes(mirror._x, mirror._y)
     assert set(planes) == set(mirrored) == {ord("a"), ord("b")}
     n = len(y)
     for t in planes:
@@ -367,7 +471,24 @@ def test_planes_hold_the_positions_of_shared_tokens():
         for j in range(1, n + 1):
             assert (f >> (j - 1)) & 1 == (y[j - 1] == t)
             assert (r >> (n - j)) & 1 == (y[j - 1] == t)
-    assert set(core._bit_planes("xba", "abz")) == {"a", "b"}
+    # Every window under 64 positions, in both orientations: one table
+    # entry, shifted and masked, is the cut of the plane that the wide
+    # rows take, and no entry is wider than 128 bits.
+    for plane_of, table_of in ((planes, tables), (mirrored, mirrored_tables)):
+        # X's "x" is absent from Y: its table holds no bit.
+        assert set(table_of) == {ord("x"), ord("a"), ord("b")}
+        assert not any(table_of[ord("x")])
+        for t, table in table_of.items():
+            assert len(table) == -(-n // 64)
+            assert max(e.bit_length() for e in table) <= 128
+            f = int.from_bytes(plane_of.get(t, b""), "little")
+            for b0 in range(n):
+                for w in range(1, min(63, n - b0) + 1):
+                    ones = (1 << w) - 1
+                    assert (table[b0 >> 6] >> (b0 & 63)) & ones == \
+                        (f >> b0) & ones, (t, b0, w)
+    assert set(core._bit_planes("xba", "abz")[0]) == {"a", "b"}
+    assert set(core._bit_planes("xba", "abz")[1]) == {"x", "b", "a"}
 
 
 def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
@@ -385,11 +506,14 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     enum = LcsEnumerator(view)
     for _ in range(3):
         enum.next_sequence()
-    # One build per orientation: the view's and its mirror's.
+    # One build per orientation, planes and tables together: the view's
+    # and its mirror's.
     assert len(bit_entries) > 1 and sorted(built) == sorted([y, y[::-1]])
+    assert set(view._tables) == set(view._mirror._tables) == set(x)
     other = view.with_meter(Meter())
-    assert other._planes is view._planes
-    assert other._mirror._planes is view._mirror._planes
+    for name in ("_planes", "_tables"):
+        assert getattr(other, name) is getattr(view, name)
+        assert getattr(other._mirror, name) is getattr(view._mirror, name)
     assert other._mirror._mirror is other and other._mirror is not view._mirror
     first_lcs(other)
     find_branch(other, first_lcs(other))
@@ -408,7 +532,13 @@ def test_planes_of_a_pair_that_shares_no_token_are_built_once(monkeypatch):
 
     monkeypatch.setattr(hirschberg, "_bit_planes", record)
     view = MatchView("a" * 4000, "b" * 60)
+    other = view.with_meter(Meter())
     assert first_lcs(view) == ()
     assert 1 <= len(built) <= 2  # at most one per orientation
-    assert find_branch(view, ()) is None
+    assert find_branch(other, ()) is None
     assert len(built) <= 2
+    # The tables of both orientations hold X's one token, with no bit,
+    # and the view made before the build shares them.
+    for v, w in ((view, other), (view._mirror, other._mirror)):
+        assert v._planes == {None: b""} and w._tables is v._tables
+        assert list(v._tables) == ["a"] and not any(v._tables["a"])

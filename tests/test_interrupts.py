@@ -199,25 +199,34 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
     entries = []
-    bit_rows = hirschberg._bit_rows
+    narrow_split = hirschberg._narrow_split
 
-    def record(view, rows, j_lo, j_hi, v=None):
-        entries.append((view, view.meter.eq_queries, j_hi - j_lo + 1))
-        return bit_rows(view, rows, j_lo, j_hi, v)
+    def record(view, i_lo, i_hi, j_lo, j_hi, length):
+        entries.append((view.meter.eq_queries, i_lo, i_hi, j_hi - j_lo + 1))
+        return narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
 
-    monkeypatch.setattr(hirschberg, "_bit_rows", record)
+    monkeypatch.setattr(hirschberg, "_narrow_split", record)
     probe = LcsEnumerator(MatchView(x, y))
     probe.next_sequence()
     monkeypatch.undo()
-    # The first split's folds: the view's rows, then the mirror's.
-    (first, _, _), (second, at, w) = entries[:2]
-    assert first is probe.view and second is probe.view._mirror
+    # The first split's folds: the view's rows i_lo..i_mid, then the
+    # mirror's, each row charged w probes as it runs.
+    at, i_lo, i_hi, w = entries[0]
+    at += ((i_lo + i_hi) // 2 - i_lo + 1) * w
     monkeypatch.setattr(enumerator_module, "Meter",
                         lambda: InterruptingMeter(at + w))
     enum = LcsEnumerator(MatchView(x, y))
+    with pytest.raises(KeyboardInterrupt) as raised:
+        enum.next_sequence()
+    tb = raised.tb
+    while tb.tb_frame.f_code.co_name != "_narrow_split":
+        tb = tb.tb_next
+    # The kernel was at the mirror's second row, with the prefix word done.
+    frame = tb.tb_frame.f_locals
+    assert frame["half"] is enum.view._mirror and len(frame["words"]) == 1
+    assert frame["i"] == frame["rows"][1]
     got, where = _run(enum)
-    assert len(where) == 1
-    assert {"_narrow_split", "_bit_rows (mirror)"} <= where[0]
+    assert where == []
     assert got == want
     assert enum.view.meter.live_cells == ref.view.meter.live_cells
     assert enum.counters.outputs_emitted == len(want)
