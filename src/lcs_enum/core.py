@@ -150,10 +150,10 @@ class MatchView:
     :meth:`with_meter` makes shares all four dicts. The searched pair,
     its mirror (n + m characters or bytes, or two tuples of references),
     the planes, len_y bits per token X and Y share in each orientation,
-    and the tables, about len_y / 64 ints of up to 128 bits per such
-    token and orientation, are read-only input storage, outside the cell
-    count. ``y_slice`` renders the original Y (the mirror's renders its
-    searched Y).
+    and the tables, about len_y / 64 ints of up to 128 bits per shared
+    token in each orientation, are read-only input storage, outside the
+    cell count. ``y_slice`` renders the original Y (the mirror's renders
+    its searched Y).
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the

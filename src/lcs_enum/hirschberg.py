@@ -38,10 +38,11 @@ bit-plane of the row's token, about w/8 bytes of it; under 64 it is one
 list index into the token's window table, whose entry k holds plane
 bits 64k..64k + 127, so no read makes a temporary wider than 128 bits.
 The view and the mirror each hold a plane per shared token, 2 * len_y
-bits per token in all, and a table per token of X, about len_y / 64
-ints of up to 128 bits each per orientation, all built at once, once
-per orientation: read-only input storage outside the cell count, like
-the coded pair and the mirror.
+bits per token in all, and a table per token of X: about len_y / 64
+ints of up to 128 bits per orientation for each shared token, and one
+list of zeros for the rest. All are built at once, once per
+orientation: read-only input storage outside the cell count, like the
+coded pair and the mirror.
 
 One function, :func:`_fold`, switches a fold from the list form to
 the bit form. A fold over w < 64 positions takes bit rows from its
@@ -162,7 +163,7 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0; None
     is V with no levels yet. Each row is charged w = j_hi - j_lo + 1
     probes, like the list form; the caller charges the levels' cells. A
-    row's match mask is read from the tables of its token if w < 64,
+    row's match mask is read from its token's table if w < 64,
     else cut from its plane; a token absent from Y leaves V as it is.
     """
     if not view._planes:
@@ -513,11 +514,11 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     is its row count is :func:`_matched_rows`, one of two is
     :func:`_two_rows`, and any other is split, pushing the right part
     under the left with the lengths the split found; a split under 64
-    positions of a view with bit-planes is :func:`_narrow_split`'s, given
-    the range's length. The meter holds one
-    frame per level of the range being solved, grown and shrunk where a
-    recursion would enter and leave its calls, so probes and peak cells
-    are the recursion's. Frames are released when it returns or raises.
+    positions of a view with bit-planes is :func:`_narrow_split`'s,
+    given the range's length. The meter holds one frame per level of
+    the range being solved, grown and shrunk where a recursion would
+    enter and leave its calls, so probes and peak cells are the
+    recursion's. Frames are released when it returns or raises.
     """
     meter = view._meter
     planed = view._planes is not None

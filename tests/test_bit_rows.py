@@ -335,11 +335,12 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
 
     monkeypatch.setattr(hirschberg, "_bit_rows", record)
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
+    profiler = sys.getprofile()
     sys.setprofile(on_return)
     try:
         stream = list(LcsEnumerator(view))
     finally:
-        sys.setprofile(None)
+        sys.setprofile(profiler)
     assert stream == [(1,)]
     assert bit_entries == []
     assert len(kernel_words) == len(narrow_splits)
