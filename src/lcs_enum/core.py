@@ -93,33 +93,47 @@ def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
     return None
 
 
-def _bit_planes(x, y) -> tuple[dict, dict]:
-    """Per-token bit-planes of Y for the tokens that X and Y share, and
-    window tables of them for every token of X.
+def _bit_planes(x, y) -> dict:
+    """Per-token bit-planes of Y for the tokens that X and Y share.
 
-    The planes map each shared token, as ``x`` holds it, to a
-    little-endian bitset of ``(len(y) + 7) // 8`` bytes whose bit j - 1
-    is set when Y[j] is the token. The tables map each token of X to a
-    list whose entry k holds bits 64k..64k + 127 of its plane as an int,
-    all of them 0 for a token absent from Y (one list shared by all
-    such), so a window under 64 positions is one list index and a shift.
-    The pair must be bytes or two ASCII str.
+    Maps each shared token, as ``x`` holds it, to a little-endian bitset
+    of ``(len(y) + 7) // 8`` bytes whose bit j - 1 is set when Y[j] is
+    the token. The pair must be bytes or two ASCII str.
     """
     yb = y.encode() if isinstance(y, str) else y
     size = (len(yb) + 7) // 8
     planes = {}
-    tokens = set(x)
-    zeros = [0] * ((size + 7) // 8)
-    tables = dict.fromkeys(tokens, zeros)
-    from_bytes = int.from_bytes
-    for t in tokens & set(y):
+    for t in set(x) & set(y):
         c = ord(t) if isinstance(t, str) else t
         s = yb.translate(_ONE_HOT[255 - c:511 - c])  # character k is Y[k + 1]
         # int(.., 2) reads its first character as the highest bit.
-        plane = planes[t] = int(s[::-1], 2).to_bytes(size, "little")
-        tables[t] = [from_bytes(plane[a:a + 16], "little")
-                     for a in range(0, size, 8)]
-    return planes, tables
+        planes[t] = int(s[::-1], 2).to_bytes(size, "little")
+    return planes
+
+
+class _WindowTables(dict):
+    """Window tables of one orientation's bit-planes, each token's built
+    on its first read.
+
+    Maps a token to a list whose entry k holds bits 64k..64k + 127 of
+    its plane as an int, so a window under 64 positions is one list
+    index and a shift. A token with no plane reads one list of zeros,
+    shared by all such. The planes must be built before the first read.
+    """
+
+    __slots__ = ("_planes", "_zeros")
+
+    def __init__(self, planes: dict, len_y: int):
+        super().__init__()
+        self._planes = planes
+        self._zeros = [0] * -(-len_y // 64)
+
+    def __missing__(self, token) -> list[int]:
+        plane = self._planes.get(token)
+        table = self[token] = self._zeros if plane is None else [
+            int.from_bytes(plane[a:a + 16], "little")
+            for a in range(0, len(plane), 8)]
+        return table
 
 
 def _index_find(seq, item, lo: int, hi: int) -> int:
@@ -145,15 +159,16 @@ class MatchView:
     own mirror is this view; the two share one meter, and assigning
     ``meter`` sets both. ``_planes`` and ``_tables`` are None unless the
     folds may take the bit form (the pair is bytes, or two ASCII str);
-    then they are dicts that the view's first bit fold fills with
-    :func:`_bit_planes`, and the mirror has its own. Every view
-    :meth:`with_meter` makes shares all four dicts. The searched pair,
-    its mirror (n + m characters or bytes, or two tuples of references),
-    the planes, len_y bits per token X and Y share in each orientation,
-    and the tables, about len_y / 64 ints of up to 128 bits per shared
-    token in each orientation, are read-only input storage, outside the
-    cell count. ``y_slice`` renders the original Y (the mirror's renders
-    its searched Y).
+    then ``_planes`` is a dict that the view's first bit fold fills with
+    :func:`_bit_planes`, ``_tables`` its :class:`_WindowTables`, and the
+    mirror has its own. Every view :meth:`with_meter` makes shares all
+    four dicts. The searched pair, its mirror (n + m characters or
+    bytes, or two tuples of references), the planes, len_y bits per
+    token X and Y share in each orientation, and the tables, about
+    len_y / 64 ints of up to 128 bits per token a narrow split has read
+    in each orientation, are read-only input storage, outside the cell
+    count. ``y_slice`` renders the original Y (the mirror's renders its
+    searched Y).
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -190,7 +205,8 @@ class MatchView:
         mirror.len_x, mirror.len_y = self.len_x, self.len_y
         mirror._find = self._find
         for v in (self, mirror):
-            v._planes, v._tables = ({}, {}) if planed else (None, None)
+            v._planes = {} if planed else None
+            v._tables = _WindowTables(v._planes, v.len_y) if planed else None
         mirror._mirror = self
         self.meter = Meter()
 

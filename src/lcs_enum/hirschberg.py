@@ -33,16 +33,17 @@ When the view has bit-planes (the pair is bytes, or two ASCII str), a
 fold may take the bit form (Allison-Dix, Hyyro): the thresholds become
 the 0-bits of a w-bit integer V over the fold's w positions of Y, and
 one row is ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the
-row's match mask. Over w >= 64 positions M is cut from the view's
-bit-plane of the row's token, about w/8 bytes of it; under 64 it is one
-list index into the token's window table, whose entry k holds plane
-bits 64k..64k + 127, so no read makes a temporary wider than 128 bits.
-The view and the mirror each hold a plane per shared token, 2 * len_y
-bits per token in all, and a table per token of X: about len_y / 64
-ints of up to 128 bits per orientation for each shared token, and one
-list of zeros for the rest. All are built at once, once per
-orientation: read-only input storage outside the cell count, like the
-coded pair and the mirror.
+row's match mask. A fold's rows cut M from the view's bit-plane of the
+row's token, about w/8 bytes of it. The narrow kernel (below) reads it
+with one list index into the token's window table, whose entry k holds
+plane bits 64k..64k + 127, so none of its reads makes a temporary wider
+than 128 bits. The view and the mirror each hold a plane per shared
+token, 2 * len_y bits per token in all, built at once on the
+orientation's first bit fold, and a table per token that a narrow
+split has read, built on that first read: about len_y / 64 ints of up
+to 128 bits for a token of Y, one list of zeros shared by the rest.
+All are read-only input storage outside the cell count, like the coded
+pair and the mirror.
 
 One function, :func:`_fold`, switches a fold from the list form to
 the bit form. A fold over w < 64 positions takes bit rows from its
@@ -77,14 +78,13 @@ concatenation of the leftmost occurrences of the two halves, so
 solving the halves left to right emits it.
 
 One loop does so over an explicit stack of pending ranges, each with
-its LCS length once a split has found it; it hands a range under 64
-positions of a view with bit-planes, and its length, to the narrow
-kernel itself. It solves two kinds of range without folding: one of
-two X characters, with the one or two searches its split and leaves
-need (:func:`_two_rows`), and one whose LCS length equals its number
-of X characters, with one forward search per character
-(:func:`_matched_rows`). Every character of such a range is
-matched, so its leftmost LCS is the greedy embedding, and each split a
+its LCS length once a split has found it, and gives each split that
+length, so a narrow one may take the O(1) split. It solves two kinds
+of range without folding: one of two X characters, with the one or two
+searches its split and leaves need (:func:`_two_rows`), and one whose
+LCS length equals its number of X characters, with one forward search
+per character (:func:`_matched_rows`). Every character of such a range
+is matched, so its leftmost LCS is the greedy embedding, and each split a
 recursion would make falls at a greedy end; its probes and peak cells
 follow in closed form. The loop charges every probe and cell that a
 recursion over the same splits would, where the recursion would charge
@@ -147,12 +147,10 @@ _BIT_POSITIONS_PER_LEVEL = 64
 
 
 def _build_planes(view: MatchView) -> None:
-    """Fill the view's planes and tables (:func:`_bit_planes`), once per
+    """Fill the view's planes (:func:`_bit_planes`), once per
     orientation, on its first bit fold."""
-    planes, tables = _bit_planes(view._x, view._y)
     # None, never a token, marks a pair that shares none as built.
-    view._planes.update(planes or {None: b""})
-    view._tables.update(tables)
+    view._planes.update(_bit_planes(view._x, view._y) or {None: b""})
 
 
 def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
@@ -163,31 +161,19 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0; None
     is V with no levels yet. Each row is charged w = j_hi - j_lo + 1
     probes, like the list form; the caller charges the levels' cells. A
-    row's match mask is read from its token's table if w < 64,
-    else cut from its plane; a token absent from Y leaves V as it is.
+    row's match mask is cut from its token's plane; a token absent from
+    Y leaves V as it is.
     """
     if not view._planes:
         _build_planes(view)
+    planes = view._planes
     meter = view._meter
     x = view._x
     w = j_hi - j_lo + 1
-    b0 = j_lo - 1
-    if w < _BIT_POSITIONS_PER_LEVEL:
-        # Table entry k holds plane bits 64k..64k + 127: with V r < 64
-        # bits up, its w < 64 positions line up with them.
-        tables = view._tables
-        k, r = b0 >> 6, b0 & 63
-        full = ((1 << w) - 1) << r
-        v = full if v is None else v << r
-        for i in rows:
-            meter.eq_queries += w
-            u = v & tables[x[i - 1]][k]
-            v = ((v + u) | (v - u)) & full
-        return v >> r
     # Plane bit b0 + k stands for j_lo + k; plane bytes a..b - 1 hold bits
     # b0..b0 + w - 1 and up to 7 bits on either side. While the rows run,
     # V sits r bits up, so a row's mask needs no shift.
-    planes = view._planes
+    b0 = j_lo - 1
     a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
     full = ((1 << w) - 1) << r
     v = full if v is None else v << r
@@ -280,11 +266,12 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
 
     Both halves are folded in the bit form from their first row, one
     word each, by one loop that reads each row's mask from its token's
-    table: the prefix half on the view over j_lo..j_hi, the right half
-    on the mirror over m + 1 - j_hi..m + 1 - j_lo. Bit k of ``lo`` marks
-    the prefix threshold j_lo + k and bit k of ``hi`` the suffix
-    threshold j_hi - k. The rows' probes are charged as they run; the two
-    halves' levels are charged once, after both folds.
+    window table (:class:`~lcs_enum.core._WindowTables`), built on the
+    token's first read: the prefix half on the view over j_lo..j_hi, the
+    right half on the mirror over m + 1 - j_hi..m + 1 - j_lo. Bit k of
+    ``lo`` marks the prefix threshold j_lo + k and bit k of ``hi`` the
+    suffix threshold j_hi - k. The rows' probes are charged as they run;
+    the two halves' levels are charged once, after both folds.
 
     If ``length`` is w, every position is matched, so each half matches
     its whole Y part. The least split leaves the right half the longest
@@ -299,8 +286,10 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     n, m = view.len_x, view.len_y
     meter = view._meter
     ones = (1 << w) - 1
+    # tests/test_bit_rows.py reads ``words`` off this frame as it returns.
     words = []
-    # Rows are 0-based here; V sits r bits up, as in _bit_rows.
+    # Rows are 0-based here. Table entry k holds plane bits 64k..64k +
+    # 127: with V r < 64 bits up, its w < 64 positions line up with them.
     for half, rows, b0 in ((view, range(i_lo - 1, i_mid), j_lo - 1),
                            (view._mirror, range(n - i_hi, n - i_mid),
                             m - j_hi)):
@@ -339,14 +328,14 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     return i_mid, j_mid, lo_length, best - lo_length
 
 
-def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
-           ) -> tuple[int, int, int, int]:
+def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
+           length: int = -1) -> tuple[int, int, int, int]:
     """(i_mid, j_mid, l_lo, l_hi): the midpoint of X, the least Y split
     whose half-LCS lengths sum to L, and those two lengths.
 
-    Requires i_lo < i_hi. A split under 64 positions of a view with
-    bit-planes is :func:`_narrow_split`'s, with the length unknown; the
-    restart loop calls that kernel itself. Any other builds the left
+    Requires i_lo < i_hi. ``length`` is the range's LCS length, or -1 if
+    unknown. A split under 64 positions of a view with bit-planes is
+    :func:`_narrow_split`'s, given the length. Any other builds the left
     half's prefix thresholds and the right half's suffix thresholds with
     :func:`_fold_rows`, the latter as the prefix ones of the mirror's
     rows n + 1 - i_hi..n - i_mid over its positions m + 1 - j_hi..m + 1 -
@@ -358,7 +347,7 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
     """
     w = j_hi - j_lo + 1
     if view._planes is not None and w < _BIT_POSITIONS_PER_LEVEL:
-        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi, -1)
+        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
     n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
     lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
@@ -513,15 +502,13 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     character is a scan for its least match, a longer one whose length
     is its row count is :func:`_matched_rows`, one of two is
     :func:`_two_rows`, and any other is split, pushing the right part
-    under the left with the lengths the split found; a split under 64
-    positions of a view with bit-planes is :func:`_narrow_split`'s,
+    under the left with the lengths the split found, and each split is
     given the range's length. The meter holds one frame per level of
     the range being solved, grown and shrunk where a recursion would
     enter and leave its calls, so probes and peak cells are the
     recursion's. Frames are released when it returns or raises.
     """
     meter = view._meter
-    planed = view._planes is not None
     # The root's LCS length is unknown: -1 matches no row count or width.
     stack = [(i_lo, i_hi, j_lo, j_hi, 1, -1)]
     depth = 0
@@ -547,12 +534,8 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
             elif i_lo + 1 == i_hi:
                 _two_rows(view, i_lo, j_lo, j_hi, out)
             else:
-                if planed and j_hi - j_lo + 1 < _BIT_POSITIONS_PER_LEVEL:
-                    split = _narrow_split(view, i_lo, i_hi, j_lo, j_hi,
-                                          length)
-                else:
-                    split = _split(view, i_lo, i_hi, j_lo, j_hi)
-                i_mid, j_mid, lo_length, hi_length = split
+                i_mid, j_mid, lo_length, hi_length = _split(
+                    view, i_lo, i_hi, j_lo, j_hi, length)
                 stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1,
                               hi_length))
                 stack.append((i_lo, i_mid, j_lo, j_mid, d + 1, lo_length))

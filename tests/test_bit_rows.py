@@ -219,11 +219,11 @@ def _list_levels(view, rows, j_lo, j_hi):
 
 def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
                                                 narrow_splits, search_switches):
-    # The restart solves every split under 64 positions of a view with
-    # bit-planes with the narrow kernel, two one-word bit folds, and no
-    # half of it enters _fold. Each half of a wider split switches
-    # exactly when the list form holds the rule's levels before one of
-    # its rows, and then at the first such row; the search likewise, at
+    # _split solves every split under 64 positions of a view with
+    # bit-planes with one call of the narrow kernel, two one-word bit
+    # folds, and no half of it enters _fold. Each half of a wider split
+    # switches exactly when the list form holds the rule's levels before
+    # one of its rows, and then at the first such row; the search likewise, at
     # any width, from its first row under 64 positions. The right half
     # is folded as the mirror's rows over mirrored positions. A view
     # without planes never takes the bit form.
@@ -236,13 +236,13 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
         assert len(bit_entries) == before
         return result
 
-    def checked(view, i_lo, i_hi, j_lo, j_hi):
+    def checked(view, i_lo, i_hi, j_lo, j_hi, length=-1):
         before, narrow = len(bit_entries), len(narrow_splits)
-        result = split(view, i_lo, i_hi, j_lo, j_hi)
+        result = split(view, i_lo, i_hi, j_lo, j_hi, length)
         w = j_hi - j_lo + 1
-        assert view._planes is None or w >= 64, (i_lo, i_hi, j_lo, j_hi)
-        assert len(narrow_splits) == narrow
-        if view._planes is None:
+        kernel = view._planes is not None and w < 64
+        assert len(narrow_splits) == narrow + kernel, (i_lo, i_hi, j_lo, j_hi)
+        if kernel or view._planes is None:
             assert len(bit_entries) == before
             return result
         levels = _rule(w)
@@ -319,7 +319,8 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
     # so nothing 65 or more positions wide enters the bit form. Its splits
     # under 64 positions fold two words, and a search over fewer than 64
     # positions folds one from its first row, each V under 64 bits. The
-    # kernel's two words are read off its frame as it returns.
+    # kernel's two words are read off its frame as it returns (its
+    # ``words``), and any profiler already set is restored after.
     words, kernel_words = [], []
     bit_rows = hirschberg._bit_rows
 
@@ -330,8 +331,7 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
 
     def on_return(frame, event, arg):
         if event == "return" and frame.f_code is _NARROW_KERNEL:
-            kernel_words.append((frame.f_locals["w"],
-                                 list(frame.f_locals["words"])))
+            kernel_words.append(list(frame.f_locals["words"]))
 
     monkeypatch.setattr(hirschberg, "_bit_rows", record)
     view = MatchView("a" + "b" * (n - 1), "a" + "c" * (n - 1))
@@ -345,7 +345,7 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
     assert bit_entries == []
     assert len(kernel_words) == len(narrow_splits)
     assert all(w < 64 for _, w in narrow_splits)
-    for w, folded in kernel_words:
+    for (_, w), folded in zip(narrow_splits, kernel_words):
         assert len(folded) == 2 and w < 64
         assert all(word.bit_length() <= w for word in folded)
     for w, v_length in words:
@@ -409,8 +409,8 @@ def test_narrow_restart_memory_does_not_grow_with_y(kind):
     # A Y window of 50 positions: every split is the narrow kernel's, and
     # its reads take one table entry each, never a |Y|-bit integer. So
     # the traced peak of one first_lcs stays flat while |Y| grows x16, as
-    # the charged peak cells do. The planes and tables of both
-    # orientations are input storage, built before tracing.
+    # the charged peak cells do. The planes of both orientations, and the
+    # tables of X's tokens, are input storage, built before tracing.
     peaks, cells = [], set()
     for m in (4096, 16384, 65536):
         rng = random.Random(10)
@@ -422,6 +422,8 @@ def test_narrow_restart_memory_does_not_grow_with_y(kind):
                            else (x, y)))
         for v in (view, view._mirror):
             hirschberg._build_planes(v)
+            for t in set(v._x):
+                v._tables[t]
         yr = IndexRange(lo, lo + 49)
         tracemalloc.start()
         try:
@@ -433,6 +435,45 @@ def test_narrow_restart_memory_does_not_grow_with_y(kind):
         cells.add(view.meter.peak_cells)
     assert len(cells) == 1
     assert max(peaks) - min(peaks) <= NARROW_PEAK_MARGIN, peaks
+
+
+# Bytes per entry of a window table: a list slot and an int of at most
+# 128 bits, 8 + 48 on CPython 3.11, with room to spare.
+TABLE_ENTRY_BYTES = 64
+
+
+def test_window_tables_hold_only_the_tokens_narrow_splits_read():
+    # A pair over all 256 byte values, |Y| = 65,536. Wide folds and the
+    # branch search cut their masks from the planes and build no table.
+    # A first_lcs over a 50-position window and 60 rows of X that hold 4
+    # values builds those 4 tokens' tables in each orientation and no
+    # other, so its traced peak is bounded by 8 tables, whatever the
+    # alphabet; tables for all 140 tokens of X, in both orientations,
+    # would take some 6 MB, over ten times the bound.
+    rng = random.Random(13)
+    m, lo = 65536, 32768
+    quad = bytes(range(97, 101))
+    narrow_x = bytes(rng.choice(quad) for _ in range(60))
+    x = rng.randbytes(100) + narrow_x + rng.randbytes(100)
+    y = (rng.randbytes(lo - 1) + bytes(rng.choice(quad) for _ in range(50))
+         + rng.randbytes(m - lo - 49))
+    view = MatchView(x, y)
+    p = first_lcs(MatchView(x, y))
+    for v in (view, view._mirror):
+        hirschberg._build_planes(v)
+    prefix_thresholds(view, None, IndexRange(1, 4096))
+    suffix_thresholds(view, None, IndexRange(m - 4095, m))
+    find_branch(view, p)
+    assert view._tables == {} and view._mirror._tables == {}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first_lcs(view, IndexRange(101, 160), IndexRange(lo, lo + 49))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert set(view._tables) == set(view._mirror._tables) == set(narrow_x)
+    assert peak <= 8 * (m // 64) * TABLE_ENTRY_BYTES, peak
 
 
 def test_wide_folds_agree_with_list_rows(bit_entries):
@@ -457,8 +498,8 @@ def test_planes_hold_the_positions_of_shared_tokens():
     assert view._tables == {} and mirror._tables == {}
     assert view._planes is not mirror._planes
     assert view._tables is not mirror._tables
-    planes, tables = core._bit_planes(view._x, view._y)
-    mirrored, mirrored_tables = core._bit_planes(mirror._x, mirror._y)
+    planes = core._bit_planes(view._x, view._y)
+    mirrored = core._bit_planes(mirror._x, mirror._y)
     assert set(planes) == set(mirrored) == {ord("a"), ord("b")}
     n = len(y)
     for t in planes:
@@ -474,12 +515,16 @@ def test_planes_hold_the_positions_of_shared_tokens():
             assert (r >> (n - j)) & 1 == (y[j - 1] == t)
     # Every window under 64 positions, in both orientations: one table
     # entry, shifted and masked, is the cut of the plane that the wide
-    # rows take, and no entry is wider than 128 bits.
-    for plane_of, table_of in ((planes, tables), (mirrored, mirrored_tables)):
+    # rows take, and no entry is wider than 128 bits. A token's table is
+    # built on its first read.
+    for plane_of in (planes, mirrored):
+        table_of = core._WindowTables(plane_of, n)
         # X's "x" is absent from Y: its table holds no bit.
-        assert set(table_of) == {ord("x"), ord("a"), ord("b")}
         assert not any(table_of[ord("x")])
-        for t, table in table_of.items():
+        assert set(table_of) == {ord("x")}
+        for t in (ord("x"), ord("a"), ord("b")):
+            table = table_of[t]
+            assert table_of[t] is table
             assert len(table) == -(-n // 64)
             assert max(e.bit_length() for e in table) <= 128
             f = int.from_bytes(plane_of.get(t, b""), "little")
@@ -488,29 +533,39 @@ def test_planes_hold_the_positions_of_shared_tokens():
                     ones = (1 << w) - 1
                     assert (table[b0 >> 6] >> (b0 & 63)) & ones == \
                         (f >> b0) & ones, (t, b0, w)
-    assert set(core._bit_planes("xba", "abz")[0]) == {"a", "b"}
-    assert set(core._bit_planes("xba", "abz")[1]) == {"x", "b", "a"}
+        assert set(table_of) == {ord("x"), ord("a"), ord("b")}
+    assert set(core._bit_planes("xba", "abz")) == {"a", "b"}
 
 
 def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
-    built = []
+    built, tabled = [], []
     bit_planes = hirschberg._bit_planes
+    missing = core._WindowTables.__missing__
 
     def record(x, y):
         built.append(y)
         return bit_planes(x, y)
 
+    def record_table(tables, token):
+        tabled.append((id(tables), token))
+        return missing(tables, token)
+
     monkeypatch.setattr(hirschberg, "_bit_planes", record)
+    monkeypatch.setattr(core._WindowTables, "__missing__", record_table)
     rng = random.Random(6)
     x, y = rand_string(rng, 200, 4), rand_string(rng, 200, 4)
     view = MatchView(x, y)
     enum = LcsEnumerator(view)
     for _ in range(3):
         enum.next_sequence()
-    # One build per orientation, planes and tables together: the view's
-    # and its mirror's.
+    # One build of the planes per orientation, the view's and its
+    # mirror's, and one of each token's table per orientation, on the
+    # narrow kernel's first read of it.
     assert len(bit_entries) > 1 and sorted(built) == sorted([y, y[::-1]])
     assert set(view._tables) == set(view._mirror._tables) == set(x)
+    assert sorted(tabled) == sorted((id(v._tables), t)
+                                    for v in (view, view._mirror)
+                                    for t in set(x))
     other = view.with_meter(Meter())
     for name in ("_planes", "_tables"):
         assert getattr(other, name) is getattr(view, name)
@@ -519,6 +574,7 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     first_lcs(other)
     find_branch(other, first_lcs(other))
     assert sorted(built) == sorted([y, y[::-1]])
+    assert len(tabled) == 2 * len(set(x))
 
 
 def test_planes_of_a_pair_that_shares_no_token_are_built_once(monkeypatch):
@@ -538,8 +594,9 @@ def test_planes_of_a_pair_that_shares_no_token_are_built_once(monkeypatch):
     assert 1 <= len(built) <= 2  # at most one per orientation
     assert find_branch(other, ()) is None
     assert len(built) <= 2
-    # The tables of both orientations hold X's one token, with no bit,
-    # and the view made before the build shares them.
+    # The tables of both orientations hold X's one token, which the
+    # narrow splits read, with no bit, and the view made before the
+    # build shares them.
     for v, w in ((view, other), (view._mirror, other._mirror)):
         assert v._planes == {None: b""} and w._tables is v._tables
         assert list(v._tables) == ["a"] and not any(v._tables["a"])

@@ -12,10 +12,9 @@ import pytest
 from conftest import VIEW_KINDS, branch_by_definition, rand_pair, rand_string
 from lcs_enum import MatchView, IndexRange, find_branch, greedy_embedding, \
     BranchPoint, LcsEnumerator, Meter, first_lcs, suffix_thresholds
-from lcs_enum import branching, enumerator as enumerator_module
+from lcs_enum import branching, core, enumerator as enumerator_module
 from lcs_enum.branching import _embed
-from lcs_enum.hirschberg import (_FRAME_CELLS, _bit_rows, _build_planes,
-                                 _fold_prefix_row)
+from lcs_enum.hirschberg import _FRAME_CELLS, _bit_rows, _fold_prefix_row
 from lcs_enum.oracle import all_lcs_position_sequences
 
 X1 = "acddadacbcb"
@@ -242,8 +241,7 @@ def test_find_branch_memory_does_not_grow_with_y(kind):
     # |X| = 24 holds fewer than |Y| / 64 levels, so the rows keep the list
     # form and no |Y|-bit integer may exist: the traced peak of one search
     # stays flat while |Y| grows x16, as the charged peak cells do. The
-    # planes and tables of both orientations are input storage, built
-    # before tracing.
+    # planes of both orientations are input storage, built before tracing.
     peaks, cells = [], set()
     for m in (4096, 16384, 65536):
         rng = random.Random(9)
@@ -251,7 +249,7 @@ def test_find_branch_memory_does_not_grow_with_y(kind):
         view = MatchView(*((x.encode(), y.encode()) if kind is bytes
                            else (x, y)))
         for v in (view, view._mirror):
-            _build_planes(v)
+            v._planes.update(core._bit_planes(v._x, v._y))
         p = first_lcs(view)
         view.meter = Meter()
         tracemalloc.start()

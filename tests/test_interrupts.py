@@ -202,7 +202,9 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     narrow_split = hirschberg._narrow_split
 
     def record(view, i_lo, i_hi, j_lo, j_hi, length):
-        entries.append((view.meter.eq_queries, i_lo, i_hi, j_hi - j_lo + 1))
+        meter = view.meter
+        entries.append((meter.eq_queries, meter.live_cells, meter.peak_cells,
+                        i_lo, i_hi, j_hi - j_lo + 1))
         return narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
 
     monkeypatch.setattr(hirschberg, "_narrow_split", record)
@@ -211,20 +213,25 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     monkeypatch.undo()
     # The first split's folds: the view's rows i_lo..i_mid, then the
     # mirror's, each row charged w probes as it runs.
-    at, i_lo, i_hi, w = entries[0]
+    at, live, peak, i_lo, i_hi, w = entries[0]
     at += ((i_lo + i_hi) // 2 - i_lo + 1) * w
     monkeypatch.setattr(enumerator_module, "Meter",
                         lambda: InterruptingMeter(at + w))
     enum = LcsEnumerator(MatchView(x, y))
     with pytest.raises(KeyboardInterrupt) as raised:
         enum.next_sequence()
-    tb = raised.tb
-    while tb.tb_frame.f_code.co_name != "_narrow_split":
+    tb, names = raised.tb, []
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_name)
         tb = tb.tb_next
-    # The kernel was at the mirror's second row, with the prefix word done.
-    frame = tb.tb_frame.f_locals
-    assert frame["half"] is enum.view._mirror and len(frame["words"]) == 1
-    assert frame["i"] == frame["rows"][1]
+    # The kernel raised at its charge for the mirror's second row: the
+    # prefix rows and one mirrored row are charged, none of its cells
+    # (the peak is the one it was entered with), and the unwinding
+    # released every frame.
+    assert names[-2:] == ["_narrow_split", "eq_queries"]
+    meter = enum.view.meter
+    assert meter.eq_queries == at + w
+    assert meter.peak_cells == peak >= live > meter.live_cells == 0
     got, where = _run(enum)
     assert where == []
     assert got == want
