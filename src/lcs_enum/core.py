@@ -119,6 +119,7 @@ class _WindowTables(dict):
     its plane as an int, so a window under 64 positions is one list
     index and a shift. A token with no plane reads one list of zeros,
     shared by all such. The planes must be built before the first read.
+    Two threads may both build a token's table; either copy is right.
     """
 
     __slots__ = ("_planes", "_zeros")

@@ -223,10 +223,10 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
     # bit-planes with one call of the narrow kernel, two one-word bit
     # folds, and no half of it enters _fold. Each half of a wider split
     # switches exactly when the list form holds the rule's levels before
-    # one of its rows, and then at the first such row; the search likewise, at
-    # any width, from its first row under 64 positions. The right half
-    # is folded as the mirror's rows over mirrored positions. A view
-    # without planes never takes the bit form.
+    # one of its rows, and then at the first such row; the search
+    # likewise, at any width, from its first row under 64 positions. The
+    # right half is folded as the mirror's rows over mirrored positions.
+    # A view without planes never takes the bit form.
     split, narrow_split = hirschberg._split, hirschberg._narrow_split
 
     def checked_narrow(view, i_lo, i_hi, j_lo, j_hi, length):
