@@ -53,9 +53,8 @@ constant number of machine words per level, so the one-cell-per-level
 charge stays an upper bound on its space. Folds of other views keep the
 list form. A split under 64 positions folds both halves in one kernel,
 one word each, and reads its least maximizer off the two words, with no
-list (:func:`_narrow_split`); when the range's LCS length is its width,
-every position is matched and the split is read off the suffix word in
-O(1). Other folds run :func:`_bit_rows` and read V back into a list
+list (:func:`_narrow_split`). Other folds run :func:`_bit_rows` and
+read V back into a list
 through a w-character string. The branch search's rows
 (:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
 take the same :func:`_fold` but keep V between runs, and count their
@@ -78,19 +77,23 @@ concatenation of the leftmost occurrences of the two halves, so
 solving the halves left to right emits it.
 
 One loop does so over an explicit stack of pending ranges, each with
-its LCS length once a split has found it, and gives each split that
-length, so a narrow one may take the O(1) split. It solves two kinds
-of range without folding: one of two X characters, with the one or two
-searches its split and leaves need (:func:`_two_rows`), and one whose
-LCS length equals its number of X characters, with one forward search
-per character (:func:`_matched_rows`). Every character of such a range
-is matched, so its leftmost LCS is the greedy embedding, and each split a
-recursion would make falls at a greedy end; its probes and peak cells
-follow in closed form. The loop charges every probe and cell that a
-recursion over the same splits would, where the recursion would charge
-it, or for a kernel at once. The levels and frames that a kernel
-replays in the meter never exist, so the real auxiliary memory stays
-under the charge.
+its LCS length once a split has found it. It solves three kinds of
+range without folding. One of two X characters takes the one or two
+searches its split and leaves need (:func:`_two_rows`). One whose LCS
+length equals its number of X characters takes one forward search per
+character (:func:`_matched_rows`): every character is matched, so its
+leftmost LCS is the greedy embedding, each split a recursion would make
+falls at a greedy end, and its probes and peak cells follow in closed
+form. One whose LCS length equals its width w, below its number of X
+characters, is Y's range itself (:func:`_matched_cols`): every position
+is matched, each split falls where a backward greedy walk of the right
+half ends, and its probes follow from the walks; its peak cells are
+bounded, since a split's levels are known only by folding, so it is
+solved only when the bound cannot pass the meter's peak. The loop
+charges every probe and cell that a recursion over the same splits
+would, where the recursion would charge it, or for a kernel at once.
+The levels and frames that a kernel replays in the meter never exist,
+so the real auxiliary memory stays under the charge.
 """
 
 from __future__ import annotations
@@ -260,9 +263,9 @@ def _fold_rows(view: MatchView, i_first: int, i_last: int, j_lo: int,
 
 
 def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
-                  j_hi: int, length: int) -> tuple[int, int, int, int]:
+                  j_hi: int) -> tuple[int, int, int, int]:
     """:func:`_split` over w = j_hi - j_lo + 1 < 64 positions of a view
-    with bit-planes, whose LCS length is ``length``, or -1 if unknown.
+    with bit-planes.
 
     Both halves are folded in the bit form from their first row, one
     word each, by one loop that reads each row's mask from its token's
@@ -273,13 +276,9 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     suffix threshold j_hi - k. The rows' probes are charged as they run;
     the two halves' levels are charged once, after both folds.
 
-    If ``length`` is w, every position is matched, so each half matches
-    its whole Y part. The least split leaves the right half the longest
-    suffix it matches whole: the h trailing 1-bits of ``hi`` mark the
-    suffix thresholds j_hi, j_hi - 1, ..., so it splits after j_hi - h
-    with lengths w - h and h. Otherwise a split after j_lo + k keeps the
-    suffix levels below bit w - 1 - k; the 1-bits of ``lo`` are walked
-    in increasing k, and strict improvement keeps the least maximizer.
+    A split after j_lo + k keeps the suffix levels below bit w - 1 - k;
+    the 1-bits of ``lo`` are walked in increasing k, and strict
+    improvement keeps the least maximizer.
     """
     i_mid = (i_lo + i_hi) // 2
     w = j_hi - j_lo + 1
@@ -310,9 +309,6 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     cells = lo.bit_count() + best
     meter.grow(cells)
     meter.shrink(cells)
-    if length == w:
-        h = (hi ^ (hi + 1)).bit_length() - 1
-        return i_mid, j_hi - h, w - h, h
     j_mid = j_lo - 1
     lo_length = level = 0
     while lo:
@@ -328,14 +324,13 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     return i_mid, j_mid, lo_length, best - lo_length
 
 
-def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
-           length: int = -1) -> tuple[int, int, int, int]:
+def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int
+           ) -> tuple[int, int, int, int]:
     """(i_mid, j_mid, l_lo, l_hi): the midpoint of X, the least Y split
     whose half-LCS lengths sum to L, and those two lengths.
 
-    Requires i_lo < i_hi. ``length`` is the range's LCS length, or -1 if
-    unknown. A split under 64 positions of a view with bit-planes is
-    :func:`_narrow_split`'s, given the length. Any other builds the left
+    Requires i_lo < i_hi. A split under 64 positions of a view with
+    bit-planes is :func:`_narrow_split`'s. Any other builds the left
     half's prefix thresholds and the right half's suffix thresholds with
     :func:`_fold_rows`, the latter as the prefix ones of the mirror's
     rows n + 1 - i_hi..n - i_mid over its positions m + 1 - j_hi..m + 1 -
@@ -347,7 +342,7 @@ def _split(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
     """
     w = j_hi - j_lo + 1
     if view._planes is not None and w < _BIT_POSITIONS_PER_LEVEL:
-        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
+        return _narrow_split(view, i_lo, i_hi, j_lo, j_hi)
     n1, m1 = view.len_x + 1, view.len_y + 1
     i_mid = (i_lo + i_hi) // 2
     lo_levels = _fold_rows(view, i_lo, i_mid, j_lo, j_hi)
@@ -491,6 +486,92 @@ def _matched_rows(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     meter.shrink(peak - r)
 
 
+@cache
+def _matched_run_probes(r: int) -> int:
+    """:func:`_matched_probes` of r rows matched to r consecutive
+    positions, which depends on r alone. Cached like
+    :func:`_matched_peak`."""
+    return _matched_probes(range(r), 0, r - 1, 0, r - 1)
+
+
+def _matched_cols_charge(find, x, y, n: int, i_lo: int, i_hi: int,
+                         j_lo: int, j_hi: int) -> tuple[int, int]:
+    """(probes, peak above its frame) of the loop on X[i_lo..i_hi],
+    Y[j_lo..j_hi], a range whose LCS length is its width w.
+
+    Every position is matched, so at a split the least maximizer leaves
+    the right half the longest suffix of the Y range that it contains,
+    of h positions: the split falls after j_hi - h, with lengths w - h
+    and h, and both parts are matched in every position again. h is one
+    uncharged backward greedy walk, at most h + 1 forward searches
+    ``find`` of Y's characters in ``x``, the mirror's X of n rows, which
+    hold the right half's rows backward: together they read at most
+    those rows, fewer than the probes charged. A split charges its r
+    rows of w probes and at most min(r_l, w) + min(r_r, w) levels, the
+    halves' bounds; a frame then holds its left part, and the left
+    part's w - h cells and a frame its right part. The leaves charge as
+    the loop's kernels do: one row 1 probe and 1 cell, two rows over one
+    position 3 probes and a frame over 1 cell, r rows over r positions
+    those of :func:`_matched_rows`, and an empty part nothing.
+    """
+    w = j_hi - j_lo + 1
+    r = i_hi - i_lo + 1
+    if w == 0:
+        return 0, 0
+    if r == 1:
+        return 1, 1
+    if r == w:
+        return _matched_run_probes(r), _matched_peak(r)
+    if r == 2:
+        return 3, _FRAME_CELLS + 1
+    i_mid = (i_lo + i_hi) // 2
+    # Searches take and return 0-based indices: the mirror's index k is
+    # row n - k, so the right half's rows are k = n - i_hi..n - i_mid - 1.
+    k, end = n - i_hi, n - i_mid
+    j = j_hi
+    while j >= j_lo:
+        k = find(x, y[j - 1], k, end) + 1
+        if not k:
+            break
+        j -= 1
+    lo_probes, lo_peak = _matched_cols_charge(find, x, y, n, i_lo, i_mid,
+                                              j_lo, j)
+    hi_probes, hi_peak = _matched_cols_charge(find, x, y, n, i_mid + 1, i_hi,
+                                              j + 1, j_hi)
+    r_lo = i_mid - i_lo + 1
+    return (r * w + lo_probes + hi_probes,
+            max(min(r_lo, w) + min(r - r_lo, w), _FRAME_CELLS + lo_peak,
+                j - j_lo + 1 + _FRAME_CELLS + hi_peak))
+
+
+def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
+                  j_hi: int, out: list[int]) -> bool:
+    """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
+    a range of at least three rows whose LCS length is its width w,
+    below its row count, and return True; or charge nothing and return
+    False if the recursion over it might move the meter's peak.
+
+    Every Y position is matched, so the LCS is Y[j_lo..j_hi] itself. The
+    recursion's splits, and so its probes and a bound on its peak cells,
+    follow from greedy walks with no fold
+    (:func:`_matched_cols_charge`). A split's levels are known only by
+    folding; the bound counts each half's as many as it could hold. If
+    the live cells plus the bound stay within the meter's peak, the
+    recursion could not have moved it: the probes are charged at once,
+    then j_lo..j_hi appended and charged, so an interrupt at the charge
+    leaves nothing appended. Else the loop splits the range.
+    """
+    probes, peak = _matched_cols_charge(view._find, view._mirror._x, view._y,
+                                        view.len_x, i_lo, i_hi, j_lo, j_hi)
+    meter = view._meter
+    if meter.live_cells + peak > meter.peak_cells:
+        return False
+    meter.eq_queries += probes
+    out += range(j_lo, j_hi + 1)
+    meter.grow(j_hi - j_lo + 1)
+    return True
+
+
 def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                     j_hi: int, out: list[int]) -> None:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi].
@@ -501,12 +582,13 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     length (unknown at the root), left range first. A range of one X
     character is a scan for its least match, a longer one whose length
     is its row count is :func:`_matched_rows`, one of two is
-    :func:`_two_rows`, and any other is split, pushing the right part
-    under the left with the lengths the split found, and each split is
-    given the range's length. The meter holds one frame per level of
-    the range being solved, grown and shrunk where a recursion would
-    enter and leave its calls, so probes and peak cells are the
-    recursion's. Frames are released when it returns or raises.
+    :func:`_two_rows`, and one whose length is its width is
+    :func:`_matched_cols` unless that hands it back. Any other is split,
+    pushing the right part under the left with the lengths the split
+    found. The meter holds one frame per level of the range being
+    solved, grown and shrunk where a recursion would enter and leave its
+    calls, so probes and peak cells are the recursion's. Frames are
+    released when it returns or raises.
     """
     meter = view._meter
     # The root's LCS length is unknown: -1 matches no row count or width.
@@ -533,9 +615,10 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                 _matched_rows(view, i_lo, i_hi, j_lo, j_hi, out)
             elif i_lo + 1 == i_hi:
                 _two_rows(view, i_lo, j_lo, j_hi, out)
-            else:
+            elif not (length == j_hi - j_lo + 1
+                      and _matched_cols(view, i_lo, i_hi, j_lo, j_hi, out)):
                 i_mid, j_mid, lo_length, hi_length = _split(
-                    view, i_lo, i_hi, j_lo, j_hi, length)
+                    view, i_lo, i_hi, j_lo, j_hi)
                 stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1,
                               hi_length))
                 stack.append((i_lo, i_mid, j_lo, j_mid, d + 1, lo_length))

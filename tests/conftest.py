@@ -12,6 +12,14 @@ def rand_string(rng: random.Random, length: int, sigma: int) -> str:
     return "".join(chr(ord("a") + rng.randrange(sigma)) for _ in range(length))
 
 
+def supersequence(rng: random.Random, y: str, extra: int, sigma: int) -> str:
+    """y with ``extra`` random letters inserted: every letter of y matched."""
+    out = list(y)
+    for _ in range(extra):
+        out.insert(rng.randint(0, len(out)), rand_string(rng, 1, sigma))
+    return "".join(out)
+
+
 def rand_pair(rng: random.Random, max_len: int, sigmas=(1, 2, 4, 8)):
     m = rng.randint(1, max_len)
     n = rng.randint(1, max_len)

@@ -20,7 +20,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import MinimalSeq, kind_view, rand_string
+from conftest import MinimalSeq, kind_view, rand_string, supersequence
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
                       first_lcs, prefix_thresholds, split_point,
                       suffix_thresholds)
@@ -186,9 +186,9 @@ def narrow_splits(monkeypatch):
     splits = []
     narrow_split = hirschberg._narrow_split
 
-    def record(view, i_lo, i_hi, j_lo, j_hi, length):
+    def record(view, i_lo, i_hi, j_lo, j_hi):
         splits.append((view, j_hi - j_lo + 1))
-        return narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
+        return narrow_split(view, i_lo, i_hi, j_lo, j_hi)
 
     monkeypatch.setattr(hirschberg, "_narrow_split", record)
     return splits
@@ -229,16 +229,16 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
     # A view without planes never takes the bit form.
     split, narrow_split = hirschberg._split, hirschberg._narrow_split
 
-    def checked_narrow(view, i_lo, i_hi, j_lo, j_hi, length):
+    def checked_narrow(view, i_lo, i_hi, j_lo, j_hi):
         before = len(bit_entries)
-        result = narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
+        result = narrow_split(view, i_lo, i_hi, j_lo, j_hi)
         assert view._planes is not None and j_hi - j_lo + 1 < 64
         assert len(bit_entries) == before
         return result
 
-    def checked(view, i_lo, i_hi, j_lo, j_hi, length=-1):
+    def checked(view, i_lo, i_hi, j_lo, j_hi):
         before, narrow = len(bit_entries), len(narrow_splits)
-        result = split(view, i_lo, i_hi, j_lo, j_hi, length)
+        result = split(view, i_lo, i_hi, j_lo, j_hi)
         w = j_hi - j_lo + 1
         kernel = view._planes is not None and w < 64
         assert len(narrow_splits) == narrow + kernel, (i_lo, i_hi, j_lo, j_hi)
@@ -357,27 +357,18 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
         assert max(w for _, w in narrow_splits) == n
 
 
-def _supersequence(rng, y, extra, sigma):
-    """y with ``extra`` random letters inserted: every letter of y matched."""
-    out = list(y)
-    for _ in range(extra):
-        out.insert(rng.randint(0, len(out)), rand_string(rng, 1, sigma))
-    return "".join(out)
-
-
 @pytest.mark.parametrize("kind", ["str", "bytes"])
 def test_narrow_split_equals_the_list_split(kind):
     # The kernel against _split on the pair as tuples, which folds lists:
-    # split, both lengths, probes and peak cells. It runs with the length
-    # unknown, and with the range's true length; a third of the ranges
-    # match every Y position, where the split is read off ``hi`` alone.
+    # split, both lengths, probes and peak cells. A third of the ranges
+    # match every Y position.
     rng = random.Random(12)
     whole = 0
     for t in range(300):
         sigma = rng.randint(2, 4)
         w, rows = rng.randint(1, 63), rng.randint(3, 80)
         y = rand_string(rng, w, sigma)
-        x = (_supersequence(rng, y, rows - w, sigma) if t % 3 == 0 and rows >= w
+        x = (supersequence(rng, y, rows - w, sigma) if t % 3 == 0 and rows >= w
              else rand_string(rng, rows, sigma))
         # Pads move the window across table entries.
         y_pad, x_pad = rng.randint(0, 150), rng.randint(0, 5)
@@ -390,12 +381,10 @@ def test_narrow_split_equals_the_list_split(kind):
         length = want[0][2] + want[0][3]
         whole += length == w
         view = kind_view(kind, x, y)
-        for known in (-1, length):
-            meter = Meter()
-            got = hirschberg._narrow_split(view.with_meter(meter), *args, known)
-            assert (got, meter.eq_queries, meter.peak_cells) == want, (
-                x, y, args, known)
-            assert meter.live_cells == 0
+        got = hirschberg._narrow_split(view, *args)
+        meter = view.meter
+        assert (got, meter.eq_queries, meter.peak_cells) == want, (x, y, args)
+        assert meter.live_cells == 0
     assert whole >= 100
 
 

@@ -5,8 +5,9 @@ charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form, of the view or of its mirror, which
 folds the suffix rows, among them the two one-word folds of a narrow
 split), in a match search of ``first_lcs``,
-at the one charge of its two-row kernel or of its kernel for fully
-matched ranges, or inside the branch search, whose rows also take
+at the one charge of its two-row kernel, of its kernel for fully
+matched ranges or of its kernel for ranges matched in every position of
+the second string, or inside the branch search, whose rows also take
 either form; the search's uncharged walk of the kept prefix from the
 carried mark is interrupted directly. After the interrupt the caller
 simply calls again: the stream must equal the uninterrupted one, every
@@ -102,7 +103,8 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
                                                             bit_rows, wide):
     # Each kernel holds a few percent of the probes: the sweep also
     # interrupts five of each kernel's calls at their first charge.
-    kernel_at = {"_two_rows": [], "_matched_rows": [], "_narrow_split": []}
+    kernel_at = {"_two_rows": [], "_matched_rows": [], "_matched_cols": [],
+                 "_narrow_split": []}
 
     def recorder(name):
         kernel = getattr(hirschberg, name)
@@ -149,7 +151,7 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     if ref.finished:
         assert ref.view.meter.live_cells == 0
     # Suffix rows, of a split or of the search, are the mirror's prefix rows.
-    assert {"_fold (mirror)", "_two_rows", "_matched_rows",
+    assert {"_fold (mirror)", "_two_rows", "_matched_rows", "_matched_cols",
             "_branch_search"} <= hit
     assert ("_narrow_split" in hit) == bit_rows
     assert split_bit_rows == (bit_rows and wide)
@@ -201,11 +203,11 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     entries = []
     narrow_split = hirschberg._narrow_split
 
-    def record(view, i_lo, i_hi, j_lo, j_hi, length):
+    def record(view, i_lo, i_hi, j_lo, j_hi):
         meter = view.meter
         entries.append((meter.eq_queries, meter.live_cells, meter.peak_cells,
                         i_lo, i_hi, j_hi - j_lo + 1))
-        return narrow_split(view, i_lo, i_hi, j_lo, j_hi, length)
+        return narrow_split(view, i_lo, i_hi, j_lo, j_hi)
 
     monkeypatch.setattr(hirschberg, "_narrow_split", record)
     probe = LcsEnumerator(MatchView(x, y))

@@ -1,11 +1,13 @@
 """The restart's range-stack loop charges exactly what a recursion would.
 
 ``first_lcs`` runs one loop over a stack of pending ranges and solves
-two-row ranges, and ranges whose LCS takes every X row, each in one
-kernel. The reference below is the plain recursion on the same split:
-one frame per call, one-row leaves scanned with ``next_y_match``.
-Positions, probes, peak cells and the live cells left over must all be
-the same, for str, bytes and tuple views.
+two-row ranges, ranges whose LCS takes every X row, and ranges whose
+LCS takes every Y position, each in one kernel. The reference below is
+the plain recursion on the same split: one frame per call, one-row
+leaves scanned with ``next_y_match``, and every other range split by
+``_split``, which folds both halves. Positions, probes, peak cells and
+the live cells left over must all be the same, for str, bytes and tuple
+views.
 """
 
 import random
@@ -13,11 +15,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import kind_view, rand_string
+from conftest import kind_view, rand_string, supersequence
 from lcs_enum import IndexRange, LcsEnumerator, first_lcs
 from lcs_enum import enumerator as enumerator_module
 from lcs_enum import hirschberg
-from lcs_enum.hirschberg import _FRAME_CELLS, _matched_rows, _split
+from lcs_enum.hirschberg import (_FRAME_CELLS, _matched_cols, _matched_rows,
+                                 _split)
 
 KINDS = ("str", "bytes", "tuple")
 # Y widths: empty, short, and on both sides of one and two bit words.
@@ -163,6 +166,68 @@ def test_fully_matched_ranges_charge_what_the_recursion_charges(
         calls.clear()
         _assert_same_charge(kind, x, y, xr, yr)
         assert calls if rows > 2 else not calls
+
+
+def _matched_cols_pair(rng, w, extra, sigma):
+    """(x, y, xr, yr): X[xr] is Y[yr], |yr| = w, with ``extra`` random
+    letters inserted, and a random character pads each end of both."""
+    y = rand_string(rng, w, sigma)
+    x = supersequence(rng, y, extra, sigma)
+    pad = [rand_string(rng, 1, sigma) for _ in range(4)]
+    return (pad[0] + x + pad[1], pad[2] + y + pad[3],
+            IndexRange(2, w + extra + 1), IndexRange(2, w + 1))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("w", tuple(range(1, 10)) + MATCHED_WIDTHS)
+def test_ranges_matched_in_every_position_charge_what_the_recursion_charges(
+        monkeypatch, kind, w):
+    outcomes = []
+
+    def record(*args):
+        outcomes.append(_matched_cols(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(hirschberg, "_matched_cols", record)
+    rng = random.Random(w)
+    # 1 to w + 3 inserted letters: at most 12 counts, the ends among them.
+    extras = {1, 2, w + 3, *rng.sample(range(1, w + 4), min(w + 3, 9))}
+    for extra in sorted(extras):
+        x, y, xr, yr = _matched_cols_pair(rng, w, extra, rng.choice([1, 2, 4]))
+        # Whole calls: the root's length is unknown, so its parts take the
+        # kernel, which hands back the ranges that may raise a fresh
+        # meter's peak.
+        _assert_same_charge(kind, x, y, xr, yr)
+        if xr.length < 3:
+            continue
+        # The kernel alone, under the frame the loop grows for its range,
+        # with the meter's peak below, at and far above the one the
+        # recursion reaches from a fresh meter: it must hand back below.
+        want_view = kind_view(kind, x, y)
+        want_view.meter.grow(1)
+        _reference(want_view, xr, yr)
+        reached = want_view.meter.peak_cells
+        for peak in (1, reached - 1, reached, 1 << 20):
+            got_view, want_view = kind_view(kind, x, y), kind_view(kind, x, y)
+            got, want = got_view.meter, want_view.meter
+            for meter in (got, want):
+                meter.grow(peak)
+                meter.shrink(peak - 1)
+            got.grow(_FRAME_CELLS)
+            entry = (got.eq_queries, got.live_cells, got.peak_cells)
+            out = []
+            solved = _matched_cols(got_view, xr.lo, xr.hi, yr.lo, yr.hi, out)
+            outcomes.append(solved)
+            assert solved == (peak >= reached) or peak == reached
+            if not solved:
+                assert out == [] and entry == (
+                    got.eq_queries, got.live_cells, got.peak_cells)
+                continue
+            got.shrink(_FRAME_CELLS + len(out))
+            assert tuple(out) == _reference(want_view, xr, yr)
+            assert (got.eq_queries, got.peak_cells, got.live_cells) == \
+                (want.eq_queries, want.peak_cells, want.live_cells)
+    assert True in outcomes and False in outcomes
 
 
 def _stream(enum, limit):
