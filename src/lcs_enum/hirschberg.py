@@ -54,11 +54,10 @@ charge stays an upper bound on its space. Folds of other views keep the
 list form. A split under 64 positions folds both halves in one kernel,
 one word each, and reads its least maximizer off the two words, with no
 list (:func:`_narrow_split`). Other folds run :func:`_bit_rows` and
-read V back into a list
-through a w-character string. The branch search's rows
-(:mod:`lcs_enum.branching`), the mirror's prefix rows over all of Y,
-take the same :func:`_fold` but keep V between runs, and count their
-levels in either form with :func:`_levels_below`.
+read V back into a list through a w-character string. The branch
+search's rows (:mod:`lcs_enum.branching`), the mirror's prefix rows
+over all of Y, take the same :func:`_fold` but keep V between runs, and
+count their levels in either form with :func:`_levels_below`.
 
 Either form charges a length-n row exactly n equality probes, what a
 scan of the whole row costs, and one cell per level, so probe and cell
