@@ -86,9 +86,14 @@ falls at a greedy end, and its probes and peak cells follow in closed
 form. One whose LCS length equals its width w, below its number of X
 characters, is Y's range itself (:func:`_matched_cols`): every position
 is matched, each split falls where a backward greedy walk of the right
-half ends, and its probes follow from the walks; its peak cells are
-bounded, since a split's levels are known only by folding, so it is
-solved only when the bound cannot pass the meter's peak. The loop
+half ends, and its probes follow from the walks. A split's levels are
+known only by folding, so its peak cells are bounded in closed form,
+6 * bit_length(r - 1) + w + min(r, w) above its frame for r rows, by
+induction on the split tree: a leaf holds at most that; a split's
+levels are at most min(r_lo, w) + min(r_hi, w); each part sits a frame
+deeper with at most ceil(r / 2) rows, the right one above the left
+one's w_lo cells, with w_hi = w - w_lo. The range is solved only when
+the bound cannot pass the meter's peak, decided before any walk. The loop
 charges every probe and cell that a recursion over the same splits
 would, where the recursion would charge it, or for a kernel at once.
 The levels and frames that a kernel replays in the meter never exist,
@@ -493,10 +498,10 @@ def _matched_run_probes(r: int) -> int:
     return _matched_probes(range(r), 0, r - 1, 0, r - 1)
 
 
-def _matched_cols_charge(find, x, y, n: int, i_lo: int, i_hi: int,
-                         j_lo: int, j_hi: int) -> tuple[int, int]:
-    """(probes, peak above its frame) of the loop on X[i_lo..i_hi],
-    Y[j_lo..j_hi], a range whose LCS length is its width w.
+def _matched_cols_probes(find, x, y, n: int, i_lo: int, i_hi: int,
+                         j_lo: int, j_hi: int) -> int:
+    """Probes of the loop on X[i_lo..i_hi], Y[j_lo..j_hi], a range whose
+    LCS length is its width w.
 
     Every position is matched, so at a split the least maximizer leaves
     the right half the longest suffix of the Y range that it contains,
@@ -506,23 +511,20 @@ def _matched_cols_charge(find, x, y, n: int, i_lo: int, i_hi: int,
     ``find`` of Y's characters in ``x``, the mirror's X of n rows, which
     hold the right half's rows backward: together they read at most
     those rows, fewer than the probes charged. A split charges its r
-    rows of w probes and at most min(r_l, w) + min(r_r, w) levels, the
-    halves' bounds; a frame then holds its left part, and the left
-    part's w - h cells and a frame its right part. The leaves charge as
-    the loop's kernels do: one row 1 probe and 1 cell, two rows over one
-    position 3 probes and a frame over 1 cell, r rows over r positions
+    rows of w probes; the leaves charge as the loop's kernels do: one
+    row 1 probe, two rows over one position 3, r rows over r positions
     those of :func:`_matched_rows`, and an empty part nothing.
     """
     w = j_hi - j_lo + 1
     r = i_hi - i_lo + 1
     if w == 0:
-        return 0, 0
+        return 0
     if r == 1:
-        return 1, 1
+        return 1
     if r == w:
-        return _matched_run_probes(r), _matched_peak(r)
+        return _matched_run_probes(r)
     if r == 2:
-        return 3, _FRAME_CELLS + 1
+        return 3
     i_mid = (i_lo + i_hi) // 2
     # Searches take and return 0-based indices: the mirror's index k is
     # row n - k, so the right half's rows are k = n - i_hi..n - i_mid - 1.
@@ -533,41 +535,49 @@ def _matched_cols_charge(find, x, y, n: int, i_lo: int, i_hi: int,
         if not k:
             break
         j -= 1
-    lo_probes, lo_peak = _matched_cols_charge(find, x, y, n, i_lo, i_mid,
-                                              j_lo, j)
-    hi_probes, hi_peak = _matched_cols_charge(find, x, y, n, i_mid + 1, i_hi,
-                                              j + 1, j_hi)
-    r_lo = i_mid - i_lo + 1
-    return (r * w + lo_probes + hi_probes,
-            max(min(r_lo, w) + min(r - r_lo, w), _FRAME_CELLS + lo_peak,
-                j - j_lo + 1 + _FRAME_CELLS + hi_peak))
+    return (r * w + _matched_cols_probes(find, x, y, n, i_lo, i_mid, j_lo, j)
+            + _matched_cols_probes(find, x, y, n, i_mid + 1, i_hi, j + 1,
+                                   j_hi))
 
 
 def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                   j_hi: int, out: list[int]) -> bool:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
-    a range of at least three rows whose LCS length is its width w,
-    below its row count, and return True; or charge nothing and return
-    False if the recursion over it might move the meter's peak.
+    a range of r >= 3 rows whose LCS length is its width w < r, and
+    return True; or charge nothing, search nothing and return False if
+    the recursion over it might move the meter's peak.
 
-    Every Y position is matched, so the LCS is Y[j_lo..j_hi] itself. The
-    recursion's splits, and so its probes and a bound on its peak cells,
-    follow from greedy walks with no fold
-    (:func:`_matched_cols_charge`). A split's levels are known only by
-    folding; the bound counts each half's as many as it could hold. If
-    the live cells plus the bound stay within the meter's peak, the
-    recursion could not have moved it: the probes are charged at once,
-    then j_lo..j_hi appended and charged, so an interrupt at the charge
-    leaves nothing appended. Else the loop splits the range.
+    Every Y position is matched, so the LCS is Y[j_lo..j_hi] itself, and
+    the recursion's probes follow from greedy walks with no fold
+    (:func:`_matched_cols_probes`). Its peak cells above the range's
+    frame are at most 6 * bit_length(r - 1) + w + min(r, w), by
+    induction on the split tree (6 is the frame's cells):
+
+    - a leaf of one row holds 1 cell, of two rows over one position a
+      frame and 1, of r rows over r positions :func:`_matched_peak` of
+      r, itself at most 6 * bit_length(r - 1) + 2r by the same steps;
+    - a split holds at most min(r_lo, w) + min(r_hi, w) levels, and
+      each part sits a frame deeper with at most ceil(r / 2) rows,
+      where bit_length drops by one;
+    - the right part also sits above the left part's w_lo cells, and
+      w_hi = w - w_lo.
+
+    Here w < r, so the bound is 6 * bit_length(r - 1) + 2w. If the live
+    cells plus it stay within the meter's peak, the recursion could not
+    have moved it: the probes are charged at once, then j_lo..j_hi
+    appended and charged, so an interrupt at the charge leaves nothing
+    appended. Else the loop splits the range.
     """
-    probes, peak = _matched_cols_charge(view._find, view._mirror._x, view._y,
-                                        view.len_x, i_lo, i_hi, j_lo, j_hi)
+    w = j_hi - j_lo + 1
     meter = view._meter
-    if meter.live_cells + peak > meter.peak_cells:
+    if (meter.live_cells + _FRAME_CELLS * (i_hi - i_lo).bit_length() + 2 * w
+            > meter.peak_cells):
         return False
-    meter.eq_queries += probes
+    meter.eq_queries += _matched_cols_probes(
+        view._find, view._mirror._x, view._y, view.len_x, i_lo, i_hi, j_lo,
+        j_hi)
     out += range(j_lo, j_hi + 1)
-    meter.grow(j_hi - j_lo + 1)
+    meter.grow(w)
     return True
 
 

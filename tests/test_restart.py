@@ -19,8 +19,8 @@ from conftest import kind_view, rand_string, supersequence
 from lcs_enum import IndexRange, LcsEnumerator, first_lcs
 from lcs_enum import enumerator as enumerator_module
 from lcs_enum import hirschberg
-from lcs_enum.hirschberg import (_FRAME_CELLS, _matched_cols, _matched_rows,
-                                 _split)
+from lcs_enum.hirschberg import (_FRAME_CELLS, _matched_cols, _matched_peak,
+                                 _matched_rows, _split)
 
 KINDS = ("str", "bytes", "tuple")
 # Y widths: empty, short, and on both sides of one and two bit words.
@@ -178,6 +178,30 @@ def _matched_cols_pair(rng, w, extra, sigma):
             IndexRange(2, w + extra + 1), IndexRange(2, w + 1))
 
 
+def _cols_bound(r, w):
+    """The bound :func:`_matched_cols` puts on the recursion's peak cells
+    above the frame of a range of r rows matched in its w positions."""
+    return _FRAME_CELLS * (r - 1).bit_length() + w + min(r, w)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ranges_matched_in_every_position_peak_within_the_bound(kind):
+    rng = random.Random(kind)
+    cases = [(w, w) for w in (1, 2, 3, 64)]
+    cases += [(w, rng.randint(w, w + 120))
+              for w in (rng.randint(1, 70) for _ in range(150))]
+    for w, r in cases:
+        x, y, xr, yr = _matched_cols_pair(rng, w, r - w, rng.choice([1, 2, 4]))
+        view = kind_view(kind, x, y)
+        _reference(view, xr, yr)
+        assert view.meter.peak_cells - _FRAME_CELLS <= _cols_bound(r, w)
+
+
+def test_matched_peak_within_the_bound():
+    for r in range(1, 513):
+        assert _matched_peak(r) <= _cols_bound(r, r)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("w", tuple(range(1, 10)) + MATCHED_WIDTHS)
 def test_ranges_matched_in_every_position_charge_what_the_recursion_charges(
@@ -210,6 +234,14 @@ def test_ranges_matched_in_every_position_charge_what_the_recursion_charges(
         for peak in (1, reached - 1, reached, 1 << 20):
             got_view, want_view = kind_view(kind, x, y), kind_view(kind, x, y)
             got, want = got_view.meter, want_view.meter
+            # A hand-back decides from the bound alone: it searches nothing.
+            searches = []
+
+            def counting(*args, find=got_view._find):
+                searches.append(args)
+                return find(*args)
+
+            got_view._find = got_view._mirror._find = counting
             for meter in (got, want):
                 meter.grow(peak)
                 meter.shrink(peak - 1)
@@ -220,7 +252,7 @@ def test_ranges_matched_in_every_position_charge_what_the_recursion_charges(
             outcomes.append(solved)
             assert solved == (peak >= reached) or peak == reached
             if not solved:
-                assert out == [] and entry == (
+                assert out == [] and searches == [] and entry == (
                     got.eq_queries, got.live_cells, got.peak_cells)
                 continue
             got.shrink(_FRAME_CELLS + len(out))
