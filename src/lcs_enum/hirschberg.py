@@ -86,18 +86,17 @@ falls at a greedy end, and its probes and peak cells follow in closed
 form. One whose LCS length equals its width w, below its number of X
 characters, is Y's range itself (:func:`_matched_cols`): every position
 is matched, each split falls where a backward greedy walk of the right
-half ends, and its probes follow from the walks. A split's levels are
-known only by folding, so its peak cells are bounded in closed form,
-6 * bit_length(r - 1) + w + min(r, w) above its frame for r rows, by
-induction on the split tree: a leaf holds at most that; a split's
-levels are at most min(r_lo, w) + min(r_hi, w); each part sits a frame
-deeper with at most ceil(r / 2) rows, the right one above the left
-one's w_lo cells, with w_hi = w - w_lo. The range is solved only when
-the bound cannot pass the meter's peak, decided before any walk. The loop
-charges every probe and cell that a recursion over the same splits
-would, where the recursion would charge it, or for a kernel at once.
-The levels and frames that a kernel replays in the meter never exist,
-so the real auxiliary memory stays under the charge.
+half ends, and its probes follow from the walks. Its peak cells, which
+need folds, are at most 6 * bit_length(r - 1) + w + min(r, w) for r
+rows: a leaf holds at most that, a split min(r_lo, w) + min(r_hi, w)
+levels, and each part, a frame deeper, has at most ceil(r / 2) rows,
+the right one above the left one's w_lo = w - w_hi cells. That bound is
+read before any walk, and the range solved only when it cannot pass
+the meter's peak. The loop charges every probe and cell that a
+recursion over the same splits would, where the recursion would charge
+it, or for a kernel at once. The levels and frames that a kernel
+replays in the meter never exist, so the real auxiliary memory stays
+under the charge.
 """
 
 from __future__ import annotations
@@ -509,11 +508,10 @@ def _matched_cols_probes(find, x, y, n: int, i_lo: int, i_hi: int,
     and h, and both parts are matched in every position again. h is one
     uncharged backward greedy walk, at most h + 1 forward searches
     ``find`` of Y's characters in ``x``, the mirror's X of n rows, which
-    hold the right half's rows backward: together they read at most
-    those rows, fewer than the probes charged. A split charges its r
-    rows of w probes; the leaves charge as the loop's kernels do: one
-    row 1 probe, two rows over one position 3, r rows over r positions
-    those of :func:`_matched_rows`, and an empty part nothing.
+    hold the right half's rows backward. A split charges its r rows of w
+    probes; the leaves charge as the loop's kernels do: one row 1, two
+    rows over one position 3, r rows over r positions those of
+    :func:`_matched_rows`, and an empty part 0.
     """
     w = j_hi - j_lo + 1
     r = i_hi - i_lo + 1
@@ -544,29 +542,25 @@ def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                   j_hi: int, out: list[int]) -> bool:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
     a range of r >= 3 rows whose LCS length is its width w < r, and
-    return True; or charge nothing, search nothing and return False if
-    the recursion over it might move the meter's peak.
+    return True; or, with no search and no charge, return False if the
+    recursion over it might move the meter's peak.
 
-    Every Y position is matched, so the LCS is Y[j_lo..j_hi] itself, and
-    the recursion's probes follow from greedy walks with no fold
-    (:func:`_matched_cols_probes`). Its peak cells above the range's
-    frame are at most 6 * bit_length(r - 1) + w + min(r, w), by
-    induction on the split tree (6 is the frame's cells):
+    The LCS is Y[j_lo..j_hi] itself, and the recursion's probes follow
+    from greedy walks (:func:`_matched_cols_probes`). Its peak cells
+    above the range's frame are at most 6 * bit_length(r - 1) + w +
+    min(r, w), 6 being a frame's cells, by induction on the split tree:
 
-    - a leaf of one row holds 1 cell, of two rows over one position a
-      frame and 1, of r rows over r positions :func:`_matched_peak` of
-      r, itself at most 6 * bit_length(r - 1) + 2r by the same steps;
-    - a split holds at most min(r_lo, w) + min(r_hi, w) levels, and
-      each part sits a frame deeper with at most ceil(r / 2) rows,
-      where bit_length drops by one;
-    - the right part also sits above the left part's w_lo cells, and
+    - a leaf holds at most that, :func:`_matched_peak` of r rows over r
+      positions included;
+    - a split holds at most min(r_lo, w) + min(r_hi, w) levels;
+    - each part sits a frame deeper with at most ceil(r / 2) rows, one
+      bit fewer, the right part above the left one's w_lo cells, with
       w_hi = w - w_lo.
 
-    Here w < r, so the bound is 6 * bit_length(r - 1) + 2w. If the live
-    cells plus it stay within the meter's peak, the recursion could not
-    have moved it: the probes are charged at once, then j_lo..j_hi
-    appended and charged, so an interrupt at the charge leaves nothing
-    appended. Else the loop splits the range.
+    With w < r that is 6 * bit_length(r - 1) + 2w. If the live cells
+    plus it stay within the meter's peak, the recursion could not have
+    moved it: the probes are charged at once, then j_lo..j_hi appended
+    and charged, so an interrupt at the charge leaves nothing appended.
     """
     w = j_hi - j_lo + 1
     meter = view._meter
