@@ -23,7 +23,9 @@ charges O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 The rows go through the one fold of :mod:`lcs_enum.hirschberg`, which
 keeps the thresholds as a list or, once it switches, as one |Y|-bit
-integer. The second question, how many levels lie above j*, is asked
+integer. The rows before the switch are the same in every search, so
+where the mirror has a checkpoint of them the fold charges them and
+starts from its integer. The second question, how many levels lie above j*, is asked
 of either form through its ``_levels_below``: how the bits stand for
 positions, and when the fold switches, stay in that module.
 
@@ -169,10 +171,12 @@ def _branch_search(view: MatchView, positions: Sequence[int], k_kept: int,
                 else:
                     _embed(view, islice(positions, k - 1), 0, q)
             base = q[-1]
+            if base >= i_star:
+                continue  # an empty X range: no match and no probe
             need = length - k
             for j_star in range(positions[k - 1] + 1, len_y + 1):
                 if base >= i_star:
-                    break  # an empty X range: no match and no probe
+                    break  # i* has moved down to base
                 # 0-based hit h: a scan from base + 1 costs h + 1 - base.
                 hit = find(x, y[j_star - 1], base, i_star)
                 if hit < 0:

@@ -162,14 +162,18 @@ class MatchView:
     folds may take the bit form (the pair is bytes, or two ASCII str);
     then ``_planes`` is a dict that the view's first bit fold fills with
     :func:`_bit_planes`, ``_tables`` its :class:`_WindowTables`, and the
+    mirror has its own. ``_checkpoint`` is a list, empty until the
+    view's first fold over all of Y from its first row records in it the
+    fold's checkpoint or None (:func:`lcs_enum.hirschberg._fold`); the
     mirror has its own. Every view :meth:`with_meter` makes shares all
-    four dicts. The searched pair, its mirror (n + m characters or
-    bytes, or two tuples of references), the planes, len_y bits per
-    token X and Y share in each orientation, and the tables, about
-    len_y / 64 ints of up to 128 bits per token a narrow split has read
-    in each orientation, are read-only input storage, outside the cell
-    count. ``y_slice`` renders the original Y (the mirror's renders its
-    searched Y).
+    four dicts and both lists. The searched pair, its mirror (n + m
+    characters or bytes, or two tuples of references), the planes,
+    len_y bits per token X and Y share in each orientation, the tables,
+    about len_y / 64 ints of up to 128 bits per token a narrow split has
+    read in each orientation, and the checkpoints, one int of len_y bits
+    (ceil(len_y / 64) words) in each orientation, are read-only input
+    storage, outside the cell count. ``y_slice`` renders the original Y
+    (the mirror's renders its searched Y).
 
     Equality queries are pure: the answer to (i, j) never changes over
     the lifetime of the view. Concurrent read-only use is fine, but the
@@ -178,7 +182,7 @@ class MatchView:
     """
 
     __slots__ = ("_x", "_y", "_y_in", "len_x", "len_y", "_meter",
-                 "_find", "_planes", "_tables", "_mirror")
+                 "_find", "_planes", "_tables", "_checkpoint", "_mirror")
 
     def __init__(self, x: Sequence, y: Sequence):
         if (isinstance(x, str) and isinstance(y, (bytes, bytearray))) or (
@@ -208,6 +212,7 @@ class MatchView:
         for v in (self, mirror):
             v._planes = {} if planed else None
             v._tables = _WindowTables(v._planes, v.len_y) if planed else None
+            v._checkpoint = []
         mirror._mirror = self
         self.meter = Meter()
 
@@ -220,7 +225,8 @@ class MatchView:
         self._meter = self._mirror._meter = meter
 
     def with_meter(self, meter: Meter) -> "MatchView":
-        """Same inputs, coded pair, mirror, planes and tables; its own meter."""
+        """Same inputs, coded pair, mirror, planes, tables and checkpoints;
+        its own meter."""
         view, mirror = object.__new__(MatchView), object.__new__(MatchView)
         for name in MatchView.__slots__:
             setattr(view, name, getattr(self, name))

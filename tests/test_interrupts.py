@@ -4,7 +4,8 @@
 charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form, of the view or of its mirror, which
 folds the suffix rows, among them the two one-word folds of a narrow
-split), in a match search of ``first_lcs``,
+split), at the one charge of a fold's list rows up to its checkpoint,
+in a match search of ``first_lcs``,
 at the one charge of its two-row kernel, of its kernel for fully
 matched ranges or of its kernel for ranges matched in every position of
 the second string, or inside the branch search, whose rows also take
@@ -102,9 +103,15 @@ def _cases():
 def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
                                                             bit_rows, wide):
     # Each kernel holds a few percent of the probes: the sweep also
-    # interrupts five of each kernel's calls at their first charge.
+    # interrupts five of each kernel's calls at their first charge. So it
+    # does for charges as rare: a fold's one charge of its list rows up to
+    # the checkpoint, and the list rows of each orientation, which only
+    # wide splits fold once the checkpoint spares the search's and the
+    # first root split's.
     kernel_at = {"_two_rows": [], "_matched_rows": [], "_matched_cols": [],
-                 "_narrow_split": []}
+                 "_narrow_split": [], "_fold_prefix_row": [],
+                 "_fold_prefix_row (mirror)": [], "checkpoint": []}
+    ref = LcsEnumerator(MatchView(x, y))
 
     def recorder(name):
         kernel = getattr(hirschberg, name)
@@ -114,13 +121,45 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
             return kernel(view, *args)
         return record
 
-    for name in kernel_at:
+    for name in ("_two_rows", "_matched_rows", "_matched_cols",
+                 "_narrow_split"):
         monkeypatch.setattr(hirschberg, name, recorder(name))
-    ref = LcsEnumerator(MatchView(x, y))
+    fold_row, fold, fold_bits = (hirschberg._fold_prefix_row,
+                                 hirschberg._fold, hirschberg._bit_rows)
+    fold_entries = []  # the meter's total at each _fold call in progress
+
+    def record_fold_row(fold_view, *args):
+        # Rows on a view the enumeration does not run on build a checkpoint.
+        for name, orientation in (("_fold_prefix_row", ref.view),
+                                  ("_fold_prefix_row (mirror)",
+                                   ref.view._mirror)):
+            if fold_view is orientation:
+                kernel_at[name].append(fold_view.meter.eq_queries)
+        return fold_row(fold_view, *args)
+
+    def record_fold(fold_view, *args):
+        fold_entries.append(fold_view.meter.eq_queries)
+        try:
+            return fold(fold_view, *args)
+        finally:
+            fold_entries.pop()
+
+    def record_bit_rows(fold_view, rows, j_lo, j_hi, v=None):
+        # Bit rows that start from the checkpoint's own V follow its charge,
+        # the first of their _fold call.
+        checkpoint = fold_view._checkpoint and fold_view._checkpoint[0]
+        if checkpoint and v is checkpoint[1]:
+            kernel_at["checkpoint"].append(fold_entries[-1])
+        return fold_bits(fold_view, rows, j_lo, j_hi, v)
+
+    monkeypatch.setattr(hirschberg, "_fold_prefix_row", record_fold_row)
+    monkeypatch.setattr(hirschberg, "_fold", record_fold)
+    monkeypatch.setattr(branching, "_fold", record_fold)
+    monkeypatch.setattr(hirschberg, "_bit_rows", record_bit_rows)
     want, _ = _run(ref)
     monkeypatch.undo()
     hit = set()
-    search_bit_rows = split_bit_rows = False
+    search_bit_rows = split_bit_rows = checkpoint_charge = False
     total = ref.counters.eq_queries_total
     kernel_sweep = [at for ats in kernel_at.values()
                     for at in ats[::max(1, len(ats) // 5)]]
@@ -137,6 +176,11 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         split_bit_rows |= any(
             {"_fold_rows", "_bit_rows"} <= names
             or {"_fold_rows (mirror)", "_bit_rows (mirror)"} <= names
+            for names in where)
+        # The checkpoint's charge is _fold's own, in no row of either form.
+        checkpoint_charge |= any(
+            {"_branch_search", "_fold (mirror)"} <= names
+            and not {"_list_rows (mirror)", "_bit_rows (mirror)"} & names
             for names in where)
         assert got == want, at
         assert enum.finished == ref.finished, at
@@ -160,6 +204,9 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     assert (("_fold_prefix_row" in hit) == ("_fold_prefix_row (mirror)" in hit)
             == (wide or not bit_rows))
     assert search_bit_rows == bit_rows
+    # A view gets a checkpoint when it has bit-planes and len_y >= 64, as
+    # the pairs with wide splits do.
+    assert checkpoint_charge == (bit_rows and wide)
 
 
 def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
