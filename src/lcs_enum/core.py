@@ -164,8 +164,9 @@ class MatchView:
     :func:`_bit_planes`, ``_tables`` its :class:`_WindowTables`, and the
     mirror has its own. ``_checkpoint`` is a list, empty until the
     view's first fold over all of Y from its first row records in it the
-    fold's checkpoint or None (:func:`lcs_enum.hirschberg._fold`); the
-    mirror has its own. Every view :meth:`with_meter` makes shares all
+    fold's checkpoint or None
+    (:func:`lcs_enum.hirschberg._build_checkpoint`); the mirror has its
+    own. Every view :meth:`with_meter` makes shares all
     four dicts and both lists. The searched pair, its mirror (n + m
     characters or bytes, or two tuples of references), the planes,
     len_y bits per token X and Y share in each orientation, the tables,

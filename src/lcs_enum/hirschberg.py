@@ -64,11 +64,12 @@ rows, with the same V, in every search and every first output. So each
 orientation of a view with bit-planes and len_y >= 64 records that
 checkpoint (s, V_s) on its first such fold, folding rows 1..s on a
 throwaway meter (:func:`_build_checkpoint`), or records that there is
-none. A fold whose caller holds rows 1..start - 1, and that reaches row
-s in the list form, charges rows start..s at once and goes on from V_s:
-every run of the branch search does, and a restart fold from row 1 over
-all of Y, as the first output's root split. An interrupt at that charge
-leaves the caller's levels as they were. V_s is one int of len_y bits,
+none. A fold whose caller holds rows 1..start - 1 in the list form,
+with start <= s, and whose rows go on past row s, charges rows
+start..s at once and goes on from V_s: every run of the branch search
+may, and a restart fold from row 1 over all of Y, as the first
+output's root split. An interrupt at that charge leaves the caller's
+levels as they were. V_s is one int of len_y bits,
 ceil(len_y / 64) words per orientation, input storage like the planes.
 
 Either form charges a length-n row exactly n equality probes, what a
@@ -281,9 +282,9 @@ def _fold(view: MatchView, rows: range, j_lo: int, j_hi: int,
             _build_checkpoint(view)
         checkpoint = view._checkpoint[0]
         if checkpoint and rows.start <= checkpoint[0] < rows.stop - 1:
-            s = checkpoint[0]
+            s, v = checkpoint
             view._meter.eq_queries += (s + 1 - rows.start) * w
-            rows, v = range(s + 1, rows.stop), checkpoint[1]
+            rows = range(s + 1, rows.stop)
     if v is None:
         n = _list_rows(view, rows, j_lo, j_hi, levels)
         if n == len(rows):

@@ -64,7 +64,7 @@ def test_a_fold_from_the_checkpoint_equals_the_plain_fold(kind, m):
             plain_view._checkpoint[:] = [None]  # a fold with no checkpoint
             s, v_s = _checkpoint(fold_view)
             assert 0 < s < fold_view.len_x
-            levels, v, probes = _fold_runs(plain_view, [range(1, s + 1)])
+            levels, v, _ = _fold_runs(plain_view, [range(1, s + 1)])
             assert hirschberg._bits(levels, 1, m) == v_s and v is None
             for t in (s - 1, s, s + 1, s + 2, fold_view.len_x):
                 for _ in range(6):

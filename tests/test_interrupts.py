@@ -105,9 +105,9 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     # Each kernel holds a few percent of the probes: the sweep also
     # interrupts five of each kernel's calls at their first charge. So it
     # does for charges as rare: a fold's one charge of its list rows up to
-    # the checkpoint, and the list rows of each orientation, which only
-    # wide splits fold once the checkpoint spares the search's and the
-    # first root split's.
+    # the checkpoint, and the list rows of each orientation, which on a
+    # view with planes only wide splits fold once the checkpoint spares
+    # the search's and the first root split's.
     kernel_at = {"_two_rows": [], "_matched_rows": [], "_matched_cols": [],
                  "_narrow_split": [], "_fold_prefix_row": [],
                  "_fold_prefix_row (mirror)": [], "checkpoint": []}
