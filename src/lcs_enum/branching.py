@@ -23,11 +23,12 @@ charges O(|X| * |Y|) probes overall while keeping O(L) integers.
 
 The rows go through the one fold of :mod:`lcs_enum.hirschberg`, which
 keeps the thresholds as a list or, once it switches, as one |Y|-bit
-integer. The rows before the switch are the same in every search, so
-where the mirror has a checkpoint of them the fold charges them and
-starts from its integer. The second question, how many levels lie above j*, is asked
-of either form through its ``_levels_below``: how the bits stand for
-positions, and when the fold switches, stay in that module.
+integer. The rows before the switch are the same in every search: the
+first fold that switches records its integer as the mirror's
+checkpoint, and a later run that passes the switch charges those rows
+and starts from it. The second question, how many levels lie above j*,
+is asked of either form through its ``_levels_below``: how the bits
+stand for positions, and when the fold switches, stay in that module.
 
 X is searched with the view's bound search, charged what a scan with
 early exit would cost. The greedy embedding is one loop charged once:

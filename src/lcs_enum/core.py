@@ -156,18 +156,19 @@ class MatchView:
     ``_x`` and ``_y`` hold the pair as searched: str, coded bytes, or
     two tuples. ``_find(seq, item, lo, hi)`` searches either side of it:
     the least 0-based k in [lo, hi) with seq[k] equal to ``item``, or
-    -1. ``_mirror`` is the view of the reversed searched pair, whose
-    own mirror is this view; the two share one meter, and assigning
-    ``meter`` sets both. ``_planes`` and ``_tables`` are None unless the
-    folds may take the bit form (the pair is bytes, or two ASCII str);
-    then ``_planes`` is a dict that the view's first bit fold fills with
-    :func:`_bit_planes`, ``_tables`` its :class:`_WindowTables`, and the
-    mirror has its own. ``_checkpoint`` is a list, empty until the
-    view's first fold over all of Y from its first row records in it the
-    fold's checkpoint or None
-    (:func:`lcs_enum.hirschberg._build_checkpoint`); the mirror has its
-    own. Every view :meth:`with_meter` makes shares all
-    four dicts and both lists. The searched pair, its mirror (n + m
+    -1. ``_mirror`` is the view of the reversed searched pair; the two
+    share one meter, and assigning ``meter`` sets both. The mirror's own
+    ``_mirror`` is None, so a view and its mirror form no reference
+    cycle and are freed with their last reference. ``_planes`` and
+    ``_tables`` are None unless the folds may take the bit form (the
+    pair is bytes, or two ASCII str); then ``_planes`` is a dict that
+    the view's first bit fold fills with :func:`_bit_planes`, ``_tables``
+    its :class:`_WindowTables`, and the mirror has its own.
+    ``_checkpoint`` is a list, empty until a fold over all of Y from the
+    view's first row switches to the bit form and records in it the
+    switch's row and V (:func:`lcs_enum.hirschberg._fold`); the mirror
+    has its own. Every view :meth:`with_meter` makes shares all four
+    dicts and both lists. The searched pair, its mirror (n + m
     characters or bytes, or two tuples of references), the planes,
     len_y bits per token X and Y share in each orientation, the tables,
     about len_y / 64 ints of up to 128 bits per token a narrow split has
@@ -214,7 +215,7 @@ class MatchView:
             v._planes = {} if planed else None
             v._tables = _WindowTables(v._planes, v.len_y) if planed else None
             v._checkpoint = []
-        mirror._mirror = self
+        mirror._mirror = None
         self.meter = Meter()
 
     @property
@@ -226,13 +227,13 @@ class MatchView:
         self._meter = self._mirror._meter = meter
 
     def with_meter(self, meter: Meter) -> "MatchView":
-        """Same inputs, coded pair, mirror, planes, tables and checkpoints;
-        its own meter."""
+        """Same inputs, coded pair, planes, tables and checkpoints; its own
+        meter, and its own copy of the mirror, which shares that meter."""
         view, mirror = object.__new__(MatchView), object.__new__(MatchView)
         for name in MatchView.__slots__:
             setattr(view, name, getattr(self, name))
             setattr(mirror, name, getattr(self._mirror, name))
-        view._mirror, mirror._mirror = mirror, view
+        view._mirror = mirror
         view.meter = meter
         return view
 

@@ -45,32 +45,31 @@ to 128 bits for a token of Y, one list of zeros shared by the rest.
 All are read-only input storage outside the cell count, like the coded
 pair and the mirror.
 
-One function, :func:`_fold`, switches a fold from the list form to
-the bit form. A fold over w < 64 positions takes bit rows from its
-first row, with V one word; a wider one switches once it holds
-ceil(w/64) levels, where V and its few w-bit temporaries take a
-constant number of machine words per level, so the one-cell-per-level
-charge stays an upper bound on its space. Folds of other views keep the
-list form. A split under 64 positions folds both halves in one kernel,
-one word each, and reads its least maximizer off the two words, with no
-list (:func:`_narrow_split`). Other folds run :func:`_bit_rows` and
-read V back into a list through a w-character string. The branch
-search's rows (:mod:`lcs_enum.branching`), the mirror's prefix rows
-over all of Y, take the same :func:`_fold` but keep V between runs, and
-count their levels in either form with :func:`_levels_below`.
+One function, :func:`_fold`, switches a fold of a view with bit-planes
+from the list form to the bit form: before the first row at which it
+holds ceil(w/64) levels, for w positions. V and its few w-bit
+temporaries then take a constant number of machine words per level, so
+the one-cell-per-level charge stays an upper bound on its space. Folds
+of other views keep the list form. A split under 64 positions folds
+both halves in one kernel, one word each, and reads its least maximizer
+off the two words, with no list (:func:`_narrow_split`). Other folds
+run :func:`_bit_rows` and read V back into a list through a w-character
+string. The branch search's rows (:mod:`lcs_enum.branching`), the
+mirror's prefix rows over all of Y, take the same :func:`_fold` but keep
+V between runs, and count their levels in either form with
+:func:`_levels_below`.
 
 A fold of X from its first row over all of Y switches after the same s
-rows, with the same V, in every search and every first output. So each
-orientation of a view with bit-planes and len_y >= 64 records that
-checkpoint (s, V_s) on its first such fold, folding rows 1..s on a
-throwaway meter (:func:`_build_checkpoint`), or records that there is
-none. A fold whose caller holds rows 1..start - 1 in the list form,
-with start <= s, and whose rows go on past row s, charges rows
-start..s at once and goes on from V_s: every run of the branch search
-may, and a restart fold from row 1 over all of Y, as the first
-output's root split. An interrupt at that charge leaves the caller's
-levels as they were. V_s is one int of len_y bits,
-ceil(len_y / 64) words per orientation, input storage like the planes.
+rows, with the same V, in every search and every first output. So the
+first such fold that switches records that checkpoint (s, V_s) in a
+list that every view of the orientation shares. A later fold whose
+caller holds rows 1..start - 1 in the list form, with start <= s, and
+whose rows go on past row s, charges rows start..s at once and goes on
+from V_s: every run of the branch search may, and a restart fold from
+row 1 over all of Y, as the first output's root split. An interrupt at
+that charge leaves the caller's levels as they were. V_s is one int of
+len_y bits, ceil(len_y / 64) words per orientation, input storage like
+the planes.
 
 Either form charges a length-n row exactly n equality probes, what a
 scan of the whole row costs, and one cell per level, so probe and cell
@@ -117,7 +116,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 
-from .core import IndexRange, MatchView, Meter, _bit_planes
+from .core import IndexRange, MatchView, _bit_planes
 
 # One charged frame per level of the range being solved: its 6 cells
 # cover one pending range of the stack (6 ints: its ends, depth and LCS
@@ -160,8 +159,7 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
 
 
 # V and each w-bit temporary take a word per this many positions, so a
-# fold at least this wide switches no sooner than at a level per this
-# many (_fold).
+# fold switches once it holds a level per this many (_fold).
 _BIT_POSITIONS_PER_LEVEL = 64
 
 
@@ -173,15 +171,14 @@ def _build_planes(view: MatchView) -> None:
 
 
 def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
-              v: int | None = None) -> int:
+              v: int) -> int:
     """V after folding the X rows into it, one bit row each.
 
     Bit k of V stands for j_lo + k: the thresholds in Y[j_lo..j_hi] are
-    its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0; None
-    is V with no levels yet. Each row is charged w = j_hi - j_lo + 1
-    probes, like the list form; the caller charges the levels' cells. A
-    row's match mask is cut from its token's plane; a token absent from
-    Y leaves V as it is.
+    its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0. Each
+    row is charged w = j_hi - j_lo + 1 probes, like the list form; the
+    caller charges the levels' cells. A row's match mask is cut from its
+    token's plane; a token absent from Y leaves V as it is.
     """
     if not view._planes:
         _build_planes(view)
@@ -195,7 +192,7 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     b0 = j_lo - 1
     a, r, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
     full = ((1 << w) - 1) << r
-    v = full if v is None else v << r
+    v <<= r
     from_bytes = int.from_bytes
     for i in rows:
         meter.eq_queries += w
@@ -209,88 +206,56 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     return v >> r
 
 
-def _list_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
-               levels: list[int]) -> int:
-    """How many of the X rows :func:`_fold` folds into ``levels`` in the
-    list form before it switches, folding them: all of them if it never
-    does."""
-    w = j_hi - j_lo + 1
-    switch = (w + 1 if view._planes is None
-              else 0 if w < _BIT_POSITIONS_PER_LEVEL
-              else -(-w // _BIT_POSITIONS_PER_LEVEL))
-    for n, i in enumerate(rows):
-        if len(levels) >= switch:
-            return n
-        _fold_prefix_row(view, i, j_lo, j_hi, levels)
-    return len(rows)
-
-
-def _bits(levels: list[int], j_lo: int, w: int) -> int:
-    """V over Y[j_lo..j_lo + w - 1] with the thresholds ``levels``."""
-    v = (1 << w) - 1
-    for t in levels:
-        v ^= 1 << (t - j_lo)
-    return v
-
-
-def _build_checkpoint(view: MatchView) -> None:
-    """Record the view's checkpoint for :func:`_fold`, once per
-    orientation: (s, V_s), where s is the number of rows from the first
-    after which a fold of X over all of Y switches to the bit form and
-    V_s its state there, or None if it never switches (the view has no
-    bit-planes, len_y < 64, or X holds fewer than ceil(len_y / 64)
-    levels before its last row). The rows are folded on a throwaway
-    meter, so the build charges nothing."""
-    n, m = view.len_x, view.len_y
-    levels: list[int] = []
-    s = n
-    if view._planes is not None and m >= _BIT_POSITIONS_PER_LEVEL:
-        s = _list_rows(view.with_meter(Meter()), range(1, n + 1), 1, m,
-                       levels)
-    view._checkpoint.append((s, _bits(levels, 1, m)) if s < n else None)
-
-
 def _fold(view: MatchView, rows: range, j_lo: int, j_hi: int,
           levels: list[int], v: int | None = None) -> int | None:
     """Fold the X rows into the prefix thresholds over Y[j_lo..j_hi]: V
     (:func:`_bit_rows`) if the fold ends in the bit form, else None with
     the thresholds in ``levels``. The only place a fold switches form.
 
-    Given V, every row is a bit row. Otherwise the rows take the list
-    form until, before a row, the fold holds ceil(w/64) levels for
-    w = j_hi - j_lo + 1 >= 64; under 64 positions they take the bit form
-    from the first row; a view without bit-planes never switches. V and
-    each temporary take ceil(w/64) words: from 64 * levels >= w on, the
-    one-cell-per-level charge covers them, and under 64 positions they
-    are single words, cheaper to update than a list row, which visits up
-    to levels + 1 matches, a search and a bisection each.
+    Given V, every row is a bit row. Otherwise, on a view with bit-planes,
+    the rows take the list form until, before a row, the fold holds
+    ceil(w/64) levels for w = j_hi - j_lo + 1, and the bit form from that
+    row on; a view without bit-planes never switches. V and each
+    temporary take ceil(w/64) words, so from 64 * levels >= w on the
+    one-cell-per-level charge covers them.
 
-    Over all of Y, a fold that starts at row 1, or is given levels, which
+    A fold over all of Y that starts at row 1, or is given levels, which
     must then be those of rows 1..rows.start - 1 (the branch search's
-    are), takes the view's checkpoint (s, V_s) (:func:`_build_checkpoint`)
-    when its rows run from s or before to past s: it charges rows
-    rows.start..s at once, with no list row, and folds the rest from V_s.
-    The list is emptied only once the bit rows are done, so a fold that
-    raises leaves the caller, with V as it was given, the levels it gave
-    if it took the checkpoint, those held at the switch if it raised in a
-    bit row, or those of the rows before the list row that raised.
+    are), switches after the same s rows with the same V_s whatever runs
+    its rows are cut into. The first such fold that switches records the
+    checkpoint (s, V_s) in the view's shared ``_checkpoint`` list; a later
+    one whose rows run from s or before to past s takes it: it charges
+    rows rows.start..s at once, with no list row, and folds the rest from
+    V_s. The list is emptied only once the bit rows are done, so a fold
+    that raises leaves the caller, with V as it was given, the levels it
+    gave if it took the checkpoint, those held at the switch if it raised
+    in a bit row, or those of the rows before the list row that raised.
     Charges the rows' probes, not the cells.
     """
     w = j_hi - j_lo + 1
-    if v is None and w == view.len_y and (levels or rows.start == 1):
-        if not view._checkpoint:
-            _build_checkpoint(view)
-        checkpoint = view._checkpoint[0]
-        if checkpoint and rows.start <= checkpoint[0] < rows.stop - 1:
-            s, v = checkpoint
+    if v is None:
+        whole = w == view.len_y and (levels or rows.start == 1)
+        checkpoint = view._checkpoint
+        if (whole and checkpoint
+                and rows.start <= checkpoint[0][0] < rows.stop - 1):
+            s, v = checkpoint[0]
             view._meter.eq_queries += (s + 1 - rows.start) * w
             rows = range(s + 1, rows.stop)
-    if v is None:
-        n = _list_rows(view, rows, j_lo, j_hi, levels)
-        if n == len(rows):
-            return None
-        rows = rows[n:]
-        v = _bits(levels, j_lo, w)
+        else:
+            switch = (w + 1 if view._planes is None
+                      else -(-w // _BIT_POSITIONS_PER_LEVEL))
+            for n, i in enumerate(rows):
+                if len(levels) >= switch:
+                    break
+                _fold_prefix_row(view, i, j_lo, j_hi, levels)
+            else:
+                return None
+            rows = rows[n:]
+            v = (1 << w) - 1
+            for t in levels:
+                v ^= 1 << (t - j_lo)
+            if whole and not checkpoint:
+                checkpoint.append((rows.start - 1, v))
     v = _bit_rows(view, rows, j_lo, j_hi, v)
     levels.clear()
     return v

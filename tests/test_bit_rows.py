@@ -1,9 +1,8 @@
 """The bit form of a threshold fold agrees with the list form exactly.
 
-A fold over a bytes pair, or two ASCII str, switches to bit rows once
-it holds a level per 64 positions when it is at least 64 positions
-wide, and before its first row when it is narrower; so do the rows of
-the branch search, which span all of Y. One function, ``_fold``, makes
+A fold over w positions of a bytes pair, or of two ASCII str, switches
+to bit rows before the first row at which it holds ceil(w/64) levels;
+so do the rows of the branch search, which span all of Y. One function, ``_fold``, makes
 that switch for every fold. Suffix thresholds are the mirror's prefix
 ones, so its folds switch likewise. A split under 64 positions folds
 both halves in the bit form and reads the split off the two words. A
@@ -36,7 +35,7 @@ SEARCH_WIDTHS = (1, 2, 8, 15, 16, 17, 62, 63, 64, 65, 127, 128, 129)
 def _rule(w):
     """The levels at which a fold over w positions of a view with
     bit-planes takes the bit form, before its next row."""
-    return 0 if w < 64 else -(-w // 64)
+    return -(-w // 64)
 
 
 @st.composite
@@ -202,15 +201,16 @@ def search_switches(monkeypatch):
 
 def _check_switches(entries):
     """Every switch holds the rule's levels, and those levels cover V's
-    words or V is one word under 64 bits."""
+    words."""
     for w, levels, bits in entries:
         assert levels == _rule(w), (w, levels)
-        assert 64 * levels >= w or bits <= w < 64, (w, levels, bits)
+        assert 64 * levels >= w and bits <= w, (w, levels, bits)
 
 
 def _list_levels(view, rows, j_lo, j_hi):
-    """Levels of the list-form fold of the X rows, on a fresh meter."""
-    view = view.with_meter(Meter())
+    """Levels of the list-form fold of the X rows of the view or mirror,
+    on a fresh view of its searched pair."""
+    view = MatchView(view._x, view._y)
     levels = []
     for i in rows:
         hirschberg._fold_prefix_row(view, i, j_lo, j_hi, levels)
@@ -224,8 +224,7 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
     # folds, and no half of it enters _fold. Each half of a wider split
     # switches exactly when the list form holds the rule's levels before
     # one of its rows, and then at the first such row; the search
-    # likewise, at any width, from its first row under 64 positions. The
-    # right half is folded as the mirror's rows over mirrored positions.
+    # likewise, at any width. The right half is folded as the mirror's rows over mirrored positions.
     # A view without planes never takes the bit form.
     split, narrow_split = hirschberg._split, hirschberg._narrow_split
 
@@ -315,12 +314,13 @@ _NARROW_KERNEL = hirschberg._narrow_split.__code__
 @pytest.mark.parametrize("n", [17, 63, 65, 256, 2048])
 def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
                                      search_switches, n):
-    # Criterion 7's family has L = 1: one level pays for at most 64 bits,
-    # so nothing 65 or more positions wide enters the bit form. Its splits
-    # under 64 positions fold two words, and a search over fewer than 64
-    # positions folds one from its first row, each V under 64 bits. The
-    # kernel's two words are read off its frame as it returns (its
-    # ``words``), and any profiler already set is restored after.
+    # Criterion 7's family has L = 1. A fold 65 or more positions wide
+    # switches only at two levels or more, and a split under 64 positions
+    # folds two words in the narrow kernel. The search folds the mirror,
+    # whose one level arrives only at its last row, and a fold switches
+    # before a row. So no fold takes a bit row, at any n. The kernel's two
+    # words are read off its frame as it returns (its ``words``), and any
+    # profiler already set is restored after.
     words, kernel_words = [], []
     bit_rows = hirschberg._bit_rows
 
@@ -348,10 +348,7 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
     for (_, w), folded in zip(narrow_splits, kernel_words):
         assert len(folded) == 2 and w < 64
         assert all(word.bit_length() <= w for word in folded)
-    for w, v_length in words:
-        assert w < 64 and v_length <= w
-    _check_switches(search_switches)
-    assert bool(search_switches) == (n < 64)
+    assert words == [] and search_switches == []
     if n < 64:
         assert narrow_splits  # every split is narrow, the top one too
         assert max(w for _, w in narrow_splits) == n
@@ -559,7 +556,9 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     for name in ("_planes", "_tables"):
         assert getattr(other, name) is getattr(view, name)
         assert getattr(other._mirror, name) is getattr(view._mirror, name)
-    assert other._mirror._mirror is other and other._mirror is not view._mirror
+    # Each with_meter view has its own mirror, which refers to no view.
+    assert other._mirror is not view._mirror
+    assert other._mirror._mirror is view._mirror._mirror is None
     first_lcs(other)
     find_branch(other, first_lcs(other))
     assert sorted(built) == sorted([y, y[::-1]])

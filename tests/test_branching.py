@@ -280,10 +280,9 @@ def _eager_search(view, positions, k_kept, i_kept):
     q = [0, i_kept] if k_kept else [0]
     j_suffix = []
     v = None
-    # The restart folds' rule over len_y positions: with bit-planes, a
-    # level per 64 positions, or none under 64.
-    switch = (len_y + 1 if view._planes is None
-              else 0 if len_y < 64 else -(-len_y // 64))
+    # The restart folds' rule over len_y positions: with bit-planes,
+    # ceil(len_y / 64) levels.
+    switch = len_y + 1 if view._planes is None else -(-len_y // 64)
 
     def fold(i, stop):
         nonlocal v

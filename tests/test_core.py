@@ -1,10 +1,13 @@
 """Access layer: probe counting, the scan primitive and the searches under it."""
 
+import gc
+from itertools import islice
+
 import pytest
 
-from conftest import MinimalSeq
-from lcs_enum import MatchView, Meter, IndexRange, greedy_embedding, \
-    suffix_thresholds
+from conftest import MinimalSeq, kind_view
+from lcs_enum import LcsEnumerator, MatchView, Meter, IndexRange, first_lcs, \
+    greedy_embedding, suffix_thresholds
 
 X1 = "acddadacbcb"
 Y1 = "caccbaadcad"
@@ -83,6 +86,40 @@ def test_with_meter_shares_input_not_counters():
     assert view.meter.eq_queries == 1
     assert other.meter.eq_queries == 0
     assert other.eq(1, 2) is True
+
+
+def _cyclic_garbage(make):
+    """Type names of the objects that ``make()`` left unreachable but not
+    freed: the collector is off while it runs, then finds them."""
+    gc.collect()
+    gc.disable()
+    try:
+        make()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+def test_dropped_views_and_enumerators_leave_no_cyclic_garbage(kind):
+    # A view refers to its mirror, and the mirror to no view, so a view
+    # dropped after its folds, or an enumerator and the view it made with
+    # with_meter, is freed with its last reference, planes, tables and
+    # checkpoints included, and never waits for the cycle collector.
+    x, y = "abcd" * 40, "dcba" * 40
+
+    def view_after_first_lcs():
+        first_lcs(kind_view(kind, x, y))
+
+    def enumerator_after_five_outputs():
+        assert len(list(islice(LcsEnumerator(kind_view(kind, x, y)), 5))) == 5
+
+    for make in (view_after_first_lcs, enumerator_after_five_outputs):
+        assert _cyclic_garbage(make) == [], make.__name__
 
 
 def test_meter_rejects_negative_cells():

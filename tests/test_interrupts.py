@@ -106,8 +106,9 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     # interrupts five of each kernel's calls at their first charge. So it
     # does for charges as rare: a fold's one charge of its list rows up to
     # the checkpoint, and the list rows of each orientation, which on a
-    # view with planes only wide splits fold once the checkpoint spares
-    # the search's and the first root split's.
+    # view with planes only wide splits fold, and the first fold over all
+    # of Y that switches, which records the checkpoint the later ones
+    # start from.
     kernel_at = {"_two_rows": [], "_matched_rows": [], "_matched_cols": [],
                  "_narrow_split": [], "_fold_prefix_row": [],
                  "_fold_prefix_row (mirror)": [], "checkpoint": []}
@@ -129,12 +130,10 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     fold_entries = []  # the meter's total at each _fold call in progress
 
     def record_fold_row(fold_view, *args):
-        # Rows on a view the enumeration does not run on build a checkpoint.
-        for name, orientation in (("_fold_prefix_row", ref.view),
-                                  ("_fold_prefix_row (mirror)",
-                                   ref.view._mirror)):
-            if fold_view is orientation:
-                kernel_at[name].append(fold_view.meter.eq_queries)
+        # Every row is the enumeration's view's or its mirror's.
+        name = ("_fold_prefix_row (mirror)" if fold_view is ref.view._mirror
+                else "_fold_prefix_row")
+        kernel_at[name].append(fold_view.meter.eq_queries)
         return fold_row(fold_view, *args)
 
     def record_fold(fold_view, *args):
@@ -180,7 +179,8 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
         # The checkpoint's charge is _fold's own, in no row of either form.
         checkpoint_charge |= any(
             {"_branch_search", "_fold (mirror)"} <= names
-            and not {"_list_rows (mirror)", "_bit_rows (mirror)"} & names
+            and not {"_fold_prefix_row (mirror)", "_bit_rows (mirror)"}
+            & names
             for names in where)
         assert got == want, at
         assert enum.finished == ref.finished, at
@@ -199,14 +199,16 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
             "_branch_search"} <= hit
     assert ("_narrow_split" in hit) == bit_rows
     assert split_bit_rows == (bit_rows and wide)
-    # With bit-planes, list rows are those of a fold 64 or more positions
-    # wide: the search's too, which spans Y.
-    assert (("_fold_prefix_row" in hit) == ("_fold_prefix_row (mirror)" in hit)
-            == (wide or not bit_rows))
+    # With bit-planes, the view folds list rows only in splits 64 or more
+    # positions wide; the mirror folds them in those and in the search,
+    # which spans Y, until its first switch.
+    assert ("_fold_prefix_row" in hit) == (wide or not bit_rows)
+    assert "_fold_prefix_row (mirror)" in hit
     assert search_bit_rows == bit_rows
-    # A view gets a checkpoint when it has bit-planes and len_y >= 64, as
-    # the pairs with wide splits do.
-    assert checkpoint_charge == (bit_rows and wide)
+    # A view with bit-planes gets a checkpoint when a fold over all of Y
+    # from its first row switches, at any len_y, as every such pair's
+    # search does here, the 40 positions of the periodic one included.
+    assert checkpoint_charge == bit_rows
 
 
 def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
