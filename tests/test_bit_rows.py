@@ -2,9 +2,9 @@
 
 A fold over w positions of a bytes pair, or of two ASCII str, switches
 to bit rows before the first row at which it holds ceil(w/64) levels;
-so do the rows of the branch search, which span all of Y. One function, ``_fold``, makes
-that switch for every fold. Suffix thresholds are the mirror's prefix
-ones, so its folds switch likewise. A split under 64 positions folds
+so do the rows of the branch search, which span all of Y. One
+function, ``_fold``, makes that switch for every fold. Suffix thresholds
+are the mirror's prefix ones, so its folds switch likewise. A split under 64 positions folds
 both halves in the bit form and reads the split off the two words. A
 ``MinimalSeq`` view of the same content is never coded, so it always
 keeps the list form and is the reference: values, probes, peak cells
@@ -224,8 +224,9 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
     # folds, and no half of it enters _fold. Each half of a wider split
     # switches exactly when the list form holds the rule's levels before
     # one of its rows, and then at the first such row; the search
-    # likewise, at any width. The right half is folded as the mirror's rows over mirrored positions.
-    # A view without planes never takes the bit form.
+    # likewise, at any width. The right half is folded as the mirror's
+    # rows over mirrored positions. A view without planes never takes the
+    # bit form.
     split, narrow_split = hirschberg._split, hirschberg._narrow_split
 
     def checked_narrow(view, i_lo, i_hi, j_lo, j_hi):

@@ -128,7 +128,8 @@ def test_the_checkpoint_is_built_once_per_orientation_and_shared():
             id(v._checkpoint) for v in _orientations(view))
         for w in (other, *(enum.view for enum in enums)):
             for v, u in zip(_orientations(view), _orientations(w)):
-                assert u._checkpoint is v._checkpoint and len(v._checkpoint) == 1
+                assert u._checkpoint is v._checkpoint
+                assert len(v._checkpoint) == 1
 
 
 def test_folds_from_a_later_row_or_over_part_of_y_never_record():

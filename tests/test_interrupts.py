@@ -130,7 +130,8 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     fold_entries = []  # the meter's total at each _fold call in progress
 
     def record_fold_row(fold_view, *args):
-        # Every row is the enumeration's view's or its mirror's.
+        # Only the enumeration's view and its mirror fold rows: the
+        # checkpoint is recorded by the enumeration's own folds.
         name = ("_fold_prefix_row (mirror)" if fold_view is ref.view._mirror
                 else "_fold_prefix_row")
         kernel_at[name].append(fold_view.meter.eq_queries)
