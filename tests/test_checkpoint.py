@@ -92,6 +92,17 @@ def test_a_fold_from_the_checkpoint_equals_the_plain_fold(kind, m):
                     assert (_as_list(got, m)
                             == _as_list(_fold_runs(list_view, runs), m))
                     taken += any(r.start <= s < r.stop - 1 for r in runs)
+                # One run from a later row, as a restart's right part over
+                # all of Y folds, holds no levels of the rows before it: it
+                # must neither take the recorded checkpoint nor record one.
+                for first in (2, s):
+                    runs = [range(first, t + 1)]
+                    got = _fold_runs(fold_view, runs)
+                    fresh = _orientations(kind_view(kind, x, y))[o]
+                    assert got == _fold_runs(fresh, runs), (t, runs)
+                    assert (_as_list(got, m)
+                            == _as_list(_fold_runs(list_view, runs), m))
+                    assert fold_view._checkpoint == [(s, v_s)]
             assert fold_view._checkpoint == [(s, v_s)]
     assert taken
 
@@ -184,7 +195,7 @@ def test_a_checkpoint_retains_one_int_of_len_y_bits(kind):
     m = 4096
     rng = random.Random(14)
     y = rand_string(rng, m, 4)
-    for n in (300, 3000, 10000):
+    for n in (300, 3000, 30000):
         x = rand_string(rng, n, 4)
         view = MatchView(*((x.encode(), y.encode()) if kind is bytes
                            else (x, y)))
