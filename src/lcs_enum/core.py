@@ -13,10 +13,12 @@ of the view reach the inputs only through it, and the attached
 :class:`Meter` accounts for every equality probe.
 
 The view fixes the form in which it searches the pair once, at
-construction (:func:`_code`): a str pair stays str, byte-valued inputs
-become two bytes, and anything else becomes two tuples, searched with
-``tuple.index``. Each form has one forward search. The view also holds
-its mirror, a view of the reversed searched pair that shares its meter:
+construction (:func:`_code`): a pair whose tokens fit 256 codes becomes
+two str of codes 0..255, searched with ``str.find`` and given
+bit-planes; any other str pair stays str, searched with ``str.find``,
+and anything else becomes two tuples, searched with ``tuple.index``.
+Each form has one forward search. The view also holds its mirror, a
+view of the reversed searched pair that shares its meter:
 X[i] is the mirror's X[len_x + 1 - i] and Y[j] its Y[len_y + 1 - j], so
 every backward question about the pair is a forward one about the
 mirror. Its one scan primitive, :meth:`MatchView.next_y_match`, charges
@@ -31,7 +33,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-_CODABLE = (bytes, bytearray, tuple, list)
+_CODABLE = (str, bytes, bytearray, tuple, list)
+_TOKENS = {str, bytes, int, bool}
 # Byte value c selects _ONE_HOT[255 - c:511 - c], a translate table that
 # maps byte c to b"1" and every other byte to b"0".
 _ONE_HOT = b"0" * 255 + b"1" + b"0" * 255
@@ -71,40 +74,49 @@ class Meter:
                 f"live_cells={self.live_cells}, peak_cells={self.peak_cells})")
 
 
-def _code(x: Sequence, y: Sequence) -> tuple[Sequence, Sequence] | None:
-    """The pair in a form whose own find searches it exactly, or None.
+def _code(x: Sequence, y: Sequence) -> tuple[str, str] | None:
+    """The pair as two str of codes 0..255 that match where the tokens
+    do, or None.
 
-    A str pair is returned unchanged. Two inputs that are exactly bytes,
-    bytearray, tuple or list become two bytes when every token is an int
-    in 0..255 equal to its byte. ``bytes()`` also takes any object with
-    ``__index__``, so the round trip ``type(s)(bytes(s)) == s`` is what
-    keeps two tokens with the same index but unequal apart.
+    Two inputs that are exactly str, bytes, bytearray, tuple or list are
+    coded when every distinct token is exactly str, bytes, int or bool,
+    whose hash agrees with ==, and the codes fit in 256: one per shared
+    token, one for all tokens only in X and one for all tokens only in Y.
+    Which code a token gets follows set order, so nothing may depend on
+    it.
     """
-    if isinstance(x, str) and isinstance(y, str):
-        return x, y
     if type(x) not in _CODABLE or type(y) not in _CODABLE:
         return None
     try:
-        bx, by = bytes(x), bytes(y)
-    except (TypeError, ValueError):
+        xs, ys = set(x), set(y)
+    except TypeError:  # an unhashable token
         return None
-    if type(x)(bx) == x and type(y)(by) == y:
-        return bx, by
-    return None
+    shared = xs & ys
+    k = len(shared)
+    only_x = len(xs) > k
+    if (k + only_x + (len(ys) > k) > 256
+            or not {*map(type, xs | ys)} <= _TOKENS):
+        return None
+    code = dict.fromkeys(ys, chr(k + only_x))
+    code.update(dict.fromkeys(xs, chr(k)))
+    code.update(zip(shared, map(chr, range(k))))
+    return tuple(s.translate({ord(t): code[t] for t in ts}) if type(s) is str
+                 else "".join(map(code.__getitem__, s))
+                 for s, ts in ((x, xs), (y, ys)))
 
 
-def _bit_planes(x, y) -> dict:
-    """Per-token bit-planes of Y for the tokens that X and Y share.
+def _bit_planes(x: str, y: str) -> dict:
+    """Per-code bit-planes of Y for the codes of X, a coded pair.
 
-    Maps each shared token, as ``x`` holds it, to a little-endian bitset
-    of ``(len(y) + 7) // 8`` bytes whose bit j - 1 is set when Y[j] is
-    the token. The pair must be bytes or two ASCII str.
+    Maps each code of X to a little-endian bitset of ``(len(y) + 7) //
+    8`` bytes whose bit j - 1 is set when Y[j] is the code; the plane of
+    the code of the tokens only in X is zeros.
     """
-    yb = y.encode() if isinstance(y, str) else y
+    yb = y.encode("latin-1")
     size = (len(yb) + 7) // 8
     planes = {}
-    for t in set(x) & set(y):
-        c = ord(t) if isinstance(t, str) else t
+    for t in set(x):
+        c = ord(t)
         s = yb.translate(_ONE_HOT[255 - c:511 - c])  # character k is Y[k + 1]
         # int(.., 2) reads its first character as the highest bit.
         planes[t] = int(s[::-1], 2).to_bytes(size, "little")
@@ -112,28 +124,24 @@ def _bit_planes(x, y) -> dict:
 
 
 class _WindowTables(dict):
-    """Window tables of one orientation's bit-planes, each token's built
+    """Window tables of one orientation's bit-planes, each code's built
     on its first read.
 
-    Maps a token to a list whose entry k holds bits 64k..64k + 127 of
+    Maps a code of X to a list whose entry k holds bits 64k..64k + 127 of
     its plane as an int, so a window under 64 positions is one list
-    index and a shift. A token with no plane reads one list of zeros,
-    shared by all such. The planes must be built before the first read.
-    Two threads may both build a token's table; either copy is right.
+    index and a shift. The planes must be built before the first read.
+    Two threads may both build a code's table; either copy is right.
     """
 
-    __slots__ = ("_planes", "_zeros")
+    __slots__ = ("_planes",)
 
-    def __init__(self, planes: dict, len_y: int):
-        super().__init__()
+    def __init__(self, planes: dict):
         self._planes = planes
-        self._zeros = [0] * -(-len_y // 64)
 
-    def __missing__(self, token) -> list[int]:
-        plane = self._planes.get(token)
-        table = self[token] = self._zeros if plane is None else [
-            int.from_bytes(plane[a:a + 16], "little")
-            for a in range(0, len(plane), 8)]
+    def __missing__(self, code) -> list[int]:
+        plane = self._planes[code]
+        table = self[code] = [int.from_bytes(plane[a:a + 16], "little")
+                               for a in range(0, len(plane), 8)]
         return table
 
 
@@ -153,25 +161,26 @@ class MatchView:
     with a bytes input is rejected: they share no token, which almost
     always means one side was not decoded.
 
-    ``_x`` and ``_y`` hold the pair as searched: str, coded bytes, or
-    two tuples. ``_find(seq, item, lo, hi)`` searches either side of it:
-    the least 0-based k in [lo, hi) with seq[k] equal to ``item``, or
-    -1. ``_mirror`` is the view of the reversed searched pair; the two
-    share one meter, and assigning ``meter`` sets both. The mirror's own
+    ``_x`` and ``_y`` hold the pair as searched: two str of codes
+    (:func:`_code`), a str pair that cannot be coded, or two tuples.
+    ``_find(seq, item, lo, hi)`` searches either side of it: the least
+    0-based k in [lo, hi) with seq[k] equal to ``item``, or -1.
+    ``_mirror`` is the view of the reversed searched pair; the two share
+    one meter, and assigning ``meter`` sets both. The mirror's own
     ``_mirror`` is None, so a view and its mirror form no reference
     cycle and are freed with their last reference. ``_planes`` and
-    ``_tables`` are None unless the folds may take the bit form (the
-    pair is bytes, or two ASCII str); then ``_planes`` is a dict that
-    the view's first bit fold fills with :func:`_bit_planes`, ``_tables``
-    its :class:`_WindowTables`, and the mirror has its own.
+    ``_tables`` are None unless the pair is coded; then ``_planes`` is a
+    dict that the view's first bit fold fills with :func:`_bit_planes`,
+    ``_tables`` its :class:`_WindowTables`, and the mirror has its own.
     ``_checkpoint`` is a list, empty until a fold over all of Y from the
     view's first row switches to the bit form and records in it the
     switch's row and V (:func:`lcs_enum.hirschberg._fold`); the mirror
     has its own. Every view :meth:`with_meter` makes shares all four
     dicts and both lists. The searched pair, its mirror (n + m
-    characters or bytes, or two tuples of references), the planes,
-    len_y bits per token X and Y share in each orientation, the tables,
-    about len_y / 64 ints of up to 128 bits per token a narrow split has
+    characters, or two tuples of references), the planes, len_y bits per
+    code of X in each orientation (one code per token X and Y share, and
+    at most one more, of zeros, for the tokens only in X), the tables,
+    about len_y / 64 ints of up to 128 bits per code a narrow split has
     read in each orientation, and the checkpoints, one int of len_y bits
     (ceil(len_y / 64) words) in each orientation, are read-only input
     storage, outside the cell count. ``y_slice`` renders the original Y
@@ -196,24 +205,18 @@ class MatchView:
         self.len_y = len(y)
         coded = _code(x, y)
         # tuple.index compares by identity, then ==.
-        self._x, self._y = coded or (tuple(x), tuple(y))
-        if coded is None:
-            self._find = _index_find
-            planed = False
-        elif isinstance(y, str):
-            self._find = str.find
-            planed = x.isascii() and y.isascii()
-        else:
-            self._find = bytes.find
-            planed = True
+        self._x, self._y = coded or (
+            (x, y) if isinstance(x, str) and isinstance(y, str)
+            else (tuple(x), tuple(y)))
+        self._find = str.find if isinstance(self._x, str) else _index_find
         mirror = self._mirror = object.__new__(MatchView)
         mirror._x, mirror._y = self._x[::-1], self._y[::-1]
         mirror._y_in = mirror._y
         mirror.len_x, mirror.len_y = self.len_x, self.len_y
         mirror._find = self._find
         for v in (self, mirror):
-            v._planes = {} if planed else None
-            v._tables = _WindowTables(v._planes, v.len_y) if planed else None
+            v._planes = {} if coded else None
+            v._tables = _WindowTables(v._planes) if coded else None
             v._checkpoint = []
         mirror._mirror = None
         self.meter = Meter()

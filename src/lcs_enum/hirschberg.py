@@ -27,23 +27,24 @@ match of that character inside the Y range lowers the threshold of the
 level found by bisection. It visits only the matches that can change a
 level, skipping from each one past the old threshold it replaced, and
 finds them with the forward search the view bound when it was built:
-str or bytes find, or tuple.index.
+str.find, or tuple.index.
 
-When the view has bit-planes (the pair is bytes, or two ASCII str), a
-fold may take the bit form (Allison-Dix, Hyyro): the thresholds become
-the 0-bits of a w-bit integer V over the fold's w positions of Y, and
-one row is ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the
-row's match mask. A fold's rows cut M from the view's bit-plane of the
-row's token, about w/8 bytes of it. The narrow kernel (below) reads it
-with one list index into the token's window table, whose entry k holds
-plane bits 64k..64k + 127, so none of its reads makes a temporary wider
-than 128 bits. The view and the mirror each hold a plane per shared
-token, 2 * len_y bits per token in all, built at once on the
-orientation's first bit fold, and a table per token that a narrow
-split has read, built on that first read: about len_y / 64 ints of up
-to 128 bits for a token of Y, one list of zeros shared by the rest.
-All are read-only input storage outside the cell count, like the coded
-pair and the mirror.
+When the view has bit-planes, its pair coded by
+:func:`lcs_enum.core._code`, a fold may take the bit form (Allison-Dix,
+Hyyro): the thresholds become the 0-bits of a w-bit integer V over the
+fold's w positions of Y, and one row is
+``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
+mask. A fold's rows cut M from the view's bit-plane of the row's code,
+about w/8 bytes of it. The narrow kernel (below) reads it with one list
+index into the code's window table, whose entry k holds plane bits
+64k..64k + 127, so none of its reads makes a temporary wider than 128
+bits. The view and the mirror each hold a plane per code of X, 2 *
+len_y bits per code in all: one per token X and Y share, and one of
+zeros for all tokens only in X, if any. They are built at once on the
+orientation's first bit fold, and a table per code that a narrow split
+has read, built on that first read: about len_y / 64 ints of up to 128
+bits. All are read-only input storage outside the cell count, like the
+coded pair and the mirror.
 
 One function, :func:`_fold`, switches a fold of a view with bit-planes
 from the list form to the bit form: before the first row at which it
@@ -166,8 +167,7 @@ _BIT_POSITIONS_PER_LEVEL = 64
 def _build_planes(view: MatchView) -> None:
     """Fill the view's planes (:func:`_bit_planes`), once per
     orientation, on its first bit fold."""
-    # None, never a token, marks a pair that shares none as built.
-    view._planes.update(_bit_planes(view._x, view._y) or {None: b""})
+    view._planes.update(_bit_planes(view._x, view._y))
 
 
 def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
@@ -178,7 +178,7 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     its 0-bits among bits 0..j_hi - j_lo, and every other bit is 0. Each
     row is charged w = j_hi - j_lo + 1 probes, like the list form; the
     caller charges the levels' cells. A row's match mask is cut from its
-    token's plane; a token absent from Y leaves V as it is.
+    code's plane, which is zeros for the code of the tokens absent from Y.
     """
     if not view._planes:
         _build_planes(view)
@@ -196,12 +196,9 @@ def _bit_rows(view: MatchView, rows: range, j_lo: int, j_hi: int,
     from_bytes = int.from_bytes
     for i in rows:
         meter.eq_queries += w
-        plane = planes.get(x[i - 1])
-        if plane is None:
-            continue
         # V & M drops the mask bits outside V's positions, so no carry or
         # borrow reaches them.
-        u = v & from_bytes(plane[a:b], "little")
+        u = v & from_bytes(planes[x[i - 1]][a:b], "little")
         v = ((v + u) | (v - u)) & full
     return v >> r
 
@@ -298,9 +295,9 @@ def _narrow_split(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     with bit-planes.
 
     Both halves are folded in the bit form from their first row, one
-    word each, by one loop that reads each row's mask from its token's
+    word each, by one loop that reads each row's mask from its code's
     window table (:class:`~lcs_enum.core._WindowTables`), built on the
-    token's first read: the prefix half on the view over j_lo..j_hi, the
+    code's first read: the prefix half on the view over j_lo..j_hi, the
     right half on the mirror over m + 1 - j_hi..m + 1 - j_lo. Bit k of
     ``lo`` marks the prefix threshold j_lo + k and bit k of ``hi`` the
     suffix threshold j_hi - k. The rows' probes are charged as they run;
