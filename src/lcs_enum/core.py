@@ -78,14 +78,14 @@ def _code(x: Sequence, y: Sequence) -> tuple[str, str] | None:
     """The pair as two str of codes 0..255 that match where the tokens
     do, or None.
 
-    Two inputs that are exactly str, bytes, bytearray, tuple or list are
+    Two inputs that are each a str, bytes, bytearray, tuple or list are
     coded when every distinct token is exactly str, bytes, int or bool,
     whose hash agrees with ==, and the codes fit in 256: one per shared
     token, one for all tokens only in X and one for all tokens only in Y.
     Which code a token gets follows set order, so nothing may depend on
     it.
     """
-    if type(x) not in _CODABLE or type(y) not in _CODABLE:
+    if not (isinstance(x, _CODABLE) and isinstance(y, _CODABLE)):
         return None
     try:
         xs, ys = set(x), set(y)

@@ -40,9 +40,10 @@ class MinimalSeq:
         return self._items[k]
 
 
-# A str pair as each kind of input the view searches its own way: str
-# with str.find, bytes with bytes.find and bit-planes, tuple with
-# tuple.index, and a bare sequence, which the view copies into tuples.
+# A str pair as each kind of input: str, bytes and a tuple of one-letter
+# str tokens are each coded as two str of codes, searched with str.find
+# and given bit-planes; a bare sequence is never coded, so the view
+# copies it into tuples, searched with tuple.index in the list form only.
 VIEW_KINDS = {"str": str, "bytes": str.encode, "tuple": tuple,
               "minimal": MinimalSeq}
 

@@ -1,14 +1,14 @@
 """The bit form of a threshold fold agrees with the list form exactly.
 
-A fold over w positions of a bytes pair, or of two ASCII str, switches
-to bit rows before the first row at which it holds ceil(w/64) levels;
-so do the rows of the branch search, which span all of Y. One
-function, ``_fold``, makes that switch for every fold. Suffix thresholds
-are the mirror's prefix ones, so its folds switch likewise. A split under 64 positions folds
-both halves in the bit form and reads the split off the two words. A
-``MinimalSeq`` view of the same content is never coded, so it always
-keeps the list form and is the reference: values, probes, peak cells
-and live cells must all match.
+A fold over w positions of a coded pair, one whose tokens fit 256
+codes, switches to bit rows before the first row at which it holds
+ceil(w/64) levels; so do the rows of the branch search, which span all
+of Y. One function, ``_fold``, makes that switch for every fold. Suffix
+thresholds are the mirror's prefix ones, so its folds switch likewise.
+A split under 64 positions folds both halves in the bit form and reads
+the split off the two words. A ``MinimalSeq`` view of the same content
+is never coded, so it always keeps the list form and is the reference:
+values, probes, peak cells and live cells must all match.
 """
 
 import random
@@ -45,7 +45,8 @@ def instances(draw):
     sigma = draw(st.integers(1, 26))
     common = list(range(ord("a"), ord("a") + sigma))
     # Symbols only X can hold: absent from Y, 0x80 and up, and for str
-    # non-ASCII code points, which keep the pair in the list form.
+    # non-ASCII code points; all of them share the code of X's absent
+    # tokens, whose plane is zeros.
     only_x = draw(st.sampled_from([[], [ord("0")], [0x80, 0xFF],
                                    [0xE9, 0x3B1] if kind == "str" else [0x9C]]))
     y_extra = [0x80, 0xFF] if kind == "bytes" and draw(st.booleans()) else []
@@ -267,7 +268,7 @@ def test_switch_only_when_levels_cover_the_bits(monkeypatch, bit_entries,
         for n in (17, 40, 63, 64, 65, 200):
             x, y = rand_string(rng, n, sigma), rand_string(rng, n, sigma)
             for view in (MatchView(x, y), MatchView(x.encode(), y.encode()),
-                         MatchView(tuple(x), tuple(y))):
+                         MatchView(MinimalSeq(x), MinimalSeq(y))):
                 first_lcs(view)
                 list(islice(LcsEnumerator(view), 5))
                 planed_seen += view._planes is not None
@@ -292,19 +293,27 @@ def test_byte_valued_sequences_switch(bit_entries):
 
 
 def test_other_inputs_never_switch(monkeypatch, bit_entries, search_switches):
+    # The pairs _code leaves uncoded: a bare sequence, tokens of another
+    # type or unhashable, and pairs that need more than 256 codes, the
+    # text one of which stays str and searches with str.find.
     monkeypatch.setattr(hirschberg, "_bit_planes", None)  # never built
     rng = random.Random(4)
     x, y = rand_string(rng, 200, 2), rand_string(rng, 200, 2)
-    wide_x, wide_y = ([1000 if t == ord("a") else t for t in s.encode()]
-                      for s in (x, y))
-    for pair in [(MinimalSeq(x.encode()), MinimalSeq(y.encode())),
-                 (tuple(x), tuple(y)),  # str tokens
-                 (x, y + "é"), (x + "é", y),  # non-ASCII Y or X
-                 (wide_x, wide_y)]:  # ints above 255
+    bx, by = x.encode(), y.encode()
+    more = range(1000, 1255)  # 255 more shared tokens: 257 codes in all
+    text = "".join(map(chr, more))
+    for pair in [(MinimalSeq(bx), MinimalSeq(by)),
+                 (tuple(zip(x)), tuple(zip(y))),  # one-letter tuple tokens
+                 (tuple(map(float, bx)), list(map(float, by))),
+                 ([[t] for t in bx], [[t] for t in by]),  # unhashable
+                 ([*bx, *more], (*more, *by)),
+                 (x + text, text + y)]:
         view = MatchView(*pair)
         first_lcs(view)
         list(islice(LcsEnumerator(view), 5))
         assert view._planes is view._mirror._planes is None, pair
+        assert view._find is (str.find if isinstance(pair[0], str)
+                              else core._index_find)
     assert bit_entries == [] and search_switches == []
 
 
@@ -357,7 +366,7 @@ def test_space_family_never_switches(monkeypatch, bit_entries, narrow_splits,
 
 @pytest.mark.parametrize("kind", ["str", "bytes"])
 def test_narrow_split_equals_the_list_split(kind):
-    # The kernel against _split on the pair as tuples, which folds lists:
+    # The kernel against _split on the uncoded pair, which folds lists:
     # split, both lengths, probes and peak cells. A third of the ranges
     # match every Y position.
     rng = random.Random(12)
@@ -373,7 +382,7 @@ def test_narrow_split_equals_the_list_split(kind):
         y = rand_string(rng, y_pad, sigma) + y + rand_string(rng, 3, sigma)
         x = rand_string(rng, x_pad, sigma) + x + rand_string(rng, 2, sigma)
         args = (x_pad + 1, x_pad + rows, y_pad + 1, y_pad + w)
-        lists = kind_view("tuple", x, y)
+        lists = kind_view("minimal", x, y)
         want = hirschberg._split(lists, *args)
         want = (want, lists.meter.eq_queries, lists.meter.peak_cells)
         length = want[0][2] + want[0][3]
@@ -433,10 +442,10 @@ def test_window_tables_hold_only_the_tokens_narrow_splits_read():
     # A pair over all 256 byte values, |Y| = 65,536. Wide folds and the
     # branch search cut their masks from the planes and build no table.
     # A first_lcs over a 50-position window and 60 rows of X that hold 4
-    # values builds those 4 tokens' tables in each orientation and no
-    # other, so its traced peak is bounded by 8 tables, whatever the
-    # alphabet; tables for all 140 tokens of X, in both orientations,
-    # would take some 6 MB, over ten times the bound.
+    # values builds the tables of those 4 tokens' codes in each
+    # orientation and no other, so its traced peak is bounded by 8
+    # tables, whatever the alphabet; tables for all 140 codes of X, in
+    # both orientations, would take some 6 MB, over ten times the bound.
     rng = random.Random(13)
     m, lo = 65536, 32768
     quad = bytes(range(97, 101))
@@ -459,7 +468,9 @@ def test_window_tables_hold_only_the_tokens_narrow_splits_read():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert set(view._tables) == set(view._mirror._tables) == set(narrow_x)
+    narrow_codes = set(view._x[100:160])
+    assert len(narrow_codes) == len(set(narrow_x)) == 4
+    assert set(view._tables) == set(view._mirror._tables) == narrow_codes
     assert peak <= 8 * (m // 64) * TABLE_ENTRY_BYTES, peak
 
 
@@ -487,41 +498,46 @@ def test_planes_hold_the_positions_of_shared_tokens():
     assert view._tables is not mirror._tables
     planes = core._bit_planes(view._x, view._y)
     mirrored = core._bit_planes(mirror._x, mirror._y)
-    assert set(planes) == set(mirrored) == {ord("a"), ord("b")}
+    # One code per shared token and one for "x", the token only in X;
+    # "c" and "z", only in Y, share a code that X never holds.
+    code = dict(zip(b"xba", view._x))
+    assert set(planes) == set(mirrored) == set(code.values())
+    assert len(set(view._y)) == 3 and set(view._y) - set(view._x)
     n = len(y)
-    for t in planes:
+    for token, t in code.items():
         # The reverse plane of earlier versions, bit for bit: int(.., 2)
         # reads Y[1] as the highest bit, n - 1, so bit n - j is Y[j].
-        s = "".join("1" if c == t else "0" for c in y)
+        s = "".join("1" if c == token else "0" for c in y)
         reverse = int(s, 2).to_bytes((n + 7) // 8, "little")
         assert len(planes[t]) == len(mirrored[t]) == (n + 7) // 8
         assert mirrored[t] == reverse
         f, r = (int.from_bytes(p, "little") for p in (planes[t], mirrored[t]))
         for j in range(1, n + 1):
-            assert (f >> (j - 1)) & 1 == (y[j - 1] == t)
-            assert (r >> (n - j)) & 1 == (y[j - 1] == t)
+            assert (f >> (j - 1)) & 1 == (y[j - 1] == token)
+            assert (r >> (n - j)) & 1 == (y[j - 1] == token)
     # Every window under 64 positions, in both orientations: one table
     # entry, shifted and masked, is the cut of the plane that the wide
-    # rows take, and no entry is wider than 128 bits. A token's table is
+    # rows take, and no entry is wider than 128 bits. A code's table is
     # built on its first read.
     for plane_of in (planes, mirrored):
-        table_of = core._WindowTables(plane_of, n)
-        # X's "x" is absent from Y: its table holds no bit.
-        assert not any(table_of[ord("x")])
-        assert set(table_of) == {ord("x")}
-        for t in (ord("x"), ord("a"), ord("b")):
+        table_of = core._WindowTables(plane_of)
+        # "x" is absent from Y: the table of its code holds no bit.
+        assert not any(table_of[code[ord("x")]])
+        assert set(table_of) == {code[ord("x")]}
+        for t in code.values():
             table = table_of[t]
             assert table_of[t] is table
             assert len(table) == -(-n // 64)
             assert max(e.bit_length() for e in table) <= 128
-            f = int.from_bytes(plane_of.get(t, b""), "little")
+            f = int.from_bytes(plane_of[t], "little")
             for b0 in range(n):
                 for w in range(1, min(63, n - b0) + 1):
                     ones = (1 << w) - 1
                     assert (table[b0 >> 6] >> (b0 & 63)) & ones == \
                         (f >> b0) & ones, (t, b0, w)
-        assert set(table_of) == {ord("x"), ord("a"), ord("b")}
-    assert set(core._bit_planes("xba", "abz")) == {"a", "b"}
+        assert set(table_of) == set(code.values())
+    assert core._bit_planes("xba", "abz") == {
+        "a": b"\x01", "b": b"\x02", "x": b"\x00"}
 
 
 def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
@@ -546,13 +562,15 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     for _ in range(3):
         enum.next_sequence()
     # One build of the planes per orientation, the view's and its
-    # mirror's, and one of each token's table per orientation, on the
-    # narrow kernel's first read of it.
-    assert len(bit_entries) > 1 and sorted(built) == sorted([y, y[::-1]])
-    assert set(view._tables) == set(view._mirror._tables) == set(x)
+    # mirror's, on its coded Y, and one of the table of each code of X
+    # per orientation, on the narrow kernel's first read of it.
+    coded = sorted([view._y, view._mirror._y])
+    assert view._mirror._y == view._y[::-1] and len(set(view._y)) == 4
+    assert len(bit_entries) > 1 and sorted(built) == coded
+    assert set(view._tables) == set(view._mirror._tables) == set(view._x)
     assert sorted(tabled) == sorted((id(v._tables), t)
                                     for v in (view, view._mirror)
-                                    for t in set(x))
+                                    for t in set(view._x))
     other = view.with_meter(Meter())
     for name in ("_planes", "_tables"):
         assert getattr(other, name) is getattr(view, name)
@@ -562,13 +580,14 @@ def test_planes_are_built_once_and_shared(monkeypatch, bit_entries):
     assert other._mirror._mirror is view._mirror._mirror is None
     first_lcs(other)
     find_branch(other, first_lcs(other))
-    assert sorted(built) == sorted([y, y[::-1]])
+    assert sorted(built) == coded
     assert len(tabled) == 2 * len(set(x))
 
 
 def test_planes_of_a_pair_that_shares_no_token_are_built_once(monkeypatch):
     # An empty plane dict used to read as "not built yet", so every bit
-    # fold of such a pair rebuilt it: 22 builds for this first_lcs.
+    # fold of such a pair rebuilt it: 22 builds for this first_lcs. Now
+    # X's one code, that of its tokens absent from Y, has a plane.
     built = []
     bit_planes = hirschberg._bit_planes
 
@@ -583,9 +602,11 @@ def test_planes_of_a_pair_that_shares_no_token_are_built_once(monkeypatch):
     assert 1 <= len(built) <= 2  # at most one per orientation
     assert find_branch(other, ()) is None
     assert len(built) <= 2
-    # The tables of both orientations hold X's one token, which the
-    # narrow splits read, with no bit, and the view made before the
-    # build shares them.
+    # The planes and tables of both orientations hold X's one code,
+    # which the narrow splits read, with no bit, and the view made
+    # before the build shares them.
     for v, w in ((view, other), (view._mirror, other._mirror)):
-        assert v._planes == {None: b""} and w._tables is v._tables
-        assert list(v._tables) == ["a"] and not any(v._tables["a"])
+        code = v._x[0]
+        assert set(v._x) == {code} and code not in v._y
+        assert v._planes == {code: bytes(8)} and w._tables is v._tables
+        assert list(v._tables) == [code] and not any(v._tables[code])

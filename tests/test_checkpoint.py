@@ -61,14 +61,14 @@ def _as_list(folded, m):
 def test_a_fold_from_the_checkpoint_equals_the_plain_fold(kind, m):
     # Each orientation of one view records its checkpoint on its first
     # fold of all its rows, then folds random runs from it. The reference
-    # is the tuple view of the same content, whose folds keep the list
-    # form; a fresh view of the same kind per run, which has no
+    # is the MinimalSeq view of the same content, which is never coded,
+    # so its folds keep the list form; a fresh view of the same kind per run, which has no
     # checkpoint to take, gives the form.
     rng = random.Random(m)
     taken = 0
     for _ in range(4):
         x, y = rand_string(rng, 90, 4), rand_string(rng, m, 4)
-        view, lists = kind_view(kind, x, y), kind_view("tuple", x, y)
+        view, lists = kind_view(kind, x, y), kind_view("minimal", x, y)
         for o, (fold_view, list_view) in enumerate(
                 zip(_orientations(view), _orientations(lists))):
             n = fold_view.len_x
@@ -164,7 +164,7 @@ def test_folds_from_a_later_row_or_over_part_of_y_never_record():
 
 
 @pytest.mark.parametrize("x, y", [
-    (tuple("abcd" * 20), tuple("dcba" * 30)),  # no bit-planes
+    (tuple(zip("abcd" * 20)), tuple(zip("dcba" * 30))),  # uncoded tokens
     (b"ab", b"ab" * 100),  # 2 levels, under ceil(200 / 64)
     ("abab", "ba" * 128),  # ceil(256 / 64) levels after the last row
     ("a", "b" * 30 + "a" * 9),  # one row: its level comes after it

@@ -104,7 +104,8 @@ def _cyclic_garbage(make):
         gc.enable()
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+@pytest.mark.parametrize("kind",
+                         ["str", "bytes", "tuple", "minimal"])
 def test_dropped_views_and_enumerators_leave_no_cyclic_garbage(kind):
     # A view refers to its mirror, and the mirror to no view, so a view
     # dropped after its folds, or an enumerator and the view it made with

@@ -177,11 +177,12 @@ def _stream(x, y, limit=None):
 
 
 def test_every_input_type_gives_the_same_stream():
-    # A str pair is searched with str.find; bytes, bytearray and int
-    # tuples or lists of bytes are coded as two bytes and searched with
-    # bytes.find; every other pair, mixed ones included, is held as two
-    # tuples searched with tuple.index, never with a substring search on
-    # the other side's elements. An int above 255 keeps its list uncoded.
+    # str, bytes, bytearray, tuples and lists, mixed pairs included, are
+    # coded as two str of codes when their tokens fit 256 codes, and
+    # searched with str.find, never with a substring search on the other
+    # side's elements; every other pair is held as two tuples searched
+    # with tuple.index. An int above 255 is one more token; a pair that
+    # needs 257 codes stays uncoded.
     rng = random.Random(11)
     for _ in range(60):
         x, y = rand_pair(rng, 24, sigmas=(1, 2, 4))
@@ -196,27 +197,29 @@ def test_every_input_type_gives_the_same_stream():
                      (MinimalSeq(bx), list(by)),
                      (wide_x, wide_y), (tuple(wide_x), wide_y)]:
             assert _stream(*pair) == want
-    wide = [ord("a"), 1000]
-    view = MatchView(wide, b"a")
-    assert (view._x, view._y) == (tuple(wide), (ord("a"),))  # as tuples
+    # 0..254 shared, 1000 only in X and 255 only in Y: 257 codes.
+    wide = [*range(255), 1000]
+    view = MatchView(wide, bytes(range(256)))
+    assert (view._x, view._y) == (tuple(wide), tuple(range(256)))  # as tuples
 
 
 def test_uncoded_tuples_and_lists_search_with_index():
-    # One-letter str tokens are not bytes, so a tuple or list pair of them
-    # stays uncoded: the view and its mirror hold two tuples each and
-    # search forward with index. It must give the str pair's stream,
-    # per-gap probes and peak cells.
+    # One-letter tuple tokens are none of the types _code takes, so a
+    # tuple or list pair of them stays uncoded: the view and its mirror
+    # hold two tuples each and search forward with index. It must give
+    # the str pair's stream, per-gap probes and peak cells.
     rng = random.Random(12)
     for n in (64, 150):
         x, y = rand_string(rng, n, 4), rand_string(rng, n, 4)
         want = _stream(x, y, 200)
-        for pair in [(tuple(x), tuple(y)), (list(x), list(y)),
-                     (tuple(x), list(y)), (MinimalSeq(x), tuple(y))]:
+        tx, ty = tuple(zip(x)), tuple(zip(y))
+        for pair in [(tx, ty), (list(tx), list(ty)),
+                     (tx, list(ty)), (MinimalSeq(tx), ty)]:
             view = MatchView(*pair)
             mirror = view._mirror
             assert view._find is mirror._find is core._index_find
-            assert (view._x, view._y) == (tuple(x), tuple(y))
-            assert (mirror._x, mirror._y) == (tuple(x[::-1]), tuple(y[::-1]))
+            assert (view._x, view._y) == (tx, ty)
+            assert (mirror._x, mirror._y) == (tx[::-1], ty[::-1])
             assert _stream(*pair, 200) == want
 
 

@@ -4,9 +4,10 @@
 the suffix table, after Greenberg (*Computing the number of longest
 common subsequences*, 2003). The enumerator, run to exhaustion on pairs
 of 40-200 characters whose count is small, must give exactly that many
-outputs, equal to ``oracle.lcs_position_stream``, on str, bytes and
-tuple views with len_y around 64 and 128: searches over fewer than 64
-positions, and over one or two words and a bit more, in both fold forms.
+outputs, equal to ``oracle.lcs_position_stream``, on str, bytes, tuple
+and ``MinimalSeq`` views with len_y around 64 and 128: searches over
+fewer than 64 positions, and over one or two words and a bit more, in
+both fold forms, and in the list form alone.
 Up to 14 characters the count must also equal the traceback oracle's.
 """
 
@@ -106,7 +107,7 @@ def _pairs(len_y):
 @pytest.mark.parametrize("len_y", [63, 64, 65, 127, 128, 129])
 def test_exhausted_streams_give_the_count_and_equal_the_walk(len_y):
     for x, y, count in _pairs(len_y):
-        for kind in ("str", "bytes", "tuple"):
+        for kind in ("str", "bytes", "tuple", "minimal"):
             enum = LcsEnumerator(kind_view(kind, x, y))
             stream = list(enum)
             assert len(stream) == count, (kind, x, y)

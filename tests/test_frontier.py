@@ -108,7 +108,8 @@ def _enumerated(view, limit=60):
     return outputs, steps
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+@pytest.mark.parametrize("kind",
+                         ["str", "bytes", "tuple", "minimal"])
 def test_composed_public_functions_equal_the_enumerator(kind):
     wrap = VIEW_KINDS[kind]
     for x, y in _pairs():
@@ -116,7 +117,8 @@ def test_composed_public_functions_equal_the_enumerator(kind):
         assert _composed(MatchView(x, y)) == _enumerated(MatchView(x, y))
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+@pytest.mark.parametrize("kind",
+                         ["str", "bytes", "tuple", "minimal"])
 def test_a_deep_copy_taken_mid_stream_continues_the_stream(kind):
     wrap = VIEW_KINDS[kind]
     for x, y in _pairs()[:6]:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MinimalSeq
 from lcs_enum import IndexRange, LcsEnumerator, MatchView, first_lcs, \
     prefix_thresholds, suffix_thresholds
 
@@ -59,10 +60,12 @@ def _inputs(case: dict):
     return x, y
 
 
-def _record(case: dict) -> dict:
-    """Everything the fixture pins for one case, from the current code."""
+def _record(case: dict, wrap=None) -> dict:
+    """Everything the fixture pins for one case, from the current code,
+    on the inputs as ``wrap`` holds them if it is given."""
     x, y = _inputs(case)
-    enum = LcsEnumerator(MatchView(x, y))
+    pair = (x, y) if wrap is None else (wrap(x), wrap(y))
+    enum = LcsEnumerator(MatchView(*pair))
     meter = enum.view.meter
     outputs, gap_probes = [], []
     while len(outputs) < MAX_OUTPUTS:
@@ -77,7 +80,7 @@ def _record(case: dict) -> dict:
               "live_cells": meter.live_cells, "finished": enum.finished,
               "subranges": []}
 
-    view = MatchView(x, y)
+    view = MatchView(*pair)
     rng = random.Random(f"golden-ranges:{case['kind']}:{x}:{y}")
     for _ in range(SUBRANGES):
         x_lo = rng.randint(1, len(x))
@@ -111,6 +114,10 @@ def test_golden_fixture_reproduced_exactly(index):
     got = _record(case)
     want = {key: value for key, value in entry.items() if key not in case}
     assert got == want
+    if case["kind"] == "tuple":
+        # The int tuples are coded; the same tokens as a MinimalSeq never
+        # are, so the list form alone must give the same record.
+        assert _record(case, MinimalSeq) == want
 
 
 if __name__ == "__main__":

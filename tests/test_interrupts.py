@@ -22,7 +22,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import kind_view, rand_string
+from conftest import MinimalSeq, kind_view, rand_string
 from lcs_enum import (IndexRange, LcsEnumerator, MatchView, Meter, find_branch,
                       first_lcs, greedy_embedding, prefix_thresholds,
                       split_point, suffix_thresholds)
@@ -95,7 +95,7 @@ def _cases():
     return [("abcab" * 8, "bacba" * 8, True, False),  # the first 30 outputs
             (x, y, True, True),  # 15 outputs
             (x.encode(), y.encode(), True, True),
-            (tuple(x), tuple(y), False, True)]
+            (tuple(zip(x)), tuple(zip(y)), False, True)]  # uncoded tokens
 
 
 @pytest.mark.parametrize("x, y, bit_rows, wide", _cases(),
@@ -215,9 +215,9 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
 def test_interrupt_in_a_split_fold_releases_its_cells(monkeypatch):
     # An interrupt in the third suffix row of a split, a row the mirror
     # folds, used to leave the split's prefix thresholds charged for the
-    # rest of the enumeration. Tuples keep the list rows; the str pair's
-    # narrow splits fold bit rows (the next test).
-    x, y = tuple("abcab" * 8), tuple("bacba" * 8)
+    # rest of the enumeration. An uncoded pair keeps the list rows; the
+    # str pair's narrow splits fold bit rows (the next test).
+    x, y = MinimalSeq("abcab" * 8), MinimalSeq("bacba" * 8)
     ref = LcsEnumerator(MatchView(x, y))
     want, _ = _run(ref)
     enum = LcsEnumerator(MatchView(x, y))
