@@ -31,6 +31,7 @@ charge the meter themselves.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 _CODABLE = (str, bytes, bytearray, tuple, list)
@@ -100,8 +101,10 @@ def _code(x: Sequence, y: Sequence) -> tuple[str, str] | None:
     code = dict.fromkeys(ys, chr(k + only_x))
     code.update(dict.fromkeys(xs, chr(k)))
     code.update(zip(shared, map(chr, range(k))))
+    # itemgetter looks the tokens up in one C call, about x0.75 of map's
+    # time on 128 tokens; it takes at least one key.
     return tuple(s.translate({ord(t): code[t] for t in ts}) if type(s) is str
-                 else "".join(map(code.__getitem__, s))
+                 else "".join(itemgetter(*s)(code)) if s else ""
                  for s, ts in ((x, xs), (y, ys)))
 
 
@@ -129,8 +132,11 @@ class _WindowTables(dict):
 
     Maps a code of X to a list whose entry k holds bits 64k..64k + 127 of
     its plane as an int, so a window under 64 positions is one list
-    index and a shift. The planes must be built before the first read.
-    Two threads may both build a code's table; either copy is right.
+    index and a shift. The code of X's tokens absent from Y has a plane
+    of zeros, at most one per orientation, ceil(len_y / 8) bytes, and
+    its table is built from it like any other. The planes must be built
+    before the first read. Two threads may both build a code's table;
+    either copy is right.
     """
 
     __slots__ = ("_planes",)

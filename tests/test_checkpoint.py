@@ -62,8 +62,8 @@ def test_a_fold_from_the_checkpoint_equals_the_plain_fold(kind, m):
     # Each orientation of one view records its checkpoint on its first
     # fold of all its rows, then folds random runs from it. The reference
     # is the MinimalSeq view of the same content, which is never coded,
-    # so its folds keep the list form; a fresh view of the same kind per run, which has no
-    # checkpoint to take, gives the form.
+    # so its folds keep the list form; a fresh view of the same kind per
+    # run, which has no checkpoint to take, gives the form.
     rng = random.Random(m)
     taken = 0
     for _ in range(4):

@@ -171,6 +171,10 @@ def test_absent_tokens_take_one_code_per_side():
     # True == 1 and b"a" != "a": the token rule, as hash and == say.
     cx, cy = core._code((True, b"a", "a"), [1, "a"])
     assert cx[0] == cy[0] and cx[2] == cy[1] and cx[1] not in cy
+    # One token, or none, on a side.
+    assert core._code((7,), ()) == ("\x00", "")
+    assert core._code([], b"a") == ("", "\x00")
+    assert core._code([7], (7, 8)) == ("\x00", "\x00\x01")
 
 
 def test_the_codes_fit_in_256():
