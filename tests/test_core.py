@@ -61,7 +61,8 @@ def test_render_bytes_and_tuples():
 
 
 def test_render_bytearray_as_bytearray():
-    # The pair is searched as two bytes; Y still renders in its own type.
+    # The pair is searched as two str of codes; Y still renders in its
+    # own type.
     view = MatchView(bytearray(b"abc"), bytearray(b"cab"))
     got = view.y_slice((1, 2))
     assert type(got) is bytearray and got == b"ca"
@@ -201,14 +202,16 @@ def test_scan_walk_telescopes_to_row_length():
 
 
 def test_fast_and_generic_paths_agree():
-    # str inputs take str.find, int tuples are coded as bytes and take
-    # bytes.find, and tuples of str tokens take tuple.index, each for the
-    # view and its mirror. Results and probe counts must be identical.
+    # str inputs, and tuples of str or int tokens, are coded and take
+    # str.find; tuples of one-letter tuples are not, and take
+    # tuple.index; each for the view and its mirror. Results and probe
+    # counts must be identical.
     sview = MatchView(X1, Y1)
     ranges = [IndexRange(lo, hi) for lo in range(1, 12)
               for hi in range(lo - 1, 12)]
     for tview in (MatchView(tuple(X1), tuple(Y1)),
-                  MatchView(tuple(X1.encode()), tuple(Y1.encode()))):
+                  MatchView(tuple(X1.encode()), tuple(Y1.encode())),
+                  MatchView(tuple(zip(X1)), tuple(zip(Y1)))):
         sview.meter = Meter()
         for i in range(1, 12):
             for r in ranges:

@@ -26,8 +26,10 @@ def pairs(draw):
 
 
 def views(x, y):
-    """str, bytes and tuple views of the same content."""
-    return [kind_view(kind, x, y) for kind in ("str", "bytes", "tuple")]
+    """str, bytes, tuple and MinimalSeq views of the same content; only
+    the last is never coded."""
+    return [kind_view(kind, x, y)
+            for kind in ("str", "bytes", "tuple", "minimal")]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -59,8 +61,8 @@ def test_every_gap_is_quadratic_and_cells_return_to_zero(pair):
         assert enum.view.meter.live_cells == 0, view
 
 
-# Four renamings of the symbols 0..3: other ASCII letters (bit rows
-# allowed), non-ASCII text (list rows only), bytes and int tokens.
+# Four renamings of the symbols 0..3: other ASCII letters, non-ASCII
+# text, bytes and int tokens. All four are coded, so bit rows may run.
 RELABELS = ("WXYZ", "\u00e9\u03b1\u044f\u4e2d", bytes((0, 255, 97, 10)),
             (7, -1, 10 ** 20, 3))
 RELABEL_OUTPUTS = 12

@@ -22,7 +22,8 @@ from lcs_enum import hirschberg
 from lcs_enum.hirschberg import (_FRAME_CELLS, _matched_cols, _matched_peak,
                                  _matched_rows, _split)
 
-KINDS = ("str", "bytes", "tuple")
+# The first three are coded; a MinimalSeq view keeps the list form.
+KINDS = ("str", "bytes", "tuple", "minimal")
 # Y widths: empty, short, and on both sides of one and two bit words.
 WIDTHS = tuple(range(10)) + (63, 64, 65, 127, 128, 129)
 
