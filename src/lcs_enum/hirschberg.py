@@ -35,13 +35,13 @@ Hyyro): the thresholds become the 0-bits of a w-bit integer V over the
 fold's w positions of Y, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
 mask. A fold's rows cut M from the view's bit-plane of the row's code,
-about w/8 bytes of it. The narrow kernel (below) reads it with one list
-index into the code's window table, whose entry k holds plane bits
-64k..64k + 127, so none of its reads makes a temporary wider than 128
+about w/8 bytes of it. The two narrow kernels (below) read it with one
+list index into the code's window table, whose entry k holds plane bits
+64k..64k + 127, so none of their reads makes a temporary wider than 128
 bits. The view and the mirror each hold a plane per code of X, 2 *
 len_y bits per code in all: one per token X and Y share, and one of
 zeros for all tokens only in X, if any. They are built at once on the
-orientation's first bit fold, and a table per code that a narrow split
+orientation's first bit fold, and a table per code that a narrow kernel
 has read, built on that first read: about len_y / 64 ints of up to 128
 bits. All are read-only input storage outside the cell count, like the
 coded pair and the mirror.
@@ -51,9 +51,12 @@ from the list form to the bit form: before the first row at which it
 holds ceil(w/64) levels, for w positions. V and its few w-bit
 temporaries then take a constant number of machine words per level, so
 the one-cell-per-level charge stays an upper bound on its space. Folds
-of other views keep the list form. A split under 64 positions folds
-both halves in one kernel, one word each, and reads its least maximizer
-off the two words, with no list (:func:`_narrow_split`). Other folds
+of other views keep the list form. A range under 64 positions is
+folded once, keeping every row's word, and its whole LCS read off the
+words (:func:`_narrow_lcs`); a split under 64 positions that the loop
+below still makes folds both halves in one kernel, one word each, and
+reads its least maximizer off the two words, with no list
+(:func:`_narrow_split`). Other folds
 run :func:`_bit_rows` and read V back into a list through a w-character
 string. The branch search's rows (:mod:`lcs_enum.branching`), the
 mirror's prefix rows over all of Y, take the same :func:`_fold` but keep
@@ -89,32 +92,58 @@ concatenation of the leftmost occurrences of the two halves, so
 solving the halves left to right emits it.
 
 One loop does so over an explicit stack of pending ranges, each with
-its LCS length once a split has found it. It solves three kinds of
-range without folding. One of two X characters takes the one or two
-searches its split and leaves need (:func:`_two_rows`). One whose LCS
-length equals its number of X characters takes one forward search per
-character (:func:`_matched_rows`): every character is matched, so its
-leftmost LCS is the greedy embedding, each split a recursion would make
-falls at a greedy end, and its probes and peak cells follow in closed
-form. One whose LCS length equals its width w, below its number of X
-characters, is Y's range itself (:func:`_matched_cols`): every position
-is matched, each split falls where a backward greedy walk of the right
-half ends, and its probes follow from the walks. Its peak cells, which
-need folds, are at most 6 * bit_length(r - 1) + w + min(r, w) for r
-rows: a leaf holds at most that, a split min(r_lo, w) + min(r_hi, w)
-levels, and each part, a frame deeper, has at most ceil(r / 2) rows,
-the right one above the left one's w_lo = w - w_hi cells. That bound is
-read before any walk, and the range solved only when it cannot pass
-the meter's peak. The loop charges every probe and cell that a
-recursion over the same splits would, where the recursion would charge
-it, or for a kernel at once. The levels and frames that a kernel
-replays in the meter never exist, so the real auxiliary memory stays
-under the charge.
+its LCS length once a split has found it. It solves four kinds of
+range without splitting them. One of two X characters takes the one or
+two searches its split and leaves need (:func:`_two_rows`). One whose
+LCS length equals its number of X characters takes one forward search
+per character (:func:`_matched_rows`): every character is matched, so
+its leftmost LCS is the greedy embedding, each split a recursion would
+make falls at a greedy end, and its probes and peak cells follow in
+closed form. One whose LCS length equals its width w, below its number
+of X characters, is Y's range itself (:func:`_matched_cols`): every
+position is matched, each split falls where a backward greedy walk of
+the right half ends, and its probes follow from the walks. One under 64
+positions of a view with bit-planes is folded once, its leftmost LCS
+read off the kept words, and its probes replayed from one backward
+greedy walk of that answer (:func:`_narrow_lcs`).
+
+The last two rest on the split lemma. Take a range X[a..b] x Y[c..d],
+b > a, with leftmost LCS P of length L, let i_mid = (a + b) // 2 and h
+the length of the longest suffix of P that embeds into X[i_mid + 1..b].
+Then the split falls after P[L - h], or before c if h = L, with lengths
+L - h and h, and the parts' leftmost LCSs are P's two pieces. For the
+left length l, the least maximizer is P[l], or c - 1 if l = 0: a larger
+split would leave P[l] a maximizer too. P joins the two parts' leftmost
+LCSs (above), so its last L - l positions embed into the right half,
+and l >= L - h; its first L - h embed into the left half, as P embeds
+into X[a..b] and h is maximal, so P[L - h] is a maximizer, and l = L -
+h. So each part of the recursion solves the positions of P whose
+backward greedy rows in X[a..b] fall in its rows.
+
+Nor do they fold to learn the recursion's peak cells. Over r rows and an
+LCS length of at most lambda, the recursion holds at most 6 *
+bit_length(r - 1) + 2 * lambda cells above its range's frame
+(:func:`_recursion_peak`), 6 being a frame's cells, by induction on r.
+An empty range holds nothing more, and a one-row leaf at most its one
+appended cell, none if lambda = 0. A split holds its two halves' levels,
+at most lambda each, and releases them; each part, of lengths l and L -
+l with L <= lambda, has at most ceil(r / 2) rows, one bit fewer in r -
+1, and sits a frame deeper: the left part holds at most 6 *
+bit_length(r - 1) + 2l, and the right part, above the left one's l
+appended cells, l + 6 * bit_length(r - 1) + 2(L - l). The kernels hold
+no more than the recursion they replace: the first two charge exactly
+its cells; the last two run only if the live cells plus the bound, and
+for the narrow kernel the r + 1 + 2 * lambda cells it really holds,
+stay within the meter's peak, so neither the recursion nor the kernel
+could move it. The loop charges every probe and cell that a recursion
+over the same splits would, where the recursion would charge it, or for
+a kernel at once. The levels and frames that a kernel replays in the
+meter never exist, so the real auxiliary memory stays under the charge.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cache
 
 from .core import IndexRange, MatchView, _bit_planes
@@ -562,6 +591,12 @@ def _matched_cols_probes(find, x, y, n: int, i_lo: int, i_hi: int,
                                    j_hi))
 
 
+def _recursion_peak(r: int, length: int) -> int:
+    """The most cells the recursion over a range of r rows, of LCS length
+    at most ``length``, holds above the range's frame (module docstring)."""
+    return _FRAME_CELLS * (r - 1).bit_length() + 2 * length
+
+
 def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                   j_hi: int, out: list[int]) -> bool:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
@@ -570,25 +605,15 @@ def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     recursion over it might move the meter's peak.
 
     The LCS is Y[j_lo..j_hi] itself, and the recursion's probes follow
-    from greedy walks (:func:`_matched_cols_probes`). Its peak cells
-    above the range's frame are at most 6 * bit_length(r - 1) + w +
-    min(r, w), 6 being a frame's cells, by induction on the split tree:
-
-    - a leaf holds at most that, :func:`_matched_peak` of r rows over r
-      positions included;
-    - a split holds at most min(r_lo, w) + min(r_hi, w) levels;
-    - each part sits a frame deeper with at most ceil(r / 2) rows, one
-      bit fewer, the right part above the left one's w_lo cells, with
-      w_hi = w - w_lo.
-
-    With w < r that is 6 * bit_length(r - 1) + 2w. If the live cells
-    plus it stay within the meter's peak, the recursion could not have
-    moved it: the probes are charged at once, then j_lo..j_hi appended
-    and charged, so an interrupt at the charge leaves nothing appended.
+    from greedy walks (:func:`_matched_cols_probes`). If the live cells
+    plus :func:`_recursion_peak` of r rows and length w stay within the
+    meter's peak, the recursion could not have moved it: the probes are
+    charged at once, then j_lo..j_hi appended and charged, so an
+    interrupt at the charge leaves nothing appended.
     """
     w = j_hi - j_lo + 1
     meter = view._meter
-    if (meter.live_cells + _FRAME_CELLS * (i_hi - i_lo).bit_length() + 2 * w
+    if (meter.live_cells + _recursion_peak(i_hi - i_lo + 1, w)
             > meter.peak_cells):
         return False
     meter.eq_queries += _matched_cols_probes(
@@ -596,6 +621,118 @@ def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
         j_hi)
     out += range(j_lo, j_hi + 1)
     meter.grow(w)
+    return True
+
+
+def _narrow_lcs(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
+                length: int, out: list[int]) -> bool:
+    """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
+    a range of r >= 3 rows over w < 64 positions of a view with
+    bit-planes, of LCS length ``length`` (-1 if unknown), and return
+    True; or, with no fold and no charge, return False if the view has no
+    planes, the range is wider, or the recursion or this kernel might
+    move the meter's peak.
+
+    With lambda the length or min(r, w), the recursion holds at most
+    :func:`_recursion_peak` of r and lambda above the range's frame, and
+    the kernel r + 1 words, the answer and its rows, so it runs only if
+    the live cells plus the larger of the two stay within the peak.
+
+    One pass folds the r rows as the mirror's prefix rows over the
+    mirrored window, reading masks from its window tables, and keeps
+    every word: ``words[t]`` marks the suffix thresholds of X[i_hi - t +
+    1..i_hi], bit s + q standing for Y[j_hi - q]. The answer takes each
+    position in turn: the least j, each tried once, whose first match in
+    X past the last chosen row, at 0-based index g, leaves the rest of
+    the LCS in ``words[i_hi - 1 - g]`` below bit s + j_hi - j. Once as
+    many rows are left as positions still needed, all are matched, and
+    the rest is their greedy embedding.
+
+    By the split lemma (module docstring), one backward greedy walk of
+    the answer fixes the whole split tree, and its probes follow: r * w
+    per split, a leaf's scan, and w * (2r - popcount(r)) for a part with
+    no position, whose splits all leave their left parts empty. They are
+    charged at once, before the answer is appended, so an interrupt
+    appends nothing.
+    """
+    r, w = i_hi - i_lo + 1, j_hi - j_lo + 1
+    meter = view._meter
+    bound = min(r, w) if length < 0 else length
+    if (view._planes is None or w >= _BIT_POSITIONS_PER_LEVEL
+            or meter.live_cells + max(_recursion_peak(r, bound),
+                                      r + 1 + 2 * bound) > meter.peak_cells):
+        return False
+    mirror = view._mirror
+    if not mirror._planes:
+        _build_planes(mirror)
+    n, tables, mx = view.len_x, mirror._tables, mirror._x
+    b0 = view.len_y - j_hi
+    k, s = b0 >> 6, b0 & 63
+    full = ((1 << w) - 1) << s
+    v = full
+    words = [0]
+    for i in range(n - i_hi, n - i_lo + 1):
+        u = v & tables[mx[i]][k]
+        v = ((v + u) | (v - u)) & full
+        words.append(v ^ full)
+    need = words[r].bit_count() if length < 0 else length
+    find, x, y = view._find, view._x, view._y
+    p = []
+    h, e = i_lo - 1, s + j_hi
+    j = j_lo
+    while need:
+        if need == i_hi - h:
+            # Every row left is matched: the rest is their greedy embedding.
+            k = j - 1
+            for i in range(h, i_hi):
+                k = find(y, x[i], k, j_hi) + 1
+                p.append(k)
+            break
+        g = find(x, y[j - 1], h, i_hi)
+        if g >= 0 and (words[i_hi - 1 - g]
+                       & ((1 << (e - j)) - 1)).bit_count() >= need - 1:
+            p.append(j)
+            h = g + 1
+            need -= 1
+        j += 1
+    # Backward greedy rows of p, from the mirror's X: index k - 1 there
+    # is row n + 1 - k.
+    rows = []
+    k, stop = n - i_hi, n - i_lo + 1
+    for j in reversed(p):
+        k = find(mx, y[j - 1], k, stop) + 1
+        rows.append(n + 1 - k)
+    rows.reverse()
+    # Only splits with positions are stacked: a one-row part costs its
+    # scan, and a part with no position its closed form.
+    probes = 0 if p else w * (2 * r - r.bit_count())
+    stack = [(i_lo, i_hi, j_lo, j_hi, 0, len(p))] if p else []
+    while stack:
+        a, b, c, d, lo, hi = stack.pop()
+        probes += (b - a + 1) * (d - c + 1)
+        mid = (a + b) // 2
+        t = bisect_right(rows, mid, lo, hi)
+        j_mid = c - 1
+        if t > lo:
+            j_mid = p[t - 1]
+            if mid > a:
+                stack.append((a, mid, c, j_mid, lo, t))
+            else:
+                probes += p[lo] - c + 1
+        if j_mid < d:
+            q = b - mid
+            if t == hi:
+                probes += (d - j_mid) * (2 * q - q.bit_count())
+            elif q > 1:
+                stack.append((mid + 1, b, j_mid + 1, d, t, hi))
+            else:
+                probes += p[t] - j_mid
+    cells = len(words) + 2 * len(p)
+    meter.grow(cells)
+    meter.shrink(cells)
+    meter.eq_queries += probes
+    out += p
+    meter.grow(len(p))
     return True
 
 
@@ -609,10 +746,11 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     length (unknown at the root), left range first. A range of one X
     character is a scan for its least match, a longer one whose length
     is its row count is :func:`_matched_rows`, one of two is
-    :func:`_two_rows`, and one whose length is its width is
-    :func:`_matched_cols` unless that hands it back. Any other is split,
-    pushing the right part under the left with the lengths the split
-    found. The meter holds one frame per level of the range being
+    :func:`_two_rows`, one whose length is its width is
+    :func:`_matched_cols` and any other :func:`_narrow_lcs`, unless the
+    kernel hands it back. A range handed back is split, pushing the
+    right part under the left with the lengths the split found. The
+    meter holds one frame per level of the range being
     solved, grown and shrunk where a recursion would enter and leave its
     calls, so probes and peak cells are the recursion's. Frames are
     released when it returns or raises.
@@ -642,8 +780,10 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
                 _matched_rows(view, i_lo, i_hi, j_lo, j_hi, out)
             elif i_lo + 1 == i_hi:
                 _two_rows(view, i_lo, j_lo, j_hi, out)
-            elif not (length == j_hi - j_lo + 1
-                      and _matched_cols(view, i_lo, i_hi, j_lo, j_hi, out)):
+            elif not ((length == j_hi - j_lo + 1
+                       and _matched_cols(view, i_lo, i_hi, j_lo, j_hi, out))
+                      or _narrow_lcs(view, i_lo, i_hi, j_lo, j_hi, length,
+                                     out)):
                 i_mid, j_mid, lo_length, hi_length = _split(
                     view, i_lo, i_hi, j_lo, j_hi)
                 stack.append((i_mid + 1, i_hi, j_mid + 1, j_hi, d + 1,

@@ -433,6 +433,51 @@ def test_narrow_restart_memory_does_not_grow_with_y(kind):
     assert max(peaks) - min(peaks) <= NARROW_PEAK_MARGIN, peaks
 
 
+# Bytes the narrow kernel may allocate per cell it holds: its words, the
+# answer and the answer's rows, each an int of at most 127 bits (44 bytes
+# on 64-bit CPython 3.11) and a list slot; and the bytes it may allocate
+# besides, for its stack of nodes and the tuple first_lcs returns.
+# Measured on CPython 3.10-3.13: 37-65 bytes per cell, the most at r = 3,
+# where about 200 bytes of fixed cost spread over 10 cells.
+NARROW_KERNEL_CELL_BYTES = 56
+NARROW_KERNEL_FIXED_BYTES = 512
+
+
+@pytest.mark.parametrize("r", [8, 60, 600])
+def test_narrow_kernel_memory_is_its_words_and_answer(r):
+    # r rows over a Y window of 50, under a raised peak: one call of the
+    # narrow kernel. It holds r + 1 words and the answer's L positions
+    # and L rows, so its traced peak stays within A * (r + 1 + 2L) + B
+    # bytes, and flat while |Y| grows x16. The mirror's planes and tables
+    # are input storage, built, like any first-call state, by an
+    # untraced call before.
+    peaks = []
+    for m in (4096, 65536):
+        rng = random.Random(10)
+        x, window = rand_string(rng, r, 4), rand_string(rng, 50, 4)
+        lo = m // 2
+        y = (rand_string(rng, lo - 1, 4) + window
+             + rand_string(rng, m - lo - 49, 4))
+        view = MatchView(x, y)
+        view.meter.grow(1 << 20)
+        view.meter.shrink(1 << 20)
+        yr = IndexRange(lo, lo + 49)
+        p = first_lcs(view, None, yr)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert first_lcs(view, None, yr) == p
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        # Only the kernel ran: a split would have built the view's tables.
+        assert view._tables == {} and view._mirror._tables
+        cells = r + 1 + 2 * len(p)
+        assert peaks[-1] <= (NARROW_KERNEL_CELL_BYTES * cells
+                             + NARROW_KERNEL_FIXED_BYTES), (peaks, cells)
+    assert max(peaks) - min(peaks) <= NARROW_PEAK_MARGIN, peaks
+
+
 # Bytes per entry of a window table: a list slot and an int of at most
 # 128 bits, 8 + 48 on CPython 3.11, with room to spare.
 TABLE_ENTRY_BYTES = 64
@@ -442,10 +487,12 @@ def test_window_tables_hold_only_the_tokens_narrow_splits_read():
     # A pair over all 256 byte values, |Y| = 65,536. Wide folds and the
     # branch search cut their masks from the planes and build no table.
     # A first_lcs over a 50-position window and 60 rows of X that hold 4
-    # values builds the tables of those 4 tokens' codes in each
-    # orientation and no other, so its traced peak is bounded by 8
-    # tables, whatever the alphabet; tables for all 140 codes of X, in
-    # both orientations, would take some 6 MB, over ten times the bound.
+    # values, under a peak the wide folds raised, is one call of the
+    # narrow kernel, which folds the mirror's rows alone: it builds the
+    # mirror's tables of those 4 tokens' codes and no other, and none of
+    # the view's. So its traced peak is bounded by 8 tables, whatever the
+    # alphabet; tables for all 140 codes of X, in both orientations,
+    # would take some 6 MB, over ten times the bound.
     rng = random.Random(13)
     m, lo = 65536, 32768
     quad = bytes(range(97, 101))
@@ -470,7 +517,7 @@ def test_window_tables_hold_only_the_tokens_narrow_splits_read():
         tracemalloc.stop()
     narrow_codes = set(view._x[100:160])
     assert len(narrow_codes) == len(set(narrow_x)) == 4
-    assert set(view._tables) == set(view._mirror._tables) == narrow_codes
+    assert view._tables == {} and set(view._mirror._tables) == narrow_codes
     assert peak <= 8 * (m // 64) * TABLE_ENTRY_BYTES, peak
 
 

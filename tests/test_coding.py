@@ -147,15 +147,19 @@ def test_every_form_gives_the_streams_probes_and_cells(monkeypatch, name):
     else:
         assert (view._x, view._y) == (tuple(x), tuple(y))
     ran = set()  # the bit-row kernels that ran
-    for kernel in ("_bit_rows", "_narrow_split"):
+    kernels = ("_bit_rows", "_narrow_split", "_narrow_lcs")
+    for kernel in kernels:
         def record(*args, kernel=kernel, run=getattr(hirschberg, kernel)):
-            ran.add(kernel)
-            return run(*args)
+            result = run(*args)
+            if result is not False:  # the narrow kernel may hand back
+                ran.add(kernel)
+            return result
         monkeypatch.setattr(hirschberg, kernel, record)
     got = _stream(x, y)
     monkeypatch.undo()
-    # Every coded pair here takes both, wide folds and narrow splits.
-    assert len(ran) == (2 if coded else 0), ran
+    # Every coded pair here takes all three: wide folds, narrow splits in
+    # the first output, and the narrow kernel.
+    assert ran == (set(kernels) if coded else set()), ran
     assert got[0] == list(islice(lcs_position_stream(MatchView(x, y)), LIMIT))
     assert got == _stream(*_relabelled(x, y))
     assert got == _stream(MinimalSeq(x), MinimalSeq(y))

@@ -110,8 +110,9 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     # of Y that switches, which records the checkpoint the later ones
     # start from.
     kernel_at = {"_two_rows": [], "_matched_rows": [], "_matched_cols": [],
-                 "_narrow_split": [], "_fold_prefix_row": [],
-                 "_fold_prefix_row (mirror)": [], "checkpoint": []}
+                 "_narrow_lcs": [], "_narrow_split": [],
+                 "_fold_prefix_row": [], "_fold_prefix_row (mirror)": [],
+                 "checkpoint": []}
     ref = LcsEnumerator(MatchView(x, y))
 
     def recorder(name):
@@ -119,11 +120,15 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
 
         def record(view, *args):
             kernel_at[name].append(view.meter.eq_queries)
-            return kernel(view, *args)
+            solved = kernel(view, *args)
+            # A kernel that hands its range back charges nothing.
+            if solved is False:
+                kernel_at[name].pop()
+            return solved
         return record
 
     for name in ("_two_rows", "_matched_rows", "_matched_cols",
-                 "_narrow_split"):
+                 "_narrow_lcs", "_narrow_split"):
         monkeypatch.setattr(hirschberg, name, recorder(name))
     fold_row, fold, fold_bits = (hirschberg._fold_prefix_row,
                                  hirschberg._fold, hirschberg._bit_rows)
@@ -196,9 +201,21 @@ def test_interrupted_enumeration_resumes_to_the_same_stream(monkeypatch, x, y,
     if ref.finished:
         assert ref.view.meter.live_cells == 0
     # Suffix rows, of a split or of the search, are the mirror's prefix rows.
-    assert {"_fold (mirror)", "_two_rows", "_matched_rows", "_matched_cols",
+    assert {"_fold (mirror)", "_two_rows", "_matched_rows",
             "_branch_search"} <= hit
-    assert ("_narrow_split" in hit) == bit_rows
+    # Every kernel that charged in the uninterrupted run was interrupted at
+    # its charge. On the coded 130 x 150 pairs the narrow kernel solves
+    # every narrow range under the root before one matched in every Y
+    # position comes up; the periodic pair's first output and the
+    # uncoded pair still reach _matched_cols.
+    kernels = {"_two_rows", "_matched_rows", "_matched_cols", "_narrow_lcs",
+               "_narrow_split"}
+    assert {name for name in kernels if kernel_at[name]} <= hit
+    assert ("_matched_cols" in hit) == (not (bit_rows and wide))
+    # The narrow kernel solves the narrow ranges once the meter's peak is
+    # high enough, and hands the others, in the first output, to
+    # _narrow_split.
+    assert ("_narrow_lcs" in hit) == ("_narrow_split" in hit) == bit_rows
     assert split_bit_rows == (bit_rows and wide)
     # With bit-planes, the view folds list rows only in splits 64 or more
     # positions wide; the mirror folds them in those and in the search,
@@ -289,6 +306,29 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     assert got == want
     assert enum.view.meter.live_cells == ref.view.meter.live_cells
     assert enum.counters.outputs_emitted == len(want)
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+def test_an_interrupt_at_the_narrow_kernels_charge_appends_nothing(kind):
+    # The kernel charges its probes once, after its fold and walks and
+    # before it appends: an interrupt there leaves the buffer as it was,
+    # its cells released and the peak the one it was entered with.
+    rng = random.Random(14)
+    x, y = rand_string(rng, 40, 4), rand_string(rng, 30, 4)
+    view = kind_view(kind, x, y)
+    view.meter = meter = InterruptingMeter(0)
+    meter.grow(1000)
+    meter.shrink(995)
+    out = [7]
+    with pytest.raises(KeyboardInterrupt) as raised:
+        hirschberg._narrow_lcs(view, 3, 38, 2, 29, -1, out)
+    assert "_narrow_lcs" in _frames(raised.tb, view._mirror)
+    assert out == [7]
+    assert (meter.eq_queries, meter.live_cells, meter.peak_cells) == \
+        (0, 5, 1000)
+    assert hirschberg._narrow_lcs(view, 3, 38, 2, 29, -1, out)
+    assert out[1:] == list(first_lcs(kind_view(kind, x, y), IndexRange(3, 38),
+                                     IndexRange(2, 29)))
 
 
 @pytest.mark.parametrize("fn", [first_lcs, prefix_thresholds,

@@ -188,3 +188,90 @@ def test_first_lcs_charges_the_models_probes_and_peak(kernel_calls, kind):
     ran = set(kernel_calls)
     assert ran >= {"_two_rows", "_matched_rows", "_matched_cols"}, ran
     assert ("_narrow_split" in ran) == (kind != "minimal")
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple", "minimal"])
+def test_the_recursion_peaks_within_the_shared_bound(kind):
+    # _recursion_peak bounds the recursion's cells above a range's frame
+    # by its rows and LCS length alone; _matched_cols and _narrow_lcs
+    # admit a range by it. first_lcs on a fresh meter reaches the model's
+    # peak (_check), so the bound holds for it on every kind.
+    for case in [*_ranges(f"bound {kind}", 150, 70, 70),
+                 *_ranges(f"wide bound {kind}", 15, 130, 140)]:
+        x, y, xr, yr = case
+        above = _check(kind, *case)
+        length = len(leftmost_lcs(x, y, xr.lo, xr.hi, yr.lo, yr.hi))
+        bound = FRAME + hirschberg._recursion_peak(xr.length, length)
+        assert above <= bound, case
+
+
+def _no_split(*args):
+    raise AssertionError("a range was split")
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+def test_the_narrow_kernel_charges_the_models_probes(monkeypatch, kind):
+    # With the meter's peak raised past any range's, the kernel solves
+    # every range of 3 or more rows under 64 positions of a coded view
+    # at its root, unknown length and all, and nothing is split. Called
+    # alone with the length known, as a split's parts are, it appends the
+    # same answer, charges the same probes and leaves the answer's cells.
+    solved = []
+    narrow = hirschberg._narrow_lcs
+
+    def record(*args):
+        solved.append(narrow(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(hirschberg, "_narrow_lcs", record)
+    monkeypatch.setattr(hirschberg, "_split", _no_split)
+    for case in _ranges(f"narrow {kind}", 300, 100, 63):
+        x, y, xr, yr = case
+        solved.clear()
+        _check(kind, *case, live=3, peak=1 << 20)
+        kernel = xr.length >= 3 and yr.length > 0
+        assert solved == [True] * kernel, case
+        if not kernel:
+            continue
+        want, probes, _ = restart_model(*map(VIEW_KINDS[kind], (x, y)),
+                                        xr.lo, xr.hi, yr.lo, yr.hi)
+        view = kind_view(kind, x, y)
+        meter = view.meter
+        meter.grow(1 << 20)
+        meter.shrink((1 << 20) - 3)
+        out = []
+        assert narrow(view, xr.lo, xr.hi, yr.lo, yr.hi, len(want), out)
+        assert (tuple(out), meter.eq_queries) == (want, probes), case
+        assert (meter.live_cells, meter.peak_cells) == (3 + len(want), 1 << 20)
+
+
+# Pairs of 200-300 characters: a first output's root split is wide, and
+# the narrow ranges under it meet a peak its levels have raised.
+FIXED_PAIRS = {
+    "rand4": (250, 250, 4),
+    "rand2": (220, 280, 2),
+    "rand8": (300, 200, 8),
+}
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+@pytest.mark.parametrize("name", [*FIXED_PAIRS, "periodic"])
+def test_the_narrow_kernel_runs_under_wide_splits(monkeypatch, kind, name):
+    if name == "periodic":
+        # (abcd)^60 against (dcba)^60 solves its first output with
+        # _matched_cols under the root; this order leaves narrow ranges.
+        x, y = "abcd" * 60, "dbca" * 60
+    else:
+        rng = random.Random(name)
+        n, m, sigma = FIXED_PAIRS[name]
+        x, y = rand_string(rng, n, sigma), rand_string(rng, m, sigma)
+    solved = []
+    narrow = hirschberg._narrow_lcs
+
+    def record(*args):
+        solved.append(narrow(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(hirschberg, "_narrow_lcs", record)
+    _check(kind, x, y, IndexRange(1, len(x)), IndexRange(1, len(y)))
+    assert True in solved
