@@ -186,7 +186,7 @@ class MatchView:
     characters, or two tuples of references), the planes, len_y bits per
     code of X in each orientation (one code per token X and Y share, and
     at most one more, of zeros, for the tokens only in X), the tables,
-    about len_y / 64 ints of up to 128 bits per code a narrow split has
+    about len_y / 64 ints of up to 128 bits per code a narrow kernel has
     read in each orientation, and the checkpoints, one int of len_y bits
     (ceil(len_y / 64) words) in each orientation, are read-only input
     storage, outside the cell count. ``y_slice`` renders the original Y

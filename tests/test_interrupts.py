@@ -5,11 +5,11 @@ charge past a chosen total, which lands it at the start of a threshold
 row (in the list or the bit form, of the view or of its mirror, which
 folds the suffix rows, among them the two one-word folds of a narrow
 split), at the one charge of a fold's list rows up to its checkpoint,
-in a match search of ``first_lcs``,
-at the one charge of its two-row kernel, of its kernel for fully
-matched ranges or of its kernel for ranges matched in every position of
-the second string, or inside the branch search, whose rows also take
-either form; the search's uncharged walk of the kept prefix from the
+in a match search of ``first_lcs``, at the one charge of its two-row
+kernel, of its kernel for fully matched ranges, of its kernel for
+ranges matched in every position of the second string or of its narrow
+kernel, or inside the branch search, whose rows also take either form;
+the search's uncharged walk of the kept prefix from the
 carried mark is interrupted directly. After the interrupt the caller
 simply calls again: the stream must equal the uninterrupted one, every
 cell must be released at exhaustion, and ``outputs_emitted`` must count

@@ -126,12 +126,15 @@ KERNELS = ("_two_rows", "_matched_rows", "_matched_cols", "_narrow_split")
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The name of every restart kernel call, in call order."""
+    """The name of every restart kernel call that did not hand its range
+    back, in call order."""
     calls = []
     for name in KERNELS:
         def record(*args, name=name, run=getattr(hirschberg, name)):
-            calls.append(name)
-            return run(*args)
+            result = run(*args)
+            if result is not False:
+                calls.append(name)
+            return result
         monkeypatch.setattr(hirschberg, name, record)
     return calls
 
@@ -183,10 +186,11 @@ def _check(kind, x, y, xr, yr, live=0, peak=0):
 def test_first_lcs_charges_the_models_probes_and_peak(kernel_calls, kind):
     for t, case in enumerate(_ranges(kind, 400, 70, 70)):
         _check(kind, *case, live=t % 3)
-    for t, case in enumerate(_ranges(f"wide {kind}", 30, 130, 140)):
+    for case in _ranges(f"wide {kind}", 30, 130, 140):
         _check(kind, *case)
     ran = set(kernel_calls)
     assert ran >= {"_two_rows", "_matched_rows", "_matched_cols"}, ran
+    # A MinimalSeq view is never coded, so it has no bit-planes.
     assert ("_narrow_split" in ran) == (kind != "minimal")
 
 
@@ -205,32 +209,38 @@ def test_the_recursion_peaks_within_the_shared_bound(kind):
         assert above <= bound, case
 
 
+@pytest.fixture
+def narrow_solved(monkeypatch):
+    """What each call of the narrow kernel returned, in call order."""
+    solved = []
+
+    def record(*args, run=hirschberg._narrow_lcs):
+        solved.append(run(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(hirschberg, "_narrow_lcs", record)
+    return solved
+
+
 def _no_split(*args):
     raise AssertionError("a range was split")
 
 
 @pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
-def test_the_narrow_kernel_charges_the_models_probes(monkeypatch, kind):
+def test_the_narrow_kernel_charges_the_models_probes(monkeypatch,
+                                                     narrow_solved, kind):
     # With the meter's peak raised past any range's, the kernel solves
     # every range of 3 or more rows under 64 positions of a coded view
     # at its root, unknown length and all, and nothing is split. Called
     # alone with the length known, as a split's parts are, it appends the
     # same answer, charges the same probes and leaves the answer's cells.
-    solved = []
-    narrow = hirschberg._narrow_lcs
-
-    def record(*args):
-        solved.append(narrow(*args))
-        return solved[-1]
-
-    monkeypatch.setattr(hirschberg, "_narrow_lcs", record)
     monkeypatch.setattr(hirschberg, "_split", _no_split)
     for case in _ranges(f"narrow {kind}", 300, 100, 63):
         x, y, xr, yr = case
-        solved.clear()
+        narrow_solved.clear()
         _check(kind, *case, live=3, peak=1 << 20)
         kernel = xr.length >= 3 and yr.length > 0
-        assert solved == [True] * kernel, case
+        assert narrow_solved == [True] * kernel, case
         if not kernel:
             continue
         want, probes, _ = restart_model(*map(VIEW_KINDS[kind], (x, y)),
@@ -240,7 +250,8 @@ def test_the_narrow_kernel_charges_the_models_probes(monkeypatch, kind):
         meter.grow(1 << 20)
         meter.shrink((1 << 20) - 3)
         out = []
-        assert narrow(view, xr.lo, xr.hi, yr.lo, yr.hi, len(want), out)
+        assert hirschberg._narrow_lcs(view, xr.lo, xr.hi, yr.lo, yr.hi,
+                                      len(want), out)
         assert (tuple(out), meter.eq_queries) == (want, probes), case
         assert (meter.live_cells, meter.peak_cells) == (3 + len(want), 1 << 20)
 
@@ -256,7 +267,7 @@ FIXED_PAIRS = {
 
 @pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
 @pytest.mark.parametrize("name", [*FIXED_PAIRS, "periodic"])
-def test_the_narrow_kernel_runs_under_wide_splits(monkeypatch, kind, name):
+def test_the_narrow_kernel_runs_under_wide_splits(narrow_solved, kind, name):
     if name == "periodic":
         # (abcd)^60 against (dcba)^60 solves its first output with
         # _matched_cols under the root; this order leaves narrow ranges.
@@ -265,13 +276,5 @@ def test_the_narrow_kernel_runs_under_wide_splits(monkeypatch, kind, name):
         rng = random.Random(name)
         n, m, sigma = FIXED_PAIRS[name]
         x, y = rand_string(rng, n, sigma), rand_string(rng, m, sigma)
-    solved = []
-    narrow = hirschberg._narrow_lcs
-
-    def record(*args):
-        solved.append(narrow(*args))
-        return solved[-1]
-
-    monkeypatch.setattr(hirschberg, "_narrow_lcs", record)
     _check(kind, x, y, IndexRange(1, len(x)), IndexRange(1, len(y)))
-    assert True in solved
+    assert True in narrow_solved
