@@ -35,29 +35,29 @@ Hyyro): the thresholds become the 0-bits of a w-bit integer V over the
 fold's w positions of Y, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
 mask. A fold's rows cut M from the view's bit-plane of the row's code,
-about w/8 bytes of it. The two narrow kernels (below) read it with one
-list index into the code's window table, whose entry k holds plane bits
-64k..64k + 127, so none of their reads makes a temporary wider than 128
-bits. The view and the mirror each hold a plane per code of X, 2 *
-len_y bits per code in all: one per token X and Y share, and one of
-zeros for all tokens only in X, if any. They are built at once on the
-orientation's first bit fold, and a table per code that a narrow kernel
-has read, built on that first read: about len_y / 64 ints of up to 128
-bits. All are read-only input storage outside the cell count, like the
-coded pair and the mirror.
+about w/8 bytes of it. The two kernels below read it under 64 positions
+with one list index into the code's window table, whose entry k holds
+plane bits 64k..64k + 127, so none of those reads makes a temporary
+wider than 128 bits. The view and the mirror each hold a plane per code
+of X, 2 * len_y bits per code in all: one per token X and Y share, and
+one of zeros for all tokens only in X, if any. They are built at once on
+the orientation's first bit fold, and a table per code that a kernel
+has read under 64 positions, built on that first read: about len_y / 64 ints of up
+to 128 bits. All are read-only input storage outside the cell count,
+like the coded pair and the mirror.
 
 One function, :func:`_fold`, switches a fold of a view with bit-planes
 from the list form to the bit form: before the first row at which it
 holds ceil(w/64) levels, for w positions. V and its few w-bit
 temporaries then take a constant number of machine words per level, so
 the one-cell-per-level charge stays an upper bound on its space. Folds
-of other views keep the list form. A range under 64 positions is
-folded once, keeping every row's word, and its whole LCS read off the
-words (:func:`_narrow_lcs`); a split under 64 positions that the loop
-below still makes folds both halves in one kernel, one word each, and
-reads its least maximizer off the two words, with no list
-(:func:`_narrow_split`). Other folds
-run :func:`_bit_rows` and read V back into a list through a w-character
+of other views keep the list form. A range whose kept words fit under
+the meter's peak, at any width, is folded once, keeping every row's
+word, and its whole LCS read off the words (:func:`_narrow_lcs`); a
+split under 64 positions that the loop below still makes folds both
+halves in one kernel, one word each, and reads its least maximizer off
+the two words, with no list (:func:`_narrow_split`). Other folds run
+:func:`_bit_rows` and read V back into a list through a w-character
 string. The branch search's rows (:mod:`lcs_enum.branching`), the
 mirror's prefix rows over all of Y, take the same :func:`_fold` but keep
 V between runs, and count their levels in either form with
@@ -91,21 +91,21 @@ makes the leftmost occurrence of the whole problem equal the
 concatenation of the leftmost occurrences of the two halves, so
 solving the halves left to right emits it.
 
-One loop does so over an explicit stack of pending ranges, each with
-its LCS length once a split has found it. It solves four kinds of
-range without splitting them. One of two X characters takes the one or
-two searches its split and leaves need (:func:`_two_rows`). One whose
-LCS length equals its number of X characters takes one forward search
-per character (:func:`_matched_rows`): every character is matched, so
-its leftmost LCS is the greedy embedding, each split a recursion would
-make falls at a greedy end, and its probes and peak cells follow in
-closed form. One whose LCS length equals its width w, below its number
-of X characters, is Y's range itself (:func:`_matched_cols`): every
-position is matched, each split falls where a backward greedy walk of
-the right half ends, and its probes follow from the walks. One under 64
-positions of a view with bit-planes is folded once, its leftmost LCS
-read off the kept words, and its probes replayed from one backward
-greedy walk of that answer (:func:`_narrow_lcs`).
+One loop does so over an explicit stack of pending ranges, each with its
+LCS length once a split has found it. It solves four kinds of range
+without splitting them. One of two X characters takes the one or two
+searches its split and leaves need (:func:`_two_rows`). One whose LCS
+length equals its number of X characters takes one forward search per
+character (:func:`_matched_rows`): every character is matched, so its
+leftmost LCS is the greedy embedding, each split a recursion would make
+falls at a greedy end, and its probes and peak cells follow in closed
+form. One whose LCS length equals its width w, below its number of X
+characters, is Y's range itself (:func:`_matched_cols`): every position
+is matched, each split falls where a backward greedy walk of the right
+half ends, and its probes follow from the walks. Any other of a view
+with bit-planes, at any width, is folded once, its leftmost LCS read off
+the kept words, and its probes replayed from one backward greedy walk
+of that answer (:func:`_narrow_lcs`).
 
 The last two rest on the split lemma. Take a range X[a..b] x Y[c..d],
 b > a, with leftmost LCS P of length L, let i_mid = (a + b) // 2 and h
@@ -128,17 +128,18 @@ An empty range holds nothing more, and a one-row leaf at most its one
 appended cell, none if lambda = 0. A split holds its two halves' levels,
 at most lambda each, and releases them; each part, of lengths l and L -
 l with L <= lambda, has at most ceil(r / 2) rows, one bit fewer in r -
-1, and sits a frame deeper: the left part holds at most 6 *
-bit_length(r - 1) + 2l, and the right part, above the left one's l
+1, and sits a frame deeper: the left part holds at most
+6 * bit_length(r - 1) + 2l, and the right part, above the left one's l
 appended cells, l + 6 * bit_length(r - 1) + 2(L - l). The kernels hold
-no more than the recursion they replace: the first two charge exactly
-its cells; the last two run only if the live cells plus the bound, and
-for the narrow kernel the r + 1 + 2 * lambda cells it really holds,
-stay within the meter's peak, so neither the recursion nor the kernel
-could move it. The loop charges every probe and cell that a recursion
-over the same splits would, where the recursion would charge it, or for
-a kernel at once. The levels and frames that a kernel replays in the
-meter never exist, so the real auxiliary memory stays under the charge.
+no more than the recursion they replace: the first two charge exactly its cells; the last
+two run only if the live cells plus the bound, and for the last kernel
+the (r + 1) * ceil(w / 64) + 2 * lambda cells it really holds over w
+positions, stay within the meter's peak, so neither the recursion nor
+the kernel could move it. The loop charges every probe and cell that a
+recursion over the same splits would, where the recursion would charge
+it, or for a kernel at once. The levels and frames that a kernel replays
+in the meter never exist, so the real auxiliary memory stays under the
+charge.
 """
 
 from __future__ import annotations
@@ -627,26 +628,28 @@ def _matched_cols(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
 def _narrow_lcs(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
                 length: int, out: list[int]) -> bool:
     """Append the leftmost LCS positions of X[i_lo..i_hi], Y[j_lo..j_hi],
-    a range of r >= 3 rows over w < 64 positions of a view with
-    bit-planes, of LCS length ``length`` (-1 if unknown), and return
-    True; or, with no fold and no charge, return False if the view has no
-    planes, the range is wider, or the recursion or this kernel might
-    move the meter's peak.
+    a range of r >= 3 rows over w positions of a view with bit-planes, of
+    LCS length ``length`` (-1 if unknown), and return True; or, with no
+    fold and no charge, return False if the view has no planes or the
+    recursion or this kernel might move the meter's peak.
 
     With lambda the length or min(r, w), the recursion holds at most
     :func:`_recursion_peak` of r and lambda above the range's frame, and
-    the kernel r + 1 words, the answer and its rows, so it runs only if
-    the live cells plus the larger of the two stay within the peak.
+    the kernel (r + 1) * ceil(w / 64) cells of words, the answer and its
+    rows, so it runs only if the live cells plus the larger of the two
+    stay within the peak.
 
     One pass folds the r rows as the mirror's prefix rows over the
-    mirrored window, reading masks from its window tables, and keeps
-    every word: ``words[t]`` marks the suffix thresholds of X[i_hi - t +
-    1..i_hi], bit s + q standing for Y[j_hi - q]. The answer takes each
-    position in turn: the least j, each tried once, whose first match in
-    X past the last chosen row, at 0-based index g, leaves the rest of
-    the LCS in ``words[i_hi - 1 - g]`` below bit s + j_hi - j. Once as
-    many rows are left as positions still needed, all are matched, and
-    the rest is their greedy embedding.
+    mirrored window and keeps every word: ``words[t]`` marks the suffix
+    thresholds of X[i_hi - t + 1..i_hi], bit s + q standing for Y[j_hi -
+    q]. Under 64 positions a row's mask is an entry of the mirror's
+    window table; wider, it is cut from the mirror's plane bytes, as
+    :func:`_bit_rows` cuts it. The answer takes each position in turn:
+    the least j, each tried once, whose first match in X past the last
+    chosen row, at 0-based index g, leaves the rest of the LCS in
+    ``words[i_hi - 1 - g]`` below bit s + j_hi - j. Once as many rows are
+    left as positions still needed, all are matched, and the rest is
+    their greedy embedding.
 
     By the split lemma (module docstring), one backward greedy walk of
     the answer fixes the whole split tree, and its probes follow: r * w
@@ -658,23 +661,38 @@ def _narrow_lcs(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
     r, w = i_hi - i_lo + 1, j_hi - j_lo + 1
     meter = view._meter
     bound = min(r, w) if length < 0 else length
-    if (view._planes is None or w >= _BIT_POSITIONS_PER_LEVEL
+    word_cells = -(-w // _BIT_POSITIONS_PER_LEVEL)
+    if (view._planes is None
             or meter.live_cells + max(_recursion_peak(r, bound),
-                                      r + 1 + 2 * bound) > meter.peak_cells):
+                                      (r + 1) * word_cells + 2 * bound)
+            > meter.peak_cells):
         return False
     mirror = view._mirror
     if not mirror._planes:
         _build_planes(mirror)
-    n, tables, mx = view.len_x, mirror._tables, mirror._x
+    n, mx = view.len_x, mirror._x
     b0 = view.len_y - j_hi
-    k, s = b0 >> 6, b0 & 63
-    full = ((1 << w) - 1) << s
-    v = full
+    rows = range(n - i_hi, n - i_lo + 1)
     words = [0]
-    for i in range(n - i_hi, n - i_lo + 1):
-        u = v & tables[mx[i]][k]
-        v = ((v + u) | (v - u)) & full
-        words.append(v ^ full)
+    if w < _BIT_POSITIONS_PER_LEVEL:
+        tables = mirror._tables
+        k, s = b0 >> 6, b0 & 63
+        full = ((1 << w) - 1) << s
+        v = full
+        for i in rows:
+            u = v & tables[mx[i]][k]
+            v = ((v + u) | (v - u)) & full
+            words.append(v ^ full)
+    else:
+        # Plane bytes a..b - 1 hold bits b0..b0 + w - 1, as in _bit_rows.
+        planes, from_bytes = mirror._planes, int.from_bytes
+        a, s, b = b0 >> 3, b0 & 7, (b0 + w + 7) >> 3
+        full = ((1 << w) - 1) << s
+        v = full
+        for i in rows:
+            u = v & from_bytes(planes[mx[i]][a:b], "little")
+            v = ((v + u) | (v - u)) & full
+            words.append(v ^ full)
     need = words[r].bit_count() if length < 0 else length
     find, x, y = view._find, view._x, view._y
     p = []
@@ -727,7 +745,7 @@ def _narrow_lcs(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
                 stack.append((mid + 1, b, j_mid + 1, d, t, hi))
             else:
                 probes += p[t] - j_mid
-    cells = len(words) + 2 * len(p)
+    cells = len(words) * word_cells + 2 * len(p)
     meter.grow(cells)
     meter.shrink(cells)
     meter.eq_queries += probes
@@ -747,13 +765,14 @@ def _first_lcs_into(view: MatchView, i_lo: int, i_hi: int, j_lo: int,
     character is a scan for its least match, a longer one whose length
     is its row count is :func:`_matched_rows`, one of two is
     :func:`_two_rows`, one whose length is its width is
-    :func:`_matched_cols` and any other :func:`_narrow_lcs`, unless the
-    kernel hands it back. A range handed back is split, pushing the
-    right part under the left with the lengths the split found. The
-    meter holds one frame per level of the range being
-    solved, grown and shrunk where a recursion would enter and leave its
-    calls, so probes and peak cells are the recursion's. Frames are
-    released when it returns or raises.
+    :func:`_matched_cols` and any other, of any width,
+    :func:`_narrow_lcs`, unless the kernel hands it back because its
+    words or the recursion's bound might pass the meter's peak. A range
+    handed back is split, pushing the right part under the left with the
+    lengths the split found. The meter holds one frame per level of the
+    range being solved, grown and shrunk where a recursion would enter
+    and leave its calls, so probes and peak cells are the recursion's.
+    Frames are released when it returns or raises.
     """
     meter = view._meter
     # The root's LCS length is unknown: -1 matches no row count or width.

@@ -434,34 +434,44 @@ def test_narrow_restart_memory_does_not_grow_with_y(kind):
 
 
 # Bytes the narrow kernel may allocate per cell it holds: its words, the
-# answer and the answer's rows, each an int of at most 127 bits (44 bytes
-# on 64-bit CPython 3.11) and a list slot; and the bytes it may allocate
-# besides, for its stack of nodes and the tuple first_lcs returns.
-# Measured on CPython 3.10-3.13: 37-65 bytes per cell, the most at r = 3,
-# where about 200 bytes of fixed cost spread over 10 cells.
+# answer and the answer's rows, each an int (under 64 positions one of at
+# most 127 bits, 44 bytes on 64-bit CPython 3.11) and a list slot; and
+# the bytes it may allocate besides, for its stack of nodes and the tuple
+# first_lcs returns. A word over w positions is charged ceil(w / 64)
+# cells. Measured on CPython 3.10-3.13: 37-65 bytes per cell over 50
+# positions, the most at r = 3, where about 200 bytes of fixed cost
+# spread over 10 cells; 18-36 over 200 positions, where a word of 4
+# cells takes about 60 bytes.
 NARROW_KERNEL_CELL_BYTES = 56
 NARROW_KERNEL_FIXED_BYTES = 512
 
 
-@pytest.mark.parametrize("r", [8, 60, 600])
-def test_narrow_kernel_memory_is_its_words_and_answer(r):
-    # r rows over a Y window of 50, under a raised peak: one call of the
-    # narrow kernel. It holds r + 1 words and the answer's L positions
-    # and L rows, so its traced peak stays within A * (r + 1 + 2L) + B
-    # bytes, and flat while |Y| grows x16. The mirror's planes and tables
-    # are input storage, built, like any first-call state, by an
-    # untraced call before.
+@pytest.mark.parametrize("r, w", [
+    *(pytest.param(r, 50, id=str(r)) for r in (8, 60, 600)),
+    *(pytest.param(r, 200, id=f"{r}-wide") for r in (8, 60, 600))])
+def test_narrow_kernel_memory_is_its_words_and_answer(monkeypatch, r, w):
+    # r rows over a Y window of w positions, under a raised peak: one call
+    # of the kernel, and no split. It holds r + 1 words of ceil(w / 64)
+    # cells each and the answer's L positions and L rows, so its traced
+    # peak stays within A * ((r + 1) * ceil(w / 64) + 2L) + B bytes, and
+    # flat while |Y| grows x16. The mirror's planes and tables are input
+    # storage, built, like any first-call state, by an untraced call
+    # before.
+    def no_split(*args):
+        raise AssertionError("a range was split")
+
+    monkeypatch.setattr(hirschberg, "_split", no_split)
     peaks = []
     for m in (4096, 65536):
         rng = random.Random(10)
-        x, window = rand_string(rng, r, 4), rand_string(rng, 50, 4)
+        x, window = rand_string(rng, r, 4), rand_string(rng, w, 4)
         lo = m // 2
         y = (rand_string(rng, lo - 1, 4) + window
-             + rand_string(rng, m - lo - 49, 4))
+             + rand_string(rng, m - lo - w + 1, 4))
         view = MatchView(x, y)
         view.meter.grow(1 << 20)
         view.meter.shrink(1 << 20)
-        yr = IndexRange(lo, lo + 49)
+        yr = IndexRange(lo, lo + w - 1)
         p = first_lcs(view, None, yr)
         tracemalloc.start()
         try:
@@ -470,9 +480,11 @@ def test_narrow_kernel_memory_is_its_words_and_answer(r):
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
-        # Only the kernel ran: a split would have built the view's tables.
-        assert view._tables == {} and view._mirror._tables
-        cells = r + 1 + 2 * len(p)
+        # Under 64 positions the kernel reads the mirror's window tables;
+        # wider, it cuts its masks from the mirror's planes.
+        assert view._tables == {}
+        assert bool(view._mirror._tables) == (w < 64)
+        cells = (r + 1) * -(-w // 64) + 2 * len(p)
         assert peaks[-1] <= (NARROW_KERNEL_CELL_BYTES * cells
                              + NARROW_KERNEL_FIXED_BYTES), (peaks, cells)
     assert max(peaks) - min(peaks) <= NARROW_PEAK_MARGIN, peaks

@@ -308,27 +308,63 @@ def test_interrupt_in_a_narrow_split_releases_its_cells(monkeypatch):
     assert enum.counters.outputs_emitted == len(want)
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
-def test_an_interrupt_at_the_narrow_kernels_charge_appends_nothing(kind):
+@pytest.mark.parametrize("kind, wide", [
+    *(pytest.param(kind, False, id=kind) for kind in ("str", "bytes", "tuple")),
+    *(pytest.param(kind, True, id=f"{kind}-wide")
+      for kind in ("str", "bytes", "tuple"))])
+def test_an_interrupt_at_the_narrow_kernels_charge_appends_nothing(
+        monkeypatch, kind, wide):
     # The kernel charges its probes once, after its fold and walks and
     # before it appends: an interrupt there leaves the buffer as it was,
-    # its cells released and the peak the one it was entered with.
+    # its cells released and the peak the one it was entered with. So it
+    # does over 64 or more positions, where it cuts its masks from the
+    # planes. In an enumeration, the next call resumes the same stream.
     rng = random.Random(14)
-    x, y = rand_string(rng, 40, 4), rand_string(rng, 30, 4)
+    n, m = (150, 120) if wide else (40, 30)
+    x, y = rand_string(rng, n, 4), rand_string(rng, m, 4)
     view = kind_view(kind, x, y)
     view.meter = meter = InterruptingMeter(0)
     meter.grow(1000)
     meter.shrink(995)
+    args = (3, n - 2, 2, m - 1)
     out = [7]
     with pytest.raises(KeyboardInterrupt) as raised:
-        hirschberg._narrow_lcs(view, 3, 38, 2, 29, -1, out)
+        hirschberg._narrow_lcs(view, *args, -1, out)
     assert "_narrow_lcs" in _frames(raised.tb, view._mirror)
     assert out == [7]
     assert (meter.eq_queries, meter.live_cells, meter.peak_cells) == \
         (0, 5, 1000)
-    assert hirschberg._narrow_lcs(view, 3, 38, 2, 29, -1, out)
-    assert out[1:] == list(first_lcs(kind_view(kind, x, y), IndexRange(3, 38),
-                                     IndexRange(2, 29)))
+    assert hirschberg._narrow_lcs(view, *args, -1, out)
+    assert out[1:] == list(first_lcs(kind_view(kind, x, y),
+                                     IndexRange(*args[:2]),
+                                     IndexRange(*args[2:])))
+
+    # A 130 x 150 pair whose later gaps solve ranges of both widths.
+    rng = random.Random(7)
+    x, y = rand_string(rng, 130, 4), rand_string(rng, 150, 4)
+    ref = LcsEnumerator(kind_view(kind, x, y))
+    entries = []
+    kernel = hirschberg._narrow_lcs
+
+    def record(view, i_lo, i_hi, j_lo, j_hi, *args):
+        at = view.meter.eq_queries
+        solved = kernel(view, i_lo, i_hi, j_lo, j_hi, *args)
+        if solved and (j_hi - j_lo + 1 >= 64) == wide:
+            entries.append(at)
+        return solved
+
+    monkeypatch.setattr(hirschberg, "_narrow_lcs", record)
+    want, _ = _run(ref)
+    monkeypatch.undo()
+    assert entries
+    monkeypatch.setattr(enumerator_module, "Meter",
+                        lambda: InterruptingMeter(entries[0]))
+    enum = LcsEnumerator(kind_view(kind, x, y))
+    got, where = _run(enum)
+    assert len(where) == 1 and "_narrow_lcs" in where[0]
+    assert got == want
+    assert enum.view.meter.live_cells == ref.view.meter.live_cells
+    assert enum.counters.outputs_emitted == len(want)
 
 
 @pytest.mark.parametrize("fn", [first_lcs, prefix_thresholds,

@@ -28,7 +28,7 @@ import random
 import pytest
 
 from conftest import VIEW_KINDS, kind_view, rand_string, supersequence
-from lcs_enum import IndexRange, first_lcs
+from lcs_enum import IndexRange, LcsEnumerator, MatchView, first_lcs
 from lcs_enum import hirschberg
 
 FRAME = 6
@@ -226,16 +226,15 @@ def _no_split(*args):
     raise AssertionError("a range was split")
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
-def test_the_narrow_kernel_charges_the_models_probes(monkeypatch,
-                                                     narrow_solved, kind):
-    # With the meter's peak raised past any range's, the kernel solves
-    # every range of 3 or more rows under 64 positions of a coded view
-    # at its root, unknown length and all, and nothing is split. Called
-    # alone with the length known, as a split's parts are, it appends the
-    # same answer, charges the same probes and leaves the answer's cells.
+def _kernel_solves_every_root(monkeypatch, narrow_solved, kind, cases):
+    """With the meter's peak raised past any range's, the kernel solves
+    every range of 3 or more rows of a coded view at its root, unknown
+    length and all, and nothing is split. Called alone with the length
+    known, as a split's parts are, it appends the same answer, charges
+    the same probes and leaves the answer's cells."""
     monkeypatch.setattr(hirschberg, "_split", _no_split)
-    for case in _ranges(f"narrow {kind}", 300, 100, 63):
+    solved = 0
+    for case in cases:
         x, y, xr, yr = case
         narrow_solved.clear()
         _check(kind, *case, live=3, peak=1 << 20)
@@ -243,6 +242,7 @@ def test_the_narrow_kernel_charges_the_models_probes(monkeypatch,
         assert narrow_solved == [True] * kernel, case
         if not kernel:
             continue
+        solved += 1
         want, probes, _ = restart_model(*map(VIEW_KINDS[kind], (x, y)),
                                         xr.lo, xr.hi, yr.lo, yr.hi)
         view = kind_view(kind, x, y)
@@ -254,6 +254,100 @@ def test_the_narrow_kernel_charges_the_models_probes(monkeypatch,
                                       len(want), out)
         assert (tuple(out), meter.eq_queries) == (want, probes), case
         assert (meter.live_cells, meter.peak_cells) == (3 + len(want), 1 << 20)
+    return solved
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+def test_the_narrow_kernel_charges_the_models_probes(monkeypatch,
+                                                     narrow_solved, kind):
+    # Ranges under 64 positions: every row's mask is a window-table entry.
+    cases = _ranges(f"narrow {kind}", 300, 100, 63)
+    assert _kernel_solves_every_root(monkeypatch, narrow_solved, kind, cases)
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "tuple"])
+def test_the_kernel_charges_the_models_probes_at_every_width(
+        monkeypatch, narrow_solved, kind):
+    # Ranges of 3-150 rows over 64-200 positions: every row's mask is cut
+    # from the mirror's plane bytes, and each of the r + 1 words it keeps
+    # takes ceil(w / 64) machine words.
+    cases = [case for case in _ranges(f"wide kernel {kind}", 90, 150, 200)
+             if case[2].length >= 3 and case[3].length >= 64]
+    assert len(cases) >= 40
+    assert _kernel_solves_every_root(monkeypatch, narrow_solved, kind,
+                                     cases) == len(cases)
+
+
+@pytest.mark.parametrize("r, w", [(40, 30), (40, 100)], ids=["narrow", "wide"])
+@pytest.mark.parametrize("known", [True, False], ids=["known", "unknown"])
+def test_the_kernel_runs_exactly_when_its_bound_fits_the_peak(r, w, known):
+    # A peak of exactly the live cells plus the larger of the recursion's
+    # bound and the kernel's (r + 1) * ceil(w / 64) + 2 * lambda cells
+    # admits the range; one cell lower, the kernel hands it back with no
+    # probe, no cell and nothing appended. Here the kernel's words set
+    # the bound.
+    rng = random.Random(f"admission {r} {w}")
+    x, y = rand_string(rng, r + 2, 4), rand_string(rng, w + 3, 4)
+    xr, yr = IndexRange(2, r + 1), IndexRange(3, w + 2)
+    want = leftmost_lcs(x, y, xr.lo, xr.hi, yr.lo, yr.hi)
+    length = len(want) if known else -1
+    bound = len(want) if known else min(r, w)
+    words = (r + 1) * -(-w // 64) + 2 * bound
+    recursion = FRAME * (r - 1).bit_length() + 2 * bound
+    assert words > recursion
+    live = 5
+    for peak, runs in ((live + words, True), (live + words - 1, False)):
+        view = kind_view("str", x, y)
+        meter = view.meter
+        meter.grow(peak)
+        meter.shrink(peak - live)
+        out = [7]
+        assert hirschberg._narrow_lcs(view, xr.lo, xr.hi, yr.lo, yr.hi,
+                                      length, out) is runs
+        if runs:
+            assert out[1:] == want
+            assert (meter.live_cells, meter.peak_cells) == (
+                live + len(want), peak)
+        else:
+            assert out == [7]
+            assert (meter.eq_queries, meter.live_cells, meter.peak_cells) == (
+                0, live, peak)
+
+
+def test_a_fixed_first_output_makes_its_pinned_splits(monkeypatch,
+                                                      narrow_solved):
+    # The first output of one fixed 1,024-character four-letter pair: the
+    # root and the ranges whose kernel bound still passes the peak are
+    # split, and the kernel solves the rest, under 64 positions or wider.
+    # The counts are exact, so a change to the admission rule shows here.
+    rng = random.Random("pinned splits")
+    x, y = rand_string(rng, 1024, 4), rand_string(rng, 1024, 4)
+    splits = []
+    split = hirschberg._split
+
+    def record(view, i_lo, i_hi, j_lo, j_hi):
+        splits.append(j_hi - j_lo + 1)
+        return split(view, i_lo, i_hi, j_lo, j_hi)
+
+    wide = []
+    kernel = hirschberg._narrow_lcs
+
+    def record_wide(view, i_lo, i_hi, j_lo, j_hi, *args):
+        solved = kernel(view, i_lo, i_hi, j_lo, j_hi, *args)
+        wide.append(solved and j_hi - j_lo + 1 >= 64)
+        return solved
+
+    monkeypatch.setattr(hirschberg, "_split", record)
+    monkeypatch.setattr(hirschberg, "_narrow_lcs", record_wide)
+    enum = LcsEnumerator(MatchView(x, y))
+    assert enum.next_sequence() is not None
+    # 10 splits, all 140 or more positions wide, each of a range the
+    # kernel handed back first; 11 ranges solved by the kernel, 10 of
+    # them 64 or more positions wide. (Before the kernel took wide ranges:
+    # 24 splits, 25 solved.)
+    assert (len(splits), narrow_solved.count(True),
+            narrow_solved.count(False), wide.count(True)) == (10, 11, 10, 10)
+    assert min(splits) >= 140
 
 
 # Pairs of 200-300 characters: a first output's root split is wide, and
