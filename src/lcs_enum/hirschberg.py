@@ -35,16 +35,16 @@ Hyyro): the thresholds become the 0-bits of a w-bit integer V over the
 fold's w positions of Y, and one row is
 ``U = V & M; V = ((V + U) | (V - U)) & full`` with M the row's match
 mask. A fold's rows cut M from the view's bit-plane of the row's code,
-about w/8 bytes of it. The two kernels below read it under 64 positions
-with one list index into the code's window table, whose entry k holds
-plane bits 64k..64k + 127, so none of those reads makes a temporary
+about w/8 bytes of it. Under 64 positions the two kernels below read
+it with one list index into the code's window table, whose entry k holds
+plane bits 64k..64k + 127, so none of their reads makes a temporary
 wider than 128 bits. The view and the mirror each hold a plane per code
 of X, 2 * len_y bits per code in all: one per token X and Y share, and
-one of zeros for all tokens only in X, if any. They are built at once on
-the orientation's first bit fold, and a table per code that a kernel
-has read under 64 positions, built on that first read: about len_y / 64 ints of up
-to 128 bits. All are read-only input storage outside the cell count,
-like the coded pair and the mirror.
+one of zeros for all tokens only in X, if any. They are built at once on the
+orientation's first bit fold, and a table per code that such a read
+has met, built on that first read: about len_y / 64 ints of up to 128
+bits. All are read-only input storage outside the cell count, like the
+coded pair and the mirror.
 
 One function, :func:`_fold`, switches a fold of a view with bit-planes
 from the list form to the bit form: before the first row at which it
@@ -56,8 +56,8 @@ the meter's peak, at any width, is folded once, keeping every row's
 word, and its whole LCS read off the words (:func:`_narrow_lcs`); a
 split under 64 positions that the loop below still makes folds both
 halves in one kernel, one word each, and reads its least maximizer off
-the two words, with no list (:func:`_narrow_split`). Other folds run
-:func:`_bit_rows` and read V back into a list through a w-character
+the two words, with no list (:func:`_narrow_split`). Other folds
+run :func:`_bit_rows` and read V back into a list through a w-character
 string. The branch search's rows (:mod:`lcs_enum.branching`), the
 mirror's prefix rows over all of Y, take the same :func:`_fold` but keep
 V between runs, and count their levels in either form with
@@ -91,21 +91,21 @@ makes the leftmost occurrence of the whole problem equal the
 concatenation of the leftmost occurrences of the two halves, so
 solving the halves left to right emits it.
 
-One loop does so over an explicit stack of pending ranges, each with its
-LCS length once a split has found it. It solves four kinds of range
-without splitting them. One of two X characters takes the one or two
-searches its split and leaves need (:func:`_two_rows`). One whose LCS
-length equals its number of X characters takes one forward search per
-character (:func:`_matched_rows`): every character is matched, so its
-leftmost LCS is the greedy embedding, each split a recursion would make
-falls at a greedy end, and its probes and peak cells follow in closed
-form. One whose LCS length equals its width w, below its number of X
-characters, is Y's range itself (:func:`_matched_cols`): every position
-is matched, each split falls where a backward greedy walk of the right
-half ends, and its probes follow from the walks. Any other of a view
-with bit-planes, at any width, is folded once, its leftmost LCS read off
-the kept words, and its probes replayed from one backward greedy walk
-of that answer (:func:`_narrow_lcs`).
+One loop does so over an explicit stack of pending ranges, each with
+its LCS length once a split has found it. It solves four kinds of
+range without splitting them. One of two X characters takes the one or
+two searches its split and leaves need (:func:`_two_rows`). One whose
+LCS length equals its number of X characters takes one forward search
+per character (:func:`_matched_rows`): every character is matched, so
+its leftmost LCS is the greedy embedding, each split a recursion would
+make falls at a greedy end, and its probes and peak cells follow in
+closed form. One whose LCS length equals its width w, below its number
+of X characters, is Y's range itself (:func:`_matched_cols`): every
+position is matched, each split falls where a backward greedy walk of
+the right half ends, and its probes follow from the walks. Any other of
+a view with bit-planes, at any width, is folded once, its leftmost LCS
+read off the kept words, and its probes replayed from one backward
+greedy walk of that answer (:func:`_narrow_lcs`).
 
 The last two rest on the split lemma. Take a range X[a..b] x Y[c..d],
 b > a, with leftmost LCS P of length L, let i_mid = (a + b) // 2 and h
@@ -128,18 +128,18 @@ An empty range holds nothing more, and a one-row leaf at most its one
 appended cell, none if lambda = 0. A split holds its two halves' levels,
 at most lambda each, and releases them; each part, of lengths l and L -
 l with L <= lambda, has at most ceil(r / 2) rows, one bit fewer in r -
-1, and sits a frame deeper: the left part holds at most
-6 * bit_length(r - 1) + 2l, and the right part, above the left one's l
+1, and sits a frame deeper: the left part holds at most 6 *
+bit_length(r - 1) + 2l, and the right part, above the left one's l
 appended cells, l + 6 * bit_length(r - 1) + 2(L - l). The kernels hold
-no more than the recursion they replace: the first two charge exactly its cells; the last
-two run only if the live cells plus the bound, and for the last kernel
-the (r + 1) * ceil(w / 64) + 2 * lambda cells it really holds over w
-positions, stay within the meter's peak, so neither the recursion nor
-the kernel could move it. The loop charges every probe and cell that a
-recursion over the same splits would, where the recursion would charge
-it, or for a kernel at once. The levels and frames that a kernel replays
-in the meter never exist, so the real auxiliary memory stays under the
-charge.
+no more than the recursion they replace: the first two charge exactly
+its cells; the last two run only if the live cells plus the bound, and
+for the last kernel the (r + 1) * ceil(w / 64) + 2 * lambda cells it
+really holds over w positions, stay within the meter's peak, so neither
+the recursion nor the kernel could move it. The loop charges every
+probe and cell that a recursion over the same splits would, where the
+recursion would charge it, or for a kernel at once. The levels and
+frames that a kernel replays in the meter never exist, so the real
+auxiliary memory stays under the charge.
 """
 
 from __future__ import annotations
@@ -190,7 +190,8 @@ def _fold_prefix_row(view: MatchView, i: int, j_lo: int, j_hi: int,
 
 
 # V and each w-bit temporary take a word per this many positions, so a
-# fold switches once it holds a level per this many (_fold).
+# fold switches once it holds a level per this many (_fold), and a word
+# the one-fold kernel keeps is charged a cell per this many (_narrow_lcs).
 _BIT_POSITIONS_PER_LEVEL = 64
 
 
@@ -635,9 +636,9 @@ def _narrow_lcs(view: MatchView, i_lo: int, i_hi: int, j_lo: int, j_hi: int,
 
     With lambda the length or min(r, w), the recursion holds at most
     :func:`_recursion_peak` of r and lambda above the range's frame, and
-    the kernel (r + 1) * ceil(w / 64) cells of words, the answer and its
-    rows, so it runs only if the live cells plus the larger of the two
-    stay within the peak.
+    the kernel (r + 1) * ceil(w / 64) + 2 * lambda cells: its words, the
+    answer and its rows. So it runs only if the live cells plus the
+    larger of the two stay within the peak.
 
     One pass folds the r rows as the mirror's prefix rows over the
     mirrored window and keeps every word: ``words[t]`` marks the suffix

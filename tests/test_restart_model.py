@@ -24,6 +24,7 @@ solves the range.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -314,40 +315,35 @@ def test_the_kernel_runs_exactly_when_its_bound_fits_the_peak(r, w, known):
                 0, live, peak)
 
 
-def test_a_fixed_first_output_makes_its_pinned_splits(monkeypatch,
-                                                      narrow_solved):
+def test_a_fixed_first_output_makes_its_pinned_splits(monkeypatch):
     # The first output of one fixed 1,024-character four-letter pair: the
     # root and the ranges whose kernel bound still passes the peak are
     # split, and the kernel solves the rest, under 64 positions or wider.
     # The counts are exact, so a change to the admission rule shows here.
     rng = random.Random("pinned splits")
     x, y = rand_string(rng, 1024, 4), rand_string(rng, 1024, 4)
-    splits = []
-    split = hirschberg._split
+    split, kernel = hirschberg._split, hirschberg._narrow_lcs
+    splits, kernel_calls = [], Counter()
 
-    def record(view, i_lo, i_hi, j_lo, j_hi):
+    def record_split(view, i_lo, i_hi, j_lo, j_hi):
         splits.append(j_hi - j_lo + 1)
         return split(view, i_lo, i_hi, j_lo, j_hi)
 
-    wide = []
-    kernel = hirschberg._narrow_lcs
-
-    def record_wide(view, i_lo, i_hi, j_lo, j_hi, *args):
+    def record_kernel(view, i_lo, i_hi, j_lo, j_hi, *args):
         solved = kernel(view, i_lo, i_hi, j_lo, j_hi, *args)
-        wide.append(solved and j_hi - j_lo + 1 >= 64)
+        width = "wide" if j_hi - j_lo + 1 >= 64 else "narrow"
+        kernel_calls[solved, width] += 1
         return solved
 
-    monkeypatch.setattr(hirschberg, "_split", record)
-    monkeypatch.setattr(hirschberg, "_narrow_lcs", record_wide)
-    enum = LcsEnumerator(MatchView(x, y))
-    assert enum.next_sequence() is not None
+    monkeypatch.setattr(hirschberg, "_split", record_split)
+    monkeypatch.setattr(hirschberg, "_narrow_lcs", record_kernel)
+    assert LcsEnumerator(MatchView(x, y)).next_sequence() is not None
     # 10 splits, all 140 or more positions wide, each of a range the
-    # kernel handed back first; 11 ranges solved by the kernel, 10 of
-    # them 64 or more positions wide. (Before the kernel took wide ranges:
-    # 24 splits, 25 solved.)
-    assert (len(splits), narrow_solved.count(True),
-            narrow_solved.count(False), wide.count(True)) == (10, 11, 10, 10)
-    assert min(splits) >= 140
+    # kernel handed back first; the kernel solves 10 wide ranges and one
+    # narrow one. Before it took wide ranges: 24 splits, 25 solved.
+    assert len(splits) == 10 and min(splits) >= 140
+    assert kernel_calls == {(True, "wide"): 10, (True, "narrow"): 1,
+                            (False, "wide"): 10}
 
 
 # Pairs of 200-300 characters: a first output's root split is wide, and
